@@ -1,10 +1,11 @@
 """Walk one (support, query) pair through the conditional learner and show
-the swap symmetry and the oracle agreement of the 4D convolution."""
+the swap symmetry, and that the factored 4D convolution agrees with the
+nested-loop oracle run on the dense relation tensor."""
 import numpy as np
 
 from condrep.autodiff import Tensor
-from condrep.conditional import (ConvKernel4D, conditional_forward, conv4d_oracle,
-                                 conv4d_support)
+from condrep.conditional import (ConvKernel4D, build_relation_tensor, conditional_forward,
+                                 conditional_matrices, conv4d_oracle)
 from condrep.data import apply_difficulty, generate_base_image
 from condrep.model import Model
 
@@ -26,11 +27,14 @@ swapped = conditional_forward(fq, fs, model.kernel)
 print("swap symmetry, bit-exact:",
       np.array_equal(out.support_matrix.data, swapped.query_matrix.data))
 
-# the vectorized directional convolution against the literal nested loops
+# the factored reduction never builds the (Ws, Hs, Wq, Hq, C) relation tensor;
+# the literal nested loops over that tensor referee it
 rng = np.random.default_rng(1)
-rel = rng.normal(size=(4, 4, 4, 4, 3))
+s_corr, q_corr = Tensor(rng.normal(size=(4, 4, 3))), Tensor(rng.normal(size=(5, 3, 3)))
 kern = ConvKernel4D(weights=Tensor(rng.normal(size=(3, 3, 3, 3))),
                     bias=Tensor(rng.normal()))
-fast = conv4d_support(Tensor(rel), kern).data
-slow = conv4d_oracle(rel, kern, "support")
-print(f"conv4d vs nested-loop oracle, max abs diff: {np.abs(fast - slow).max():.2e}")
+rel = build_relation_tensor(s_corr, q_corr)
+for direction, fast in zip(("support", "query"), conditional_matrices(s_corr, q_corr, kern)):
+    slow = conv4d_oracle(rel, kern, direction)
+    print(f"{direction} matrix, factored vs nested-loop oracle on the dense tensor, "
+          f"max abs diff: {np.abs(fast.data - slow).max():.2e}")

@@ -16,8 +16,8 @@ from .autodiff import Tensor, backward, no_grad
 from .backbone import (BackboneConfig, PrototypeFeature, extract_features,
                        extract_prototypes, init_backbone, pooled_feature)
 from .conditional import (ConvKernel4D, aggregate_prototypes, build_relation_tensor,
-                          conditional_forward, conv4d_oracle, conv4d_query,
-                          conv4d_support, cross_correlate, positional_encode)
+                          conditional_forward, conditional_matrices, conv4d_oracle,
+                          cross_correlate, positional_encode)
 from .data import (DatasetConfig, SyntheticDataset, SyntheticSample, apply_difficulty,
                    build_dataset, generate_base_image)
 from .evaluate import (EpisodeTask, EvalReport, LinearClassifier, classify_query,

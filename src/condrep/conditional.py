@@ -1,6 +1,16 @@
 """Conditional learner: cross-attention against the aggregated pair feature,
-followed by a bidirectional 4D convolution over the uncompressed relation
-tensor.
+followed by a bidirectional 4D convolution of the relation tensor
+``rel[ws, hs, wq, hq, c] = s[ws, hs, c] * q[wq, hq, c]``.
+
+The support direction slides the kernel's centre cross-slice K over rel's
+query axes and sums all windows and channels, which weights query cell
+(wq, hq) by ``coef = F_W . K . F_H^T`` (see :func:`_fold_matrix`). That is
+linear in rel, and rel is an outer product, so it factors exactly into
+``relu(sum_c s[ws, hs, c] * pooled[c] + bias)`` with
+``pooled[c] = sum_{wq, hq} coef[wq, hq] * q[wq, hq, c]``; the query direction
+mirrors it. That costs O(W*H*C), not rel's O((W*H)^2 * C), so the model never
+builds rel: :func:`build_relation_tensor` and :func:`conv4d_oracle` keep the
+dense form as the tests' referee.
 
 Symmetry contract: for any inputs a, b and any parameter values,
 ``conditional_forward(a, b).support_matrix`` is bit-identical to
@@ -10,10 +20,10 @@ make that hold exactly rather than only up to rounding:
 * each side attends against its own self-first aggregated view
   ``[flatten(self); flatten(other)]``, so a given image's attention
   computation is the same float program in either role;
-* both directional reductions read the same sliding weights from the
-  shared 4D kernel - its centre cross-slice ``weights[:, :, M//2, N//2]`` -
-  the query direction simply applying those indices over the transposed
-  (support) axes.
+* both directions are one helper, ``_directional_reduce(own, other)``,
+  called as ``(s, q)`` and as ``(q, s)``, reading the same sliding
+  weights from the shared 4D kernel - its centre cross-slice
+  ``weights[:, :, M//2, N//2]``.
 """
 from __future__ import annotations
 
@@ -112,7 +122,7 @@ def _swap_last_two(ndim: int):
 
 
 def build_relation_tensor(support_corr, query_corr) -> Tensor:
-    """Uncompressed channelwise outer product:
+    """Uncompressed channelwise outer product, the input of :func:`conv4d_oracle`:
     out[..., ws, hs, wq, hq, c] = support[..., ws, hs, c] * query[..., wq, hq, c]."""
     s, q = ad.as_tensor(support_corr), ad.as_tensor(query_corr)
     if s.ndim < 3 or q.ndim < 3 or s.shape[-1] != q.shape[-1]:
@@ -194,53 +204,35 @@ def _fold_matrix(grid: int, k: int) -> np.ndarray:
     return fold
 
 
-def _check_sliding_fit(k: int, l: int, grid_w: int, grid_h: int):
-    if k > grid_w + 2 * (k // 2) or l > grid_h + 2 * (l // 2):
-        raise DimensionError(f"conv4d: kernel {k}x{l} larger than padded grid "
-                             f"{grid_w}x{grid_h}")
-
-
-def _directional_reduce(rel: Tensor, kernel: ConvKernel4D) -> Tensor:
-    """Reduce (..., Wo, Ho, Wr, Hr, C) over the trailing grid and channels with
-    the kernel sliding over (Wr, Hr); relu(sum + bias) on the (Wo, Ho) grid."""
-    wo, ho, wr, hr, c = rel.shape[-5:]
+def _directional_reduce(own: Tensor, other: Tensor, kernel: ConvKernel4D) -> Tensor:
+    """Conditional matrix on ``own``'s grid, with the kernel sliding over
+    ``other``'s: ``relu(own . pooled + bias)``."""
+    c = own.shape[-1]
+    wr, hr = other.shape[-3], other.shape[-2]
     kern = kernel.sliding_slice()
     k, l = kern.shape
-    _check_sliding_fit(k, l, wr, hr)
     coef = ad.matmul(ad.matmul(Tensor(_fold_matrix(wr, k)), kern),
                      Tensor(_fold_matrix(hr, l).T))                     # (Wr, Hr)
-    coef_c = ad.matmul(ad.reshape(coef, (wr * hr, 1)), Tensor(np.ones((1, c))))
-    coef_c = ad.reshape(coef_c, (wr * hr * c, 1))
-    flat = ad.reshape(rel, rel.shape[:-5] + (wo * ho, wr * hr * c))
-    summed = ad.reshape(ad.matmul(flat, coef_c), rel.shape[:-5] + (wo, ho))
-    return ad.relu(ad.add(summed, kernel.bias))
+    pooled = ad.matmul(ad.reshape(coef, (1, wr * hr)), flatten_grid(other))  # (..., 1, C)
+    summed = ad.matmul(flatten_grid(own), ad.reshape(pooled, pooled.shape[:-2] + (c, 1)))
+    return ad.relu(ad.add(ad.reshape(summed, own.shape[:-1]), kernel.bias))
 
 
-def conv4d_support(rel, kernel: ConvKernel4D) -> Tensor:
-    """Conditional matrix on the support grid: slide over the query dims,
-    sum over channels and all query positions, add bias, relu."""
-    rel = ad.as_tensor(rel)
-    if rel.ndim < 5:
-        raise DimensionError(f"conv4d: relation tensor must be (..., Ws,Hs,Wq,Hq,C), "
-                             f"got {rel.shape}")
-    return _directional_reduce(rel, kernel)
-
-
-def conv4d_query(rel, kernel: ConvKernel4D) -> Tensor:
-    """Mirror of :func:`conv4d_support`: the same sliding weights applied over
-    the support dims, output on the query grid."""
-    rel = ad.as_tensor(rel)
-    if rel.ndim < 5:
-        raise DimensionError(f"conv4d: relation tensor must be (..., Ws,Hs,Wq,Hq,C), "
-                             f"got {rel.shape}")
-    lead = rel.ndim - 5
-    axes = tuple(range(lead)) + (lead + 2, lead + 3, lead, lead + 1, lead + 4)
-    return _directional_reduce(ad.permute(rel, axes), kernel)
+def conditional_matrices(s_corr, q_corr, kernel: ConvKernel4D) -> tuple[Tensor, Tensor]:
+    """Support (..., Ws, Hs) and query (..., Wq, Hq) matrices of ``s_corr``
+    (..., Ws, Hs, C) and ``q_corr`` (..., Wq, Hq, C); each equals
+    ``conv4d_oracle(build_relation_tensor(s_corr, q_corr), kernel, direction)``."""
+    s, q = ad.as_tensor(s_corr), ad.as_tensor(q_corr)
+    if s.ndim < 3 or s.ndim != q.ndim or s.shape[:-3] != q.shape[:-3] \
+            or s.shape[-1] != q.shape[-1]:
+        raise DimensionError(f"conditional_matrices: expected (..., W, H, C) inputs with "
+                             f"equal batch dims and channels, got {s.shape} and {q.shape}")
+    return _directional_reduce(s, q, kernel), _directional_reduce(q, s, kernel)
 
 
 def conv4d_oracle(rel, kernel: ConvKernel4D, direction: str) -> np.ndarray:
-    """Literal nested-loop reduction for small grids; referee for the
-    vectorized directional convolutions."""
+    """Literal nested-loop reduction of a dense relation tensor for small
+    grids; referee for :func:`conditional_matrices`."""
     rel = np.asarray(rel.data if isinstance(rel, Tensor) else rel, dtype=np.float64)
     if rel.ndim != 5:
         raise DimensionError(f"conv4d_oracle: expected (Ws,Hs,Wq,Hq,C), got {rel.shape}")
@@ -310,10 +302,5 @@ def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
     qq = positional_encode(flatten_grid(fq))
     s_corr = cross_correlate(qs, fm_s, grid=(w, h))
     q_corr = cross_correlate(qq, fm_q, grid=(w, h))
-    rel = build_relation_tensor(s_corr, q_corr)
-    return ConditionalOutput(
-        support_matrix=conv4d_support(rel, kernel),
-        query_matrix=conv4d_query(rel, kernel),
-        support_feature=fs,
-        query_feature=fq,
-    )
+    support_matrix, query_matrix = conditional_matrices(s_corr, q_corr, kernel)
+    return ConditionalOutput(support_matrix, query_matrix, support_feature=fs, query_feature=fq)

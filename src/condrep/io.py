@@ -37,33 +37,40 @@ def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
+    """Parse a checkpoint. Malformed, truncated or non-finite content raises
+    ConfigError naming the part of the file at fault."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
         raise ConfigError(f"checkpoint: {path} is not a {CHECKPOINT_MAGIC} file")
-    version = int(lines[0].split()[1])
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"checkpoint: unsupported version {version}")
-    if not lines[1].startswith("header "):
-        raise ConfigError("checkpoint: missing header line")
-    header = json.loads(lines[1][len("header "):])
-    config = ModelConfig.from_dict(header["model_config"])
-    params: dict[str, np.ndarray] = {}
-    i = 2
-    while i < len(lines) and lines[i] != "end":
-        parts = lines[i].split()
-        if parts[0] != "tensor":
-            raise ConfigError(f"checkpoint: unexpected line {i + 1}: {lines[i][:40]}")
-        name, ndim = parts[1], int(parts[2])
-        shape = tuple(int(d) for d in parts[3:3 + ndim])
-        count = int(np.prod(shape)) if shape else 1
-        values: list[float] = []
-        i += 1
-        while len(values) < count:
-            values.extend(float.fromhex(tok) for tok in lines[i].split())
-            i += 1
-        params[name] = np.array(values, dtype=np.float64).reshape(shape)
-    return config, params, header["meta"]
+    if lines[0].split()[1:] != [str(CHECKPOINT_VERSION)]:
+        raise ConfigError(f"checkpoint: unsupported version line '{lines[0][:40]}'")
+    part, params = "header line", {}
+    try:
+        if not lines[1].startswith("header "):
+            raise ValueError("missing")
+        header = json.loads(lines[1][len("header "):])
+        config, meta = ModelConfig.from_dict(header["model_config"]), header["meta"]
+        i = 2
+        while lines[i] != "end":
+            part = f"tensor header on line {i + 1}"
+            kind, name, ndim, *dims = lines[i].split()
+            shape = tuple(int(d) for d in dims)
+            if kind != "tensor" or int(ndim) != len(shape) or min(shape, default=0) < 0 \
+                    or name in params:
+                raise ValueError(lines[i][:60])
+            part, j = f"tensor '{name}'", i + 1
+            while lines[j] != "end" and not lines[j].startswith("tensor"):
+                j += 1
+            values = [float.fromhex(tok) for tok in " ".join(lines[i + 1:j]).split()]
+            params[name] = np.array(values, dtype=np.float64).reshape(shape)
+            if not np.isfinite(params[name]).all():
+                raise ValueError("non-finite values")
+            i = j
+    except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # every step above fails only on a malformed or cut-off file
+        raise ConfigError(f"checkpoint: {path}: malformed or truncated {part} ({exc})") from None
+    return config, params, meta
 
 
 def model_from_checkpoint(path) -> tuple[Model, dict]:

@@ -8,7 +8,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import BackboneConfig, extract_features, init_backbone
 from .conditional import ConvKernel4D, init_conv_kernel
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DimensionError
 from .rerepresent import STRUCTURES, init_rerep_params
 
 
@@ -100,7 +100,6 @@ class Model:
 
     def load_parameters(self, values: dict[str, np.ndarray]):
         """Overwrite every named parameter; shapes must match exactly."""
-        from .exceptions import DimensionError
         params = self.parameters()
         missing = sorted(set(params) - set(values))
         extra = sorted(set(values) - set(params))

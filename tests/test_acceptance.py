@@ -13,8 +13,8 @@ from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
 from condrep.backbone import BackboneConfig
 from condrep.cli import main as cli_main
-from condrep.conditional import (ConvKernel4D, conditional_forward, conv4d_oracle,
-                                 conv4d_query, conv4d_support)
+from condrep.conditional import (ConvKernel4D, build_relation_tensor, conditional_forward,
+                                 conditional_matrices, conv4d_oracle)
 from condrep.data import DatasetConfig, build_dataset, measure_rule
 from condrep.evaluate import (EvalReport, classify_query, episode_features,
                               run_evaluation_suite, sample_episode)
@@ -170,19 +170,19 @@ def test_criterion_2_conv4d_oracle():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(7000 + seed)
-        grids = rng.integers(1, 7, size=4)
+        ws, hs, wq, hq = (int(g) for g in rng.integers(1, 7, size=4))
         c = int(rng.integers(1, 4))
         kshape = tuple(int(rng.choice([1, 3])) for _ in range(4))
-        rel = rng.normal(size=(*grids, c))
+        s, q = Tensor(rng.normal(size=(ws, hs, c))), Tensor(rng.normal(size=(wq, hq, c)))
         kern = ConvKernel4D(weights=Tensor(rng.normal(size=kshape)),
                             bias=Tensor(rng.normal()))
-        ds = np.abs(conv4d_support(Tensor(rel), kern).data
-                    - conv4d_oracle(rel, kern, "support")).max()
-        dq = np.abs(conv4d_query(Tensor(rel), kern).data
-                    - conv4d_oracle(rel, kern, "query")).max()
+        rel = build_relation_tensor(s, q)
+        support, query = conditional_matrices(s, q, kern)
+        ds = np.abs(support.data - conv4d_oracle(rel, kern, "support")).max()
+        dq = np.abs(query.data - conv4d_oracle(rel, kern, "query")).max()
         worst = max(worst, ds, dq)
     elapsed = time.time() - start
-    _report(2, "conv4d support/query agree with nested-loop oracle",
+    _report(2, "factored support/query matrices agree with nested-loop oracle",
             worst < 1e-9 and elapsed < 30, f"max abs diff {worst:.2e}, {elapsed:.1f}s")
 
 

@@ -1,14 +1,15 @@
 """Conditional learner: positional encoding, cross-attention, relation tensor,
-and the bidirectional 4D convolution against its nested-loop oracle."""
+and the factored bidirectional 4D convolution against its nested-loop oracle
+on the dense relation tensor."""
 import numpy as np
 import pytest
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
 from condrep.conditional import (ConvKernel4D, aggregate_prototypes, build_relation_tensor,
-                                 conditional_forward, conv4d_oracle, conv4d_query,
-                                 conv4d_support, cross_correlate, flatten_grid,
-                                 init_conv_kernel, positional_encode, _sinusoid_table)
+                                 conditional_forward, conditional_matrices, conv4d_oracle,
+                                 cross_correlate, flatten_grid, init_conv_kernel,
+                                 positional_encode, _sinusoid_table)
 from condrep.exceptions import ConfigError, DimensionError
 from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 
@@ -128,48 +129,58 @@ class TestConv4d:
     def test_zero_tensor_gives_bias_through_relu(self):
         kern = init_conv_kernel((3, 3, 3, 3), seed=0)
         kern.bias.data = np.float64(0.7)
-        rel = Tensor(np.zeros((3, 3, 3, 3, 2)))
-        np.testing.assert_allclose(conv4d_support(rel, kern).data, np.full((3, 3), 0.7),
-                                   atol=1e-15)
+        s = Tensor(np.zeros((3, 3, 2)))
+        q = Tensor(np.random.default_rng(14).normal(size=(3, 3, 2)))
+        for out in conditional_matrices(s, q, kern):
+            np.testing.assert_allclose(out.data, np.full((3, 3), 0.7), atol=1e-15)
         kern.bias.data = np.float64(-0.7)
-        np.testing.assert_array_equal(conv4d_support(rel, kern).data, np.zeros((3, 3)))
+        for out in conditional_matrices(s, q, kern):
+            np.testing.assert_array_equal(out.data, np.zeros((3, 3)))
 
     def test_delta_kernel_closed_form(self):
         rng = np.random.default_rng(7)
-        rel = rng.normal(size=(3, 3, 4, 4, 2))
-        out = conv4d_support(Tensor(rel), delta_kernel())
+        s, q = rng.normal(size=(3, 3, 2)), rng.normal(size=(4, 4, 2))
+        rel = build_relation_tensor(Tensor(s), Tensor(q)).data
+        out, _ = conditional_matrices(Tensor(s), Tensor(q), delta_kernel())
         expected = np.maximum(rel.sum(axis=(2, 3, 4)), 0.0)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_zero_kernel_bias_only(self):
         kern = ConvKernel4D(weights=Tensor(np.zeros((3, 3, 1, 1))),
                             bias=Tensor(np.float64(0.3)))
-        rel = Tensor(np.random.default_rng(8).normal(size=(2, 2, 2, 2, 3)))
-        np.testing.assert_allclose(conv4d_query(rel, kern).data, np.full((2, 2), 0.3),
-                                   atol=1e-15)
+        rng = np.random.default_rng(8)
+        s, q = Tensor(rng.normal(size=(2, 2, 3))), Tensor(rng.normal(size=(2, 2, 3)))
+        _, out = conditional_matrices(s, q, kern)
+        np.testing.assert_allclose(out.data, np.full((2, 2), 0.3), atol=1e-15)
 
     def test_symmetric_relation_gives_equal_matrices(self):
-        rng = np.random.default_rng(9)
-        half = rng.normal(size=(3, 3, 3, 3, 2))
-        rel = half + half.transpose(2, 3, 0, 1, 4)
+        # s == q makes the relation tensor symmetric under swapping its two grids
+        f = Tensor(np.random.default_rng(9).normal(size=(3, 3, 2)))
         kern = init_conv_kernel((3, 3, 3, 3), seed=1)
-        ws = conv4d_support(Tensor(rel), kern).data
-        wq = conv4d_query(Tensor(rel), kern).data
-        np.testing.assert_allclose(ws, wq, atol=1e-12)
+        ws, wq = conditional_matrices(f, f, kern)
+        np.testing.assert_array_equal(ws.data, wq.data)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_oracle_agreement(self, seed):
         rng = np.random.default_rng(1000 + seed)
-        ws_, hs_, wq_, hq_ = rng.integers(1, 7, size=4)
+        ws_, hs_, wq_, hq_ = (int(g) for g in rng.integers(1, 7, size=4))
         c = int(rng.integers(1, 4))
         kshape = tuple(int(rng.choice([1, 3])) for _ in range(4))
-        rel = rng.normal(size=(int(ws_), int(hs_), int(wq_), int(hq_), c))
+        s, q = rng.normal(size=(ws_, hs_, c)), rng.normal(size=(wq_, hq_, c))
         kern = ConvKernel4D(weights=Tensor(rng.normal(size=kshape)),
                             bias=Tensor(rng.normal()))
-        np.testing.assert_allclose(conv4d_support(Tensor(rel), kern).data,
-                                   conv4d_oracle(rel, kern, "support"), atol=1e-9)
-        np.testing.assert_allclose(conv4d_query(Tensor(rel), kern).data,
-                                   conv4d_oracle(rel, kern, "query"), atol=1e-9)
+        rel = build_relation_tensor(Tensor(s), Tensor(q))
+        support, query = conditional_matrices(Tensor(s), Tensor(q), kern)
+        np.testing.assert_allclose(support.data, conv4d_oracle(rel, kern, "support"), atol=1e-9)
+        np.testing.assert_allclose(query.data, conv4d_oracle(rel, kern, "query"), atol=1e-9)
+
+    @pytest.mark.parametrize("s_shape,q_shape", [((2, 2, 3), (2, 2, 4)),
+                                                 ((2, 3, 3, 4), (3, 3, 3, 4)),
+                                                 ((3, 3, 4), (9, 4))])
+    def test_mismatched_factors_rejected(self, s_shape, q_shape):
+        with pytest.raises(DimensionError):
+            conditional_matrices(Tensor(np.zeros(s_shape)), Tensor(np.zeros(q_shape)),
+                                 init_conv_kernel())
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
@@ -211,11 +222,14 @@ class TestConditionalForward:
             single = conditional_forward(Tensor(fs[i]), Tensor(fq[i]), kernel)
             assert np.array_equal(batched.support_matrix.data[i], single.support_matrix.data)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gradients_wrt_both_prototypes(self, kernel, seed):
+    # at 2x2 the 3-tap fold matrix is degenerate; 4x4 reads every tap pattern
+    @pytest.mark.parametrize("seed,grid", [pytest.param(seed, grid, id=f"{seed}{suffix}")
+                                           for grid, suffix in ((2, ""), (4, "-4x4"))
+                                           for seed in range(3)])
+    def test_gradients_wrt_both_prototypes(self, kernel, seed, grid):
         rng = np.random.default_rng(3000 + seed)
-        fs = Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True)
-        fq = Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True)
+        fs = Tensor(rng.normal(size=(grid, grid, 4)), requires_grad=True)
+        fq = Tensor(rng.normal(size=(grid, grid, 4)), requires_grad=True)
 
         def loss_of(t, which):
             args = (t, fq) if which == "s" else (fs, t)
@@ -229,10 +243,11 @@ class TestConditionalForward:
         assert max_relative_error(fs.grad, fd_s) < 1e-4
         assert max_relative_error(fq.grad, fd_q) < 1e-4
 
-    def test_kernel_gradient(self, kernel):
+    @pytest.mark.parametrize("grid", [2, 4], ids=["2x2", "4x4"])
+    def test_kernel_gradient(self, kernel, grid):
         rng = np.random.default_rng(13)
-        fs = Tensor(rng.normal(size=(2, 2, 4)))
-        fq = Tensor(rng.normal(size=(2, 2, 4)))
+        fs = Tensor(rng.normal(size=(grid, grid, 4)))
+        fq = Tensor(rng.normal(size=(grid, grid, 4)))
 
         def f(t):
             k = ConvKernel4D(weights=t, bias=kernel.bias)
@@ -243,3 +258,22 @@ class TestConditionalForward:
         backward(out)
         fd = fd_gradient_oracle(f, kernel.weights)
         assert max_relative_error(kernel.weights.grad, fd) < 1e-4
+
+    def test_graph_holds_no_relation_sized_node(self):
+        """The factored reduction never materialises the dense
+        (pairs, W, H, W, H, C) relation tensor, nor anything as large."""
+        pairs, w, c = 2, 7, 64
+        rng = np.random.default_rng(15)
+        fs = Tensor(rng.normal(size=(pairs, w, w, c)), requires_grad=True)
+        fq = Tensor(rng.normal(size=(pairs, w, w, c)), requires_grad=True)
+        out = conditional_forward(fs, fq, init_conv_kernel((3, 3, 3, 3), seed=3))
+        relation_size = pairs * (w * w) ** 2 * c
+        seen, stack = set(), [out.support_matrix, out.query_matrix]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            assert node.ndim < 5 and node.size < relation_size, node.shape
+            stack.extend(parent for parent, _vjp in node._edges)
+        assert len(seen) > 10

@@ -1,6 +1,10 @@
 """Checkpoints, configs, CSV/report consistency, plots, and the CLI contract."""
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,86 @@ class TestCheckpoint:
         path.write_text("not a checkpoint\n")
         with pytest.raises(ConfigError):
             cio.load_checkpoint(path)
+
+    def test_half_length_file_rejected(self, tmp_path):
+        path, lines = saved_checkpoint(tmp_path)
+        path.write_text("\n".join(lines[:len(lines) // 2]) + "\n")
+        with pytest.raises(ConfigError):
+            cio.load_checkpoint(path)
+
+    def test_magic_only_file_rejected(self, tmp_path):
+        path, lines = saved_checkpoint(tmp_path)
+        path.write_text(lines[0] + "\n")
+        with pytest.raises(ConfigError, match="header"):
+            cio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tail", [[], ["end"]])
+    def test_truncated_block_names_tensor(self, tmp_path, tail):
+        path, lines = saved_checkpoint(tmp_path)
+        at = tensor_line(lines, "rerep.final.w1")
+        path.write_text("\n".join(lines[:at + 3] + tail) + "\n")
+        with pytest.raises(ConfigError, match="rerep.final.w1"):
+            cio.load_checkpoint(path)
+
+    def test_missing_end_line_rejected(self, tmp_path):
+        path, lines = saved_checkpoint(tmp_path)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ConfigError, match="truncated"):
+            cio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("token", ["0xzz", "1.5.2", "0x1p99999"])
+    def test_bad_token_names_tensor(self, tmp_path, token):
+        path, lines = saved_checkpoint(tmp_path)
+        at = tensor_line(lines, "rerep.final.w1") + 1
+        lines[at] = " ".join([token] + lines[at].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="rerep.final.w1"):
+            cio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", ["tensor rerep.final.w1 2 8 x",
+                                        "tensor rerep.final.w1 3 8 8",
+                                        "tensor rerep.final.w1 2 -8 -8",
+                                        "tensor"])
+    def test_bad_tensor_header_rejected(self, tmp_path, header):
+        path, lines = saved_checkpoint(tmp_path)
+        lines[tensor_line(lines, "rerep.final.w1")] = header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="tensor header"):
+            cio.load_checkpoint(path)
+
+    def test_extra_values_rejected(self, tmp_path):
+        path, lines = saved_checkpoint(tmp_path)
+        at = tensor_line(lines, "rerep.final.w1") + 1
+        lines[at] += " 0x0.0p+0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="rerep.final.w1"):
+            cio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_tensor(self, tmp_path, value):
+        path, lines = saved_checkpoint(tmp_path)
+        at = tensor_line(lines, "conditional.bias") + 1
+        lines[at] = value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="conditional.bias.*non-finite"):
+            cio.load_checkpoint(path)
+
+    def test_malformed_header_rejected(self, tmp_path):
+        path, lines = saved_checkpoint(tmp_path)
+        lines[1] = 'header {"meta": {}}'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="header"):
+            cio.load_checkpoint(path)
+
+
+def saved_checkpoint(tmp_path) -> tuple[Path, list[str]]:
+    path = tmp_path / "ck.txt"
+    cio.save_checkpoint(path, tiny_model())
+    return path, path.read_text().splitlines()
+
+
+def tensor_line(lines: list[str], name: str) -> int:
+    return next(i for i, line in enumerate(lines) if line.startswith(f"tensor {name} "))
 
 
 class TestConfig:
@@ -237,6 +321,18 @@ class TestCli:
         rc = main(["eval", "--out", str(tmp_path), "--checkpoint",
                    str(tmp_path / "nope.txt"), *TINY_FLAGS])
         assert rc == 2
+
+    def test_truncated_checkpoint_exits_2_without_traceback(self, tmp_path):
+        path, lines = saved_checkpoint(tmp_path)
+        path.write_text("\n".join(lines[:len(lines) // 2]) + "\n")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-m", "condrep.cli", "eval", "--out",
+                               str(tmp_path / "run"), "--checkpoint", str(path), *TINY_FLAGS],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: checkpoint:" in proc.stderr
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONDREP_OUTDIR", str(tmp_path / "envout"))
