@@ -250,25 +250,28 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     if gamma.shape != (n,) or beta.shape != (n,):
         raise DimensionError(
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} do not match axis length {n}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gamma.data * xhat + beta.data
-
-    lead = tuple(range(x.ndim - 1))
+    # works on (rows, n); means and sums are gemvs, since numpy reductions
+    # over a short axis are slow
+    x2 = x.data.reshape(-1, n)
+    avg, ones = np.full((n, 1), 1.0 / n), np.ones(len(x2))
+    xhat = x2 - x2 @ avg
+    inv = 1.0 / np.sqrt((xhat * xhat) @ avg + eps)
+    xhat *= inv
+    out = gamma.data * xhat
+    out += beta.data
 
     def vjp_x(g):
-        dxhat = g * gamma.data
-        return inv * (dxhat
-                      - dxhat.mean(axis=-1, keepdims=True)
-                      - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = g.reshape(-1, n) * gamma.data
+        m2 = (dx * xhat) @ avg
+        dx -= dx @ avg
+        dx -= xhat * m2
+        dx *= inv
+        return dx.reshape(x.shape)
 
-    return _make(out, [
+    return _make(out.reshape(x.shape), [
         (x, vjp_x),
-        (gamma, lambda g: (g * xhat).sum(axis=lead) if lead else g * xhat),
-        (beta, lambda g: g.sum(axis=lead) if lead else g),
+        (gamma, lambda g: ones @ (g.reshape(-1, n) * xhat)),
+        (beta, lambda g: ones @ g.reshape(-1, n)),
     ])
 
 
@@ -277,14 +280,19 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of (B,C_in,H,W) or (C_in,H,W) with (C_out,C_in,kh,kw)."""
+    """Cross-correlation of channels-last (B,H,W,C_in) or (H,W,C_in) images with
+    a (C_out,C_in,kh,kw) kernel; returns (B,H',W',C_out) or (H',W',C_out).
+
+    One gemm of the (B*H'*W', kh*kw*C_in) im2col matrix, whose columns keep
+    each tap's channels contiguous, with the kernel flattened in the same
+    order; the kernel gradient reuses that matrix."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
     if xd.ndim != 4 or kernel.ndim != 4:
-        raise DimensionError(f"conv2d: expected image (C,H,W)/(B,C,H,W) and kernel "
+        raise DimensionError(f"conv2d: expected image (H,W,C)/(B,H,W,C) and kernel "
                              f"(C_out,C_in,kh,kw), got {x.shape} and {kernel.shape}")
-    b, cin, h, w = xd.shape
+    b, h, w, cin = xd.shape
     cout, kcin, kh, kw = kernel.shape
     if kcin != cin:
         raise DimensionError(f"conv2d: input channels {cin} != kernel channels {kcin}")
@@ -294,33 +302,28 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     if stride < 1:
         raise ContractError(f"conv2d: stride must be positive, got {stride}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]          # (B,Cin,H',W',kh,kw)
-    ho, wo = windows.shape[2], windows.shape[3]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(b, ho * wo, cin * kh * kw)
-    w2 = kernel.data.reshape(cout, cin * kh * kw)
-    out = (cols @ w2.T).transpose(0, 2, 1).reshape(b, cout, ho, wo)
+    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xd
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]             # (B,H',W',Cin,kh,kw)
+    ho, wo = windows.shape[1], windows.shape[2]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * cin)
+    w2 = kernel.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out = (cols @ w2.T).reshape(b, ho, wo, cout)
     if squeeze:
         out = out[0]
 
     def vjp_kernel(g):
-        g4 = g[None] if squeeze else g
-        g2 = g4.reshape(b, cout, ho * wo).transpose(0, 2, 1)       # (B,H'W',Cout)
-        dw = np.tensordot(g2, cols, axes=([0, 1], [0, 1]))         # (Cout, Cin*kh*kw)
-        return dw.reshape(kernel.shape)
+        dw = g.reshape(-1, cout).T @ cols
+        return dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
 
     def vjp_x(g):
-        g4 = g[None] if squeeze else g
-        g2 = g4.reshape(b, cout, ho * wo).transpose(0, 2, 1)
-        dcols = (g2 @ w2).reshape(b, ho, wo, cin, kh, kw)
-        dxp = np.zeros((b, cin, h + 2 * padding, w + 2 * padding))
+        g2 = g.reshape(-1, cout)
+        dxp = np.zeros((b, h + 2 * padding, w + 2 * padding, cin))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                    dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
+                dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
+                    (g2 @ kernel.data[:, :, i, j]).reshape(b, ho, wo, cin)
+        dx = dxp[:, padding:padding + h, padding:padding + w] if padding else dxp
         return dx[0] if squeeze else dx
 
     return _make(out, [(x, vjp_x), (kernel, vjp_kernel)])
@@ -410,26 +413,20 @@ def sum_along(x, axis=None) -> Tensor:
     return _make(out, [(x, vjp)])
 
 
-def max_pool2(x, stride: int = 2) -> Tensor:
-    """Max pooling over non-overlapping stride x stride windows of (B,C,H,W).
-
-    Ties inside a window share the gradient equally, which keeps the
-    subgradient symmetric (and finite-difference checkable) on plateaued
-    inputs like flat image regions.
-    """
+def avg_pool(x, stride: int) -> Tensor:
+    """Average over non-overlapping stride x stride windows of (B,H,W,C)."""
     x = as_tensor(x)
     if x.ndim != 4:
-        raise DimensionError(f"max_pool2: expected (B,C,H,W), got {x.shape}")
-    b, c, h, w = x.shape
-    if h % stride or w % stride:
-        raise DimensionError(f"max_pool2: stride {stride} does not divide {h}x{w}")
-    blocks = x.data.reshape(b, c, h // stride, stride, w // stride, stride)
-    out = blocks.max(axis=(3, 5))
+        raise DimensionError(f"avg_pool: expected (B,H,W,C), got {x.shape}")
+    b, h, w, c = x.shape
+    if stride < 1 or h % stride or w % stride:
+        raise DimensionError(f"avg_pool: stride {stride} does not divide {h}x{w}")
+    n = stride * stride
+    out = sum(x.data[:, i::stride, j::stride] for i in range(stride) for j in range(stride)) / n
 
     def vjp(g):
-        is_max = blocks == out[:, :, :, None, :, None]
-        counts = is_max.sum(axis=(3, 5), keepdims=True)
-        spread = g[:, :, :, None, :, None] * is_max / counts
+        spread = np.broadcast_to((g * (1.0 / n))[:, :, None, :, None],
+                                 (b, h // stride, stride, w // stride, stride, c))
         return spread.reshape(x.shape)
 
     return _make(out, [(x, vjp)])
@@ -486,7 +483,11 @@ def backward(loss: Tensor) -> None:
             if state.get(id(parent)) is None:
                 stack.append(parent)
 
+    # a vjp may return a view of g, or g itself (``_unbroadcast``), so a stored
+    # first contribution can be shared with a sibling: the second allocates a
+    # sum, only a sum allocated here is added into in place, and leaves copy
     loss.grad = np.ones_like(loss.data)
+    owned = set()
     for node in reversed(topo):
         g = node.grad
         if g is None or not node._edges:
@@ -494,6 +495,10 @@ def backward(loss: Tensor) -> None:
         for parent, vjp in node._edges:
             contrib = vjp(g)
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += contrib
+                parent.grad = contrib if parent._edges else contrib.copy()
+            elif id(parent) in owned:
+                parent.grad += contrib
+            else:
+                parent.grad = parent.grad + contrib
+                owned.add(id(parent))
     loss._consumed = True

@@ -4,6 +4,11 @@ Maps a grayscale image to a W x H x C prototype feature map. Each block is
 conv3x3 (stride 1, pad 1) -> layer norm over channels -> relu -> average
 pooling with the block's stride. The toy default turns a 32x32 input into
 a 4x4x32 map.
+
+The backbone runs channels-last: the (B, C, H, W) input is permuted once
+to (B, H, W, C), and every op after it takes and returns that layout, so
+the conv output is already in the layout the channel norm reduces over.
+Kernels keep the (C_out, C_in, kh, kw) shape.
 """
 from __future__ import annotations
 
@@ -23,13 +28,10 @@ class BackboneConfig:
     blocks: tuple = ((8, 2), (16, 2), (32, 2))   # (out_channels, pool stride) per block
     feature_channels: int = 32
     feature_side: int = 4
-    pool: str = "avg"   # "avg" | "max"
 
     def validate(self):
         if not self.blocks:
             raise ConfigError("backbone: at least one block is required")
-        if self.pool not in ("max", "avg"):
-            raise ConfigError(f"backbone: unknown pool '{self.pool}'")
         if self.feature_channels < 8:
             raise ConfigError(f"backbone: feature_channels must be >= 8, got {self.feature_channels}")
         if self.feature_side < 2:
@@ -74,13 +76,6 @@ def init_backbone(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def _avg_pool(x: Tensor, stride: int) -> Tensor:
-    # (B,C,H,W) -> (B,C,H/s,W/s) via reshape + mean over the pooling windows
-    b, c, h, w = x.shape
-    blocks = ad.reshape(x, (b, c, h // stride, stride, w // stride, stride))
-    return ad.mean(blocks, axis=(3, 5))
-
-
 def extract_features(images, params: dict[str, Tensor], config: BackboneConfig) -> Tensor:
     """Run the backbone; returns the batch of prototype maps (B, W, H, C)."""
     x = images if isinstance(images, Tensor) else Tensor(images)
@@ -90,15 +85,14 @@ def extract_features(images, params: dict[str, Tensor], config: BackboneConfig) 
             x.shape[2] != config.input_size or x.shape[3] != config.input_size:
         raise DimensionError(f"backbone: expected images (B,{config.channels_in},"
                              f"{config.input_size},{config.input_size}), got {x.shape}")
+    x = ad.permute(x, (0, 2, 3, 1))
     for i, (cout, stride) in enumerate(config.blocks):
         x = ad.conv2d(x, params[f"block{i}.kernel"], stride=1, padding=1)
-        x = ad.permute(x, (0, 2, 3, 1))                     # channels last for the norm
         x = ad.layer_norm(x, params[f"block{i}.gamma"], params[f"block{i}.beta"])
         x = ad.relu(x)
-        x = ad.permute(x, (0, 3, 1, 2))
         if stride > 1:
-            x = ad.max_pool2(x, stride) if config.pool == "max" else _avg_pool(x, stride)
-    return ad.permute(x, (0, 2, 3, 1))                      # (B, W, H, C)
+            x = ad.avg_pool(x, stride)
+    return x
 
 
 def pooled_feature(feature_maps: Tensor) -> Tensor:

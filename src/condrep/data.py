@@ -411,9 +411,17 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
     support: list[SyntheticSample] = []
     query: list[SyntheticSample] = []
     for cdir in class_dirs:
-        class_id = int(cdir.name.split("_")[1])
-        for f in sorted(cdir.glob("*.npz")):
-            pool, rest = f.stem.split("_", 1)
+        try:
+            class_id = int(cdir.name.split("_", 1)[1])
+        except ValueError:
+            raise DataError(f"load_pools: class directory {cdir} is not class_<id>") from None
+        files = sorted(cdir.glob("*.npz"))
+        if not files:
+            raise DataError(f"load_pools: class directory {cdir} holds no .npz file")
+        for f in files:
+            pool, _, rest = f.stem.partition("_")
+            if pool not in ("support", "query") or "__" not in rest:
+                raise DataError(f"load_pools: {f} is not named <support|query>_<idx>__<tags>.npz")
             tags = rest.split("__", 1)[1]
             with np.load(f) as z:
                 sample = SyntheticSample(

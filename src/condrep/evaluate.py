@@ -229,7 +229,6 @@ def episode_features(task: EpisodeTask, model: Model) -> dict:
         sup_maps = model.features(task.support_images).data     # (NK, W, H, C)
         qry_maps = model.features(task.query_images).data       # (NQ, W, H, C)
         pooled_q = pooled_feature(Tensor(qry_maps)).data
-        pooled_s = pooled_feature(Tensor(sup_maps)).data
     protos = sup_maps.reshape(task.n_way, task.k_shot, *sup_maps.shape[1:]).mean(axis=1)
 
     s_idx = np.tile(np.arange(nk), nq)
@@ -244,13 +243,10 @@ def episode_features(task: EpisodeTask, model: Model) -> dict:
     pq_idx = np.repeat(np.arange(nq), task.n_way)
     proto_vec, proto_qvec = _pair_vectors(model, protos[p_idx], qry_maps[pq_idx])
     proto_dist = ((proto_vec - proto_qvec) ** 2).sum(axis=-1).reshape(nq, task.n_way)
-
-    pooled_protos = pooled_s.reshape(task.n_way, task.k_shot, -1).mean(axis=1)
-    baseline_dist = ((pooled_q[:, None, :] - pooled_protos[None, :, :]) ** 2).sum(axis=-1)
     return {
         "pair_dist": pair_dist, "proto_dist": proto_dist,
         "support_vectors": support_vectors, "query_vectors": query_vectors,
-        "pooled_queries": pooled_q, "baseline_dist": baseline_dist,
+        "pooled_queries": pooled_q,
     }
 
 
@@ -258,8 +254,7 @@ def classify_query(task: EpisodeTask, model: Model, strategy: str,
                    features: dict | None = None) -> np.ndarray:
     """Predicted local labels for every query of the episode."""
     if strategy == BASELINE:
-        dist = features["baseline_dist"] if features else _baseline_distances(task, model)
-        return (-dist).argmax(axis=1)
+        return (-_baseline_distances(task, model)).argmax(axis=1)
     if strategy not in STRATEGIES:
         raise ConfigError(f"classify_query: unknown strategy '{strategy}'")
     feats = features or episode_features(task, model)

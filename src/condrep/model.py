@@ -38,7 +38,6 @@ class ModelConfig:
                 "blocks": [list(b) for b in self.backbone.blocks],
                 "feature_channels": self.backbone.feature_channels,
                 "feature_side": self.backbone.feature_side,
-                "pool": self.backbone.pool,
             },
             "kernel_shape": list(self.kernel_shape),
             "structure": self.structure,
@@ -47,6 +46,11 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         bb = d["backbone"]
+        # older checkpoints carry "pool": "avg"; any other value names a model
+        # this backbone cannot run
+        if bb.get("pool", "avg") != "avg":
+            raise ConfigError(f"model: backbone key 'pool' = {bb['pool']!r} is not supported; "
+                              f"the backbone only average-pools")
         return cls(
             backbone=BackboneConfig(
                 input_size=bb["input_size"],
@@ -54,7 +58,6 @@ class ModelConfig:
                 blocks=tuple(tuple(b) for b in bb["blocks"]),
                 feature_channels=bb["feature_channels"],
                 feature_side=bb["feature_side"],
-                pool=bb.get("pool", "avg"),
             ),
             kernel_shape=tuple(d["kernel_shape"]),
             structure=d["structure"],

@@ -120,26 +120,45 @@ class TestRelu:
 
 
 class TestConv2d:
+    # images are channels-last: (H, W, C) or (B, H, W, C)
     def test_identity_kernel(self):
-        x = np.random.default_rng(0).normal(size=(1, 5, 5))
+        x = np.random.default_rng(0).normal(size=(1, 5, 5)).transpose(1, 2, 0)
         out = ad.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), stride=1, padding=0)
         np.testing.assert_array_equal(out.data, x)
 
     def test_hand_sum(self):
-        x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]).transpose(1, 2, 0))
         k = Tensor(np.ones((1, 1, 2, 2)))
         out = ad.conv2d(x, k, stride=1, padding=0)
         np.testing.assert_array_equal(out.data, [[[10.0]]])
 
     def test_zero_input(self):
-        out = ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.ones((3, 2, 3, 3))),
-                        stride=1, padding=1)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 4, 4)))
+        out = ad.conv2d(Tensor(np.zeros((2, 4, 4)).transpose(1, 2, 0)),
+                        Tensor(np.ones((3, 2, 3, 3))), stride=1, padding=1)
+        np.testing.assert_array_equal(out.data, np.zeros((3, 4, 4)).transpose(1, 2, 0))
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
-            ad.conv2d(Tensor(np.zeros((1, 3, 3))), Tensor(np.ones((1, 1, 6, 6))),
-                      stride=1, padding=1)
+            ad.conv2d(Tensor(np.zeros((1, 3, 3)).transpose(1, 2, 0)),
+                      Tensor(np.ones((1, 1, 6, 6))), stride=1, padding=1)
+
+
+class TestAvgPool:
+    def test_matches_window_mean(self):
+        x = np.random.default_rng(3).normal(size=(2, 4, 6, 3))
+        out = ad.avg_pool(Tensor(x), 2)
+        ref = x.reshape(2, 2, 2, 3, 2, 3).mean(axis=(2, 4))
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-15)
+
+    def test_constant_input_is_fixed_point(self):
+        out = ad.avg_pool(Tensor(np.full((1, 6, 6, 2), 0.75)), 3)
+        np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 2), 0.75))
+
+    def test_indivisible_side_rejected(self):
+        with pytest.raises(DimensionError, match="avg_pool"):
+            ad.avg_pool(Tensor(np.zeros((1, 5, 4, 2))), 2)
+        with pytest.raises(DimensionError, match="avg_pool"):
+            ad.avg_pool(Tensor(np.zeros((4, 4, 2))), 2)
 
 
 class TestShapeOps:
@@ -199,6 +218,28 @@ class TestBackward:
         backward(loss)
         with pytest.raises(StateError):
             backward(loss)
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_aliased_contributions_stay_apart(self, add_first):
+        # add hands one gradient array to both x and z; x then takes a second
+        # contribution, which must not be written into z's gradient. Which
+        # edge reaches x first depends on the order of the summands.
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        z = Tensor([0.5, 3.0], requires_grad=True)
+        terms = [ad.sum_along(ad.add(x, z)), ad.sum_along(ad.mul(x, 3.0))]
+        if not add_first:
+            terms.reverse()
+        backward(ad.add(*terms))
+        assert np.array_equal(z.grad, [1.0, 1.0])
+        assert np.array_equal(x.grad, [4.0, 4.0])
+        assert not np.shares_memory(x.grad, z.grad)
+
+    def test_single_contribution_leaves_own_their_gradients(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        z = Tensor([0.5, 3.0], requires_grad=True)
+        backward(ad.sum_along(ad.add(x, z)))
+        assert np.array_equal(x.grad, [1.0, 1.0]) and np.array_equal(z.grad, [1.0, 1.0])
+        assert not np.shares_memory(x.grad, z.grad)
 
     def test_unreachable_tensor_keeps_no_grad(self):
         x = Tensor([1.0], requires_grad=True)
@@ -364,7 +405,7 @@ def test_layer_norm_gradients_match_oracle(seed):
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
 def test_conv2d_gradients_match_oracle(seed, stride, padding):
     rng = np.random.default_rng(400 + seed)
-    x = _random_tensor(rng, (2, 2, 5, 5))
+    x = Tensor(rng.normal(size=(2, 2, 5, 5)).transpose(0, 2, 3, 1), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
 
     def f_x(t):
@@ -379,6 +420,20 @@ def test_conv2d_gradients_match_oracle(seed, stride, padding):
         return ad.sum_along(ad.mul(out, out))
 
     assert max_relative_error(k.grad, fd_gradient_oracle(f_k, k)) < FD_TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_avg_pool_gradients_match_oracle(seed):
+    rng = np.random.default_rng(600 + seed)
+    stride = 2 + seed % 2
+    x = _random_tensor(rng, (2, 2 * stride, 3 * stride, 3))
+
+    def f(t):
+        out = ad.avg_pool(t, stride)
+        return ad.sum_along(ad.mul(out, out))
+
+    backward(f(x))
+    assert max_relative_error(x.grad, fd_gradient_oracle(f, x)) < FD_TOL
 
 
 @pytest.mark.parametrize("seed", range(5))

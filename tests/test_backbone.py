@@ -1,4 +1,6 @@
 """Backbone feature extractor: shapes, determinism, gradient flow."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,25 @@ def test_gradients_reach_every_backbone_parameter():
     backward(loss)
     for name, p in params.items():
         assert p.grad is not None and np.any(p.grad != 0.0), name
+
+
+def test_graph_is_channels_last_after_one_input_permute():
+    # the backbone permutes its input once; a per-block transpose or an
+    # NCHW pooling mean showing up again means the layout regressed
+    cfg = BackboneConfig()
+    params = init_backbone(cfg, seed=0)
+    img = Tensor(np.random.default_rng(5).uniform(size=(2, 1, 32, 32)), requires_grad=True)
+    counts, seen, stack = Counter(), set(), [extract_features(img, params, cfg)]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._edges:
+            continue
+        seen.add(id(node))
+        counts[node._edges[0][1].__qualname__.split(".")[0]] += 1
+        stack.extend(parent for parent, _ in node._edges)
+    assert counts["permute"] == 1
+    assert counts["max_pool2"] == 0 and counts["mean"] == 0
+    assert counts["conv2d"] == counts["layer_norm"] == counts["avg_pool"] == len(cfg.blocks)
 
 
 def test_pooled_feature_shape_and_value():

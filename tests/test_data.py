@@ -169,3 +169,24 @@ class TestExportImport:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_pools(tmp_path)
+
+    def test_empty_class_directory_rejected(self, tmp_path):
+        (tmp_path / "class_0").mkdir()
+        with pytest.raises(DataError, match="class_0.*no .npz"):
+            load_pools(tmp_path)
+
+    @pytest.mark.parametrize("bad_name", ["support_00000.npz", "extra_00000__clean.npz",
+                                          "supportx_00000__clean.npz"])
+    def test_malformed_file_name_rejected(self, tmp_path, bad_name):
+        ds = build_dataset(DatasetConfig(seed=7, n_classes=2, support_per_class=1,
+                                         query_per_class=1))
+        export_pools(ds, tmp_path)
+        first = sorted(tmp_path.glob("class_*/*.npz"))[0]
+        first.rename(first.parent / bad_name)
+        with pytest.raises(DataError, match=bad_name):
+            load_pools(tmp_path)
+
+    def test_non_numeric_class_directory_rejected(self, tmp_path):
+        (tmp_path / "class_cats").mkdir()
+        with pytest.raises(DataError, match="class_cats"):
+            load_pools(tmp_path)

@@ -126,6 +126,26 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="conditional.bias.*non-finite"):
             cio.load_checkpoint(path)
 
+    def test_legacy_avg_pool_key_loads(self, tmp_path):
+        # checkpoints from before max pooling was removed carry "pool": "avg"
+        path, lines = saved_checkpoint(tmp_path)
+        header = json.loads(lines[1][len("header "):])
+        assert "pool" not in header["model_config"]["backbone"]
+        header["model_config"]["backbone"]["pool"] = "avg"
+        lines[1] = "header " + json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        config, _params, _meta = cio.load_checkpoint(path)
+        assert config == tiny_model().config
+
+    def test_max_pool_key_rejected(self, tmp_path):
+        path, lines = saved_checkpoint(tmp_path)
+        header = json.loads(lines[1][len("header "):])
+        header["model_config"]["backbone"]["pool"] = "max"
+        lines[1] = "header " + json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="'pool'"):
+            cio.load_checkpoint(path)
+
     def test_malformed_header_rejected(self, tmp_path):
         path, lines = saved_checkpoint(tmp_path)
         lines[1] = 'header {"meta": {}}'
@@ -333,6 +353,19 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error: checkpoint:" in proc.stderr
+
+    def test_malformed_pool_directory_exits_2_without_traceback(self, tmp_path):
+        path, _lines = saved_checkpoint(tmp_path)
+        (tmp_path / "data" / "class_0").mkdir(parents=True)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-m", "condrep.cli", "eval", "--out",
+                               str(tmp_path / "run"), "--checkpoint", str(path),
+                               "--data", str(tmp_path / "data"), *TINY_FLAGS],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: load_pools:" in proc.stderr
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONDREP_OUTDIR", str(tmp_path / "envout"))
