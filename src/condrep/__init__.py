@@ -13,16 +13,14 @@ A numpy library with four layers:
   evaluation, persistence, and the command-line front-end
 """
 from .autodiff import Tensor, backward, no_grad
-from .backbone import (BackboneConfig, PrototypeFeature, extract_features,
-                       extract_prototypes, init_backbone, pooled_feature)
+from .backbone import BackboneConfig, extract_features, init_backbone, pooled_feature
 from .conditional import (ConvKernel4D, aggregate_prototypes, build_relation_tensor,
                           conditional_forward, conditional_matrices, conv4d_oracle,
                           cross_correlate, positional_encode)
 from .data import (DatasetConfig, SyntheticDataset, SyntheticSample, apply_difficulty,
                    build_dataset, generate_base_image)
 from .evaluate import (EpisodeTask, EvalReport, LinearClassifier, classify_query,
-                       online_linear_fit, run_evaluation, run_evaluation_suite,
-                       sample_episode)
+                       online_linear_fit, run_evaluation_suite, sample_episode)
 from .gradcheck import fd_gradient_oracle, max_relative_error
 from .model import Model, ModelConfig
 from .optim import AdamW

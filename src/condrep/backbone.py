@@ -53,13 +53,6 @@ class BackboneConfig:
                               f"expected feature_channels {self.feature_channels}")
 
 
-@dataclass
-class PrototypeFeature:
-    """One image's W x H x C feature map plus the sample it came from."""
-    values: Tensor
-    source_id: str = ""
-
-
 def init_backbone(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
     """Kaiming-style fan-in scaled init, deterministic under ``seed``."""
     config.validate()
@@ -100,14 +93,3 @@ def pooled_feature(feature_maps: Tensor) -> Tensor:
     nd = feature_maps.ndim
     return ad.mean(feature_maps, axis=(nd - 3, nd - 2))
 
-
-def extract_prototypes(images, params, config: BackboneConfig,
-                       source_ids=None) -> list[PrototypeFeature]:
-    """Per-sample view of :func:`extract_features` as PrototypeFeature records."""
-    feats = extract_features(images, params, config)
-    n = feats.shape[0]
-    ids = list(source_ids) if source_ids is not None else [""] * n
-    if len(ids) != n:
-        raise DimensionError(f"extract_prototypes: {len(ids)} ids for {n} images")
-    return [PrototypeFeature(values=ad.index_axis(feats, 0, i), source_id=ids[i])
-            for i in range(n)]

@@ -15,6 +15,7 @@ itself (mask fraction, removed fraction, applied tags).
 """
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -410,6 +411,7 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
         raise DataError(f"load_pools: no class_* directories under {in_dir}")
     support: list[SyntheticSample] = []
     query: list[SyntheticSample] = []
+    size = None
     for cdir in class_dirs:
         try:
             class_id = int(cdir.name.split("_", 1)[1])
@@ -423,13 +425,24 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
             if pool not in ("support", "query") or "__" not in rest:
                 raise DataError(f"load_pools: {f} is not named <support|query>_<idx>__<tags>.npz")
             tags = rest.split("__", 1)[1]
-            with np.load(f) as z:
-                sample = SyntheticSample(
-                    image=z["image"], class_id=class_id, pool=pool,
-                    transforms_applied=[] if tags == "clean" else tags.split("-"),
-                    target_mask=z["mask"], seed=int(z["seed"]))
-            (support if pool == "support" else query).append(sample)
-    size = support[0].image.shape[-1] if support else query[0].image.shape[-1]
+            try:
+                with np.load(f) as z:
+                    arrays = {k: z[k] for k in ("image", "mask", "seed") if k in z.files}
+            except (OSError, TypeError, ValueError, zipfile.BadZipFile) as e:
+                raise DataError(f"load_pools: {f} is not a readable .npz file ({e})") from None
+            missing = sorted({"image", "mask", "seed"} - set(arrays))
+            if missing:
+                raise DataError(f"load_pools: {f} lacks the key(s) {missing}")
+            image = arrays["image"]
+            size = image.shape[-1] if size is None and image.ndim == 3 else size
+            if image.shape != (1, size, size) or image.dtype.kind not in "fiu" \
+                    or not np.all(np.isfinite(image)):
+                raise DataError(f"load_pools: {f} holds a {image.dtype} {image.shape} image; each "
+                                f"must be finite, (1, S, S), S as in the first file ({size})")
+            (support if pool == "support" else query).append(SyntheticSample(
+                image=image, class_id=class_id, pool=pool,
+                transforms_applied=[] if tags == "clean" else tags.split("-"),
+                target_mask=arrays["mask"], seed=int(arrays["seed"])))
     cfg = config or DatasetConfig(
         n_classes=len(class_dirs),
         support_per_class=max(1, len(support) // max(1, len(class_dirs))),

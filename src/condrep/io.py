@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
+    """Write beside ``path``, then replace it: a failed write keeps the old file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}"]
@@ -33,7 +35,12 @@ def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
         for i in range(0, flat.size, 8):
             lines.append(" ".join(v.hex() for v in flat[i:i + 8]))
     lines.append("end")
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:

@@ -128,9 +128,17 @@ def contrastive_loss(distances, same_class, cfg: LossConfig) -> Tensor:
     return ad.mean(ad.add(ad.mul(pos, d), ad.mul(neg, ad.mul(hinge, hinge))))
 
 
+def _distinct_features(model: Model, images: np.ndarray) -> Tensor:
+    """Backbone maps of ``images``, each distinct image mapped once; repeats add gradients."""
+    slot: dict[bytes, int] = {}
+    index = np.array([slot.setdefault(im.tobytes(), len(slot)) for im in images])
+    _, first = np.unique(index, return_index=True)
+    return ad.take(model.features(images[first]), index)
+
+
 def batch_loss(model: Model, batch: PairBatch, cfg: LossConfig) -> Tensor:
-    fs_maps = model.features(batch.support_images)
-    fq_maps = model.features(batch.query_images)
+    fs_maps = _distinct_features(model, batch.support_images)
+    fq_maps = _distinct_features(model, batch.query_images)
     f_s, f_q = re_represent_pair(fs_maps, fq_maps, model)
     return contrastive_loss(pair_distance(f_s, f_q), batch.same_class, cfg)
 

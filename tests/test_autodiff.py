@@ -182,6 +182,21 @@ class TestShapeOps:
         with pytest.raises(DimensionError, match="reshape"):
             ad.reshape(Tensor(np.zeros((2, 3))), (4, 4))
 
+    def test_take_gathers_rows_in_index_order(self):
+        x = np.arange(12.0).reshape(4, 3)
+        out = ad.take(Tensor(x), [2, 0, 2, 3])
+        np.testing.assert_array_equal(out.data, x[[2, 0, 2, 3]])
+
+    def test_take_sums_gradients_of_repeated_rows(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        backward(ad.sum_along(ad.take(x, [1, 1, 0, 1])))
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [3.0, 3.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("index", [[3], [-1], [[0]]])
+    def test_take_rejects_bad_index(self, index):
+        with pytest.raises(DimensionError, match="take"):
+            ad.take(Tensor(np.zeros((3, 2))), index)
+
 
 class TestBackward:
     def test_product_rule(self):
@@ -434,6 +449,23 @@ def test_avg_pool_gradients_match_oracle(seed):
 
     backward(f(x))
     assert max_relative_error(x.grad, fd_gradient_oracle(f, x)) < FD_TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_take_gradients_match_oracle(seed):
+    # repeated and unordered rows, and a row never taken (zero gradient)
+    rng = np.random.default_rng(700 + seed)
+    x = _random_tensor(rng, (5, 2, 3))
+    index = rng.permutation(np.array([0, 3, 3, 1, 4, 3, 1]))
+    weights = Tensor(rng.normal(size=(len(index), 2, 3)))
+
+    def f(t):
+        out = ad.take(t, index)
+        return ad.sum_along(ad.mul(ad.mul(out, out), weights))
+
+    backward(f(x))
+    assert max_relative_error(x.grad, fd_gradient_oracle(f, x)) < FD_TOL
+    assert np.all(x.grad[2] == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))

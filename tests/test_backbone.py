@@ -6,8 +6,7 @@ import pytest
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
-from condrep.backbone import (BackboneConfig, extract_features, extract_prototypes,
-                              init_backbone, pooled_feature)
+from condrep.backbone import BackboneConfig, extract_features, init_backbone, pooled_feature
 from condrep.exceptions import ConfigError, DimensionError
 
 
@@ -110,17 +109,3 @@ def test_pooled_feature_shape_and_value():
     assert pooled.shape == (2, 3)
     np.testing.assert_allclose(pooled.data, x.data.mean(axis=(1, 2)), atol=1e-15)
 
-
-def test_extract_prototypes_records():
-    cfg = BackboneConfig()
-    params = init_backbone(cfg, seed=6)
-    imgs = np.random.default_rng(4).uniform(size=(2, 1, 32, 32))
-    protos = extract_prototypes(imgs, params, cfg, source_ids=["a", "b"])
-    assert [p.source_id for p in protos] == ["a", "b"]
-    batched = extract_features(imgs, params, cfg)
-    for i, p in enumerate(protos):
-        assert p.values.shape == (4, 4, 32)
-        assert np.array_equal(p.values.data, batched.data[i])
-        assert np.all(np.isfinite(p.values.data))
-    with pytest.raises(DimensionError):
-        extract_prototypes(imgs, params, cfg, source_ids=["only-one"])

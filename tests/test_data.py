@@ -1,4 +1,6 @@
 """Synthetic dataset: glyph rendering, difficulty rules, pool assembly."""
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,50 @@ class TestExportImport:
         first = sorted(tmp_path.glob("class_*/*.npz"))[0]
         first.rename(first.parent / bad_name)
         with pytest.raises(DataError, match=bad_name):
+            load_pools(tmp_path)
+
+    @staticmethod
+    def _rewrite_last_file(tmp_path, **changes):
+        ds = build_dataset(DatasetConfig(seed=7, n_classes=2, support_per_class=1,
+                                         query_per_class=1))
+        export_pools(ds, tmp_path)
+        last = sorted(tmp_path.glob("class_*/*.npz"))[-1]
+        with np.load(last) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays.update(changes)
+        np.savez(last, **{k: v for k, v in arrays.items() if v is not None})
+        return last
+
+    @pytest.mark.parametrize("key", ["image", "mask", "seed"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        last = self._rewrite_last_file(tmp_path, **{key: None})
+        with pytest.raises(DataError, match=f"{last.name}.*'{key}'"):
+            load_pools(tmp_path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected(self, tmp_path, bad):
+        image = np.full((1, 32, 32), 0.5)
+        image[0, 3, 4] = bad
+        last = self._rewrite_last_file(tmp_path, image=image)
+        with pytest.raises(DataError, match=f"{last.name}.*must be finite"):
+            load_pools(tmp_path)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (2, 32, 32), (1, 32, 16), (1, 16, 16),
+                                       (1, 1, 32, 32)])
+    def test_image_of_wrong_shape_or_size_rejected(self, tmp_path, shape):
+        last = self._rewrite_last_file(tmp_path, image=np.zeros(shape))
+        with pytest.raises(DataError, match=f"{last.name}.*{re.escape(str(shape))}"):
+            load_pools(tmp_path)
+
+    def test_non_numeric_image_rejected(self, tmp_path):
+        last = self._rewrite_last_file(tmp_path, image=np.full((1, 32, 32), "x"))
+        with pytest.raises(DataError, match=last.name):
+            load_pools(tmp_path)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        last = self._rewrite_last_file(tmp_path)
+        last.write_bytes(b"not a zip archive")
+        with pytest.raises(DataError, match=f"{last.name}.*readable"):
             load_pools(tmp_path)
 
     def test_non_numeric_class_directory_rejected(self, tmp_path):

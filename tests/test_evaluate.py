@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from condrep import evaluate
 from condrep.backbone import BackboneConfig
 from condrep.data import DatasetConfig, build_dataset
-from condrep.evaluate import (BASELINE, EvalReport, LinearClassifier, classify_query,
-                              episode_features, online_linear_fit, run_evaluation,
+from condrep.evaluate import (BASELINE, STRATEGIES, EvalReport, LinearClassifier,
+                              classify_query, episode_features, online_linear_fit,
                               run_evaluation_suite, sample_episode, strategy_predictions)
 from condrep.exceptions import ConfigError, DataError, StateError
 from condrep.model import Model, ModelConfig
@@ -159,6 +160,64 @@ class TestClassifyQuery:
                 assert single[0] == preds[i], (s, i)
 
 
+class TestNoRepeatedWork:
+    def test_k1_prototype_pairing_equals_pair_pass(self, dataset, model):
+        # the prototype pass episode_features skips at K=1, run explicitly
+        for seed in range(20):
+            task = sample_episode(dataset, 4, 1, 3, seed=seed)
+            feats = episode_features(task, model)
+            sup_maps, qry_maps = evaluate._episode_maps(task, model)
+            nq = len(task.query_images)
+            protos = sup_maps.reshape(task.n_way, 1, *sup_maps.shape[1:]).mean(axis=1)
+            p_idx = np.tile(np.arange(task.n_way), nq)
+            pq_idx = np.repeat(np.arange(nq), task.n_way)
+            proto_vec, proto_qvec = evaluate._pair_vectors(model, protos[p_idx], qry_maps[pq_idx])
+            proto_dist = ((proto_vec - proto_qvec) ** 2).sum(axis=-1).reshape(nq, task.n_way)
+            assert np.array_equal(proto_dist, feats["pair_dist"]), seed
+
+    @pytest.mark.parametrize("k_shot,passes", [(1, 1), (2, 2)])
+    def test_prototype_pass_runs_only_beyond_one_shot(self, dataset, model, monkeypatch,
+                                                      k_shot, passes):
+        calls = []
+        pair_vectors = evaluate._pair_vectors
+        monkeypatch.setattr(evaluate, "_pair_vectors",
+                            lambda m, own, other: calls.append(len(own)) or
+                            pair_vectors(m, own, other))
+        task = sample_episode(dataset, 3, k_shot, 2, seed=8)
+        feats = episode_features(task, model)
+        assert len(calls) == passes
+        assert feats["proto_dist"].shape == (6, 3)
+        if k_shot > 1:
+            assert calls[1] == 6 * 3
+
+    @pytest.mark.parametrize("k_shot", [1, 2])
+    def test_suite_memo_matches_fresh_episodes(self, dataset, model, monkeypatch, k_shot):
+        # one 3-episode suite (maps shared between episodes) against three
+        # 1-episode suites of the same episodes (every map fresh)
+        baseline = Model.init(model.config, seed=1)
+        kwargs = dict(n_way=3, k_shot=k_shot, q_per_class=4, strategies=STRATEGIES,
+                      baseline_model=baseline)
+        tasks, mapped = [], []
+        sample, features = evaluate.sample_episode, Model.features
+        monkeypatch.setattr(evaluate, "sample_episode",
+                            lambda *a: tasks.append(sample(*a)) or tasks[-1])
+        monkeypatch.setattr(Model, "features",
+                            lambda m, images: mapped.append(len(images)) or features(m, images))
+        suite = run_evaluation_suite(dataset, model, n_episodes=3, seed=4, **kwargs)
+        assert len(tasks) == 3
+        # one backbone call per model and episode, and images seen before are not mapped
+        assert len(mapped) == 6
+        distinct = {im.tobytes() for t in tasks
+                    for im in np.concatenate([t.support_images, t.query_images])}
+        assert sum(mapped) == 2 * len(distinct) < 2 * 3 * 3 * (k_shot + 4)
+        for i, task in enumerate(list(tasks)):
+            monkeypatch.setattr(evaluate, "sample_episode", lambda *a, task=task: task)
+            single = run_evaluation_suite(dataset, model, n_episodes=1, seed=4, **kwargs)
+            assert set(single) == set(STRATEGIES) | {BASELINE}
+            for s, report in single.items():
+                assert report.per_episode_accuracy == [suite[s].per_episode_accuracy[i]], (s, i)
+
+
 class TestEvalReport:
     def test_all_correct(self):
         r = EvalReport.from_accuracies("weighted_query", [1.0, 1.0, 1.0])
@@ -190,20 +249,21 @@ class TestRunEvaluation:
         assert set(reports) == {"class_similarity", "weighted_query", BASELINE}
 
     def test_episode_determinism(self, dataset, model):
-        a = run_evaluation(dataset, model, n_way=3, k_shot=1, q_per_class=2,
-                           n_episodes=3, strategy="class_similarity", seed=11)
-        b = run_evaluation(dataset, model, n_way=3, k_shot=1, q_per_class=2,
-                           n_episodes=3, strategy="class_similarity", seed=11)
-        assert a.per_episode_accuracy == b.per_episode_accuracy
+        a = run_evaluation_suite(dataset, model, n_way=3, k_shot=1, q_per_class=2,
+                                 n_episodes=3, strategies=["class_similarity"], seed=11)
+        b = run_evaluation_suite(dataset, model, n_way=3, k_shot=1, q_per_class=2,
+                                 n_episodes=3, strategies=["class_similarity"], seed=11)
+        assert a["class_similarity"].per_episode_accuracy == \
+            b["class_similarity"].per_episode_accuracy
 
     def test_unknown_strategy_rejected(self, dataset, model):
         with pytest.raises(ConfigError):
-            run_evaluation(dataset, model, n_way=2, k_shot=1, q_per_class=2,
-                           n_episodes=1, strategy="oracle", seed=0)
+            run_evaluation_suite(dataset, model, n_way=2, k_shot=1, q_per_class=2,
+                                 n_episodes=1, strategies=["oracle"], seed=0)
 
     def test_protocol_defaults(self):
         import inspect
-        sig = inspect.signature(run_evaluation)
+        sig = inspect.signature(run_evaluation_suite)
         assert sig.parameters["n_episodes"].default == 600
         assert sig.parameters["q_per_class"].default == 15
-        assert sig.parameters["strategy"].default == "weighted_query"
+        assert sig.parameters["strategies"].default == ("weighted_query",)

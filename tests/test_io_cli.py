@@ -12,6 +12,7 @@ import pytest
 from condrep import io as cio
 from condrep.backbone import BackboneConfig
 from condrep.cli import main
+from condrep.data import DatasetConfig, build_dataset, export_pools
 from condrep.evaluate import EvalReport
 from condrep.exceptions import ConfigError, DimensionError
 from condrep.model import Model, ModelConfig
@@ -47,6 +48,28 @@ class TestCheckpoint:
         loaded, _meta = cio.model_from_checkpoint(path)
         for name, p in model.parameters().items():
             assert np.array_equal(loaded.parameters()[name].data, p.data), name
+
+    @pytest.mark.parametrize("fail_at", ["write_text", "replace"])
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "ck.txt"
+        cio.save_checkpoint(path, tiny_model(seed=1), meta={"epoch": 1})
+        before = path.read_bytes()
+
+        def half_write(self, text):
+            Path.write_bytes(self, text[:len(text) // 2].encode())
+            raise OSError("disk full")
+
+        def no_replace(src, dst):
+            raise OSError("killed")
+
+        if fail_at == "write_text":
+            monkeypatch.setattr(Path, "write_text", half_write)
+        else:
+            monkeypatch.setattr(cio.os, "replace", no_replace)
+        with pytest.raises(OSError):
+            cio.save_checkpoint(path, tiny_model(seed=2), meta={"epoch": 2})
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["ck.txt"]
 
     def test_shape_mismatch_rejected(self, tmp_path):
         model = tiny_model()
@@ -366,6 +389,32 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error: load_pools:" in proc.stderr
+
+    @pytest.mark.parametrize("defect", ["no_image_key", "nan_image"])
+    def test_bad_pool_image_exits_2_without_traceback(self, tmp_path, defect):
+        # unchecked, a missing key exits 1 with a KeyError traceback and an
+        # all-NaN pool exits 0 with a chance-level report
+        path, _lines = saved_checkpoint(tmp_path)
+        ds = build_dataset(DatasetConfig(seed=0, n_classes=3, image_size=16,
+                                         support_per_class=4, query_per_class=6))
+        export_pools(ds, tmp_path / "data")
+        for f in sorted((tmp_path / "data").glob("class_*/query_*.npz")):
+            with np.load(f) as z:
+                arrays = {k: z[k] for k in z.files}
+            if defect == "no_image_key":
+                del arrays["image"]
+            else:
+                arrays["image"] = np.full_like(arrays["image"], np.nan)
+            np.savez(f, **arrays)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-m", "condrep.cli", "eval", "--out",
+                               str(tmp_path / "run"), "--checkpoint", str(path),
+                               "--data", str(tmp_path / "data"), *TINY_FLAGS],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: load_pools:" in proc.stderr and "query_" in proc.stderr
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONDREP_OUTDIR", str(tmp_path / "envout"))

@@ -11,8 +11,9 @@ from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.backbone import BackboneConfig
 from condrep.model import Model, ModelConfig
 from condrep.optim import AdamW
-from condrep.training import (LossConfig, TrainConfig, contrastive_loss, pair_distance,
-                              sample_pair_batch, train, train_epoch)
+from condrep.rerepresent import re_represent_pair
+from condrep.training import (LossConfig, TrainConfig, batch_loss, contrastive_loss,
+                              pair_distance, sample_pair_batch, train, train_epoch)
 
 
 def tiny_dataset(seed=0, n_classes=3):
@@ -129,6 +130,53 @@ class TestContrastiveLoss:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             contrastive_loss(Tensor([1.0]), [True], LossConfig(variant="triplet"))
+
+
+class TestBatchLoss:
+    """batch_loss maps each distinct image once; the full batch is the referee.
+    At 32 px every conv gemm is large enough for BLAS to round each image's
+    rows the same in any batch; at toy sizes a small gemm can differ by 1 ulp."""
+
+    @staticmethod
+    def repeated_batch():
+        ds = build_dataset(DatasetConfig(seed=0, n_classes=3, support_per_class=4,
+                                         query_per_class=6))
+        batch = sample_pair_batch(ds, 12, np.random.default_rng(4), augment="randaugment")
+        for dst, src in ((3, 0), (5, 0), (7, 2), (11, 9)):
+            batch.support_images[dst] = batch.support_images[src]
+        batch.query_images[10] = batch.query_images[1]
+        return batch
+
+    @staticmethod
+    def loss_and_grads(model, loss):
+        for p in model.parameters().values():
+            p.grad = None
+        backward(loss)
+        return loss.item(), {k: p.grad.copy() for k, p in model.parameters().items()}
+
+    def test_matches_full_batch_forward(self):
+        model, batch, cfg = Model.init(ModelConfig(), seed=3), self.repeated_batch(), LossConfig()
+        f_s, f_q = re_represent_pair(model.features(batch.support_images),
+                                     model.features(batch.query_images), model)
+        ref, ref_grads = self.loss_and_grads(
+            model, contrastive_loss(pair_distance(f_s, f_q), batch.same_class, cfg))
+        value, grads = self.loss_and_grads(model, batch_loss(model, batch, cfg))
+        assert value == ref
+        for k, g in grads.items():
+            assert np.abs(g - ref_grads[k]).max() <= 1e-12 * np.abs(ref_grads[k]).max(), k
+
+    def test_backbone_runs_once_per_distinct_image(self, monkeypatch):
+        model, batch = Model.init(ModelConfig(), seed=0), self.repeated_batch()
+        seen = []
+        features = Model.features
+        monkeypatch.setattr(Model, "features",
+                            lambda self, images: seen.append(len(images)) or
+                            features(self, images))
+        batch_loss(model, batch, LossConfig())
+        distinct = [len({im.tobytes() for im in imgs})
+                    for imgs in (batch.support_images, batch.query_images)]
+        assert seen == distinct
+        assert sum(seen) < 2 * len(batch.same_class)
 
 
 class TestTrainLoop:
