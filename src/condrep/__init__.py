@@ -19,8 +19,8 @@ from .conditional import (ConvKernel4D, aggregate_prototypes, build_relation_ten
                           cross_correlate, positional_encode)
 from .data import (DatasetConfig, SyntheticDataset, SyntheticSample, apply_difficulty,
                    build_dataset, generate_base_image)
-from .evaluate import (EpisodeTask, EvalReport, LinearClassifier, classify_query,
-                       online_linear_fit, run_evaluation_suite, sample_episode)
+from .evaluate import (EpisodeTask, EvalReport, classify_query, run_evaluation_suite,
+                       sample_episode)
 from .gradcheck import fd_gradient_oracle, max_relative_error
 from .model import Model, ModelConfig
 from .optim import AdamW

@@ -15,9 +15,14 @@ as the plain ones.
 Graph construction is single-writer: do not build or backward one graph
 from several threads. Reading a frozen parameter set (inference inside
 ``no_grad``) is safe to share.
+
+Importing this module sets the process's glibc malloc policy (see
+:func:`_keep_freed_pages`).
 """
 from __future__ import annotations
 
+import ctypes
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +30,38 @@ import numpy as np
 from .exceptions import ContractError, DimensionError, StateError
 
 _grad_enabled = True
+
+_M_TRIM_THRESHOLD = -1   # glibc <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages():
+    """Keep freed heap pages in the process; returns the two ``mallopt``
+    results, or None where glibc's ``mallopt`` is not available.
+
+    A training step frees every activation and gradient at once when its
+    graph goes. By default glibc then trims the heap top and returns those
+    pages to the OS, and the next step page-faults them in again: on a
+    2-vCPU machine with one BLAS thread a default step (80 pairs at 32 px)
+    made 23k minor faults and spent 54 ms of its 213 ms in the kernel, a
+    7x7x64-grid step 46k faults and 148 ms of 641 ms. A 1 GiB trim
+    threshold keeps the pages, and a 32 MB mmap threshold (glibc's 64-bit
+    maximum) serves arrays up to that size from the reused heap rather than
+    from fresh ``mmap`` calls. Steps then make under 100 faults and 1-2 ms
+    of system time, peak RSS is unchanged, and no arithmetic changes.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_TRIM_THRESHOLD, 1 << 30), mallopt(_M_MMAP_THRESHOLD, 32 << 20))
+
+
+_MALLOPT_RESULTS = _keep_freed_pages()
 
 
 @contextmanager

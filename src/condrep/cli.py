@@ -2,8 +2,8 @@
 
 Subcommands: gen-data, train, eval, export-embeddings, plot.
 Exit codes: 0 success, 2 invalid config/data/shape, 3 training aborted on a
-non-finite loss. The CONDREP_OUTDIR environment variable overrides the
-default output directory.
+non-finite loss or gradient. The CONDREP_OUTDIR environment variable
+overrides the default output directory.
 """
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from . import evaluate, io as cio
-from .autodiff import no_grad
+from .autodiff import Tensor, no_grad
 from .backbone import pooled_feature
 from .data import build_dataset, export_pools, load_pools
 from .exceptions import (ConfigError, ContractError, DataError, DimensionError,
@@ -22,7 +23,7 @@ from .exceptions import (ConfigError, ContractError, DataError, DimensionError,
 from .model import Model
 from .plots import accuracy_bars_svg, loss_curve_svg
 from .rerepresent import re_represent_pair
-from .training import train
+from .training import _distinct_features, train
 
 
 def _out_dir(args) -> Path:
@@ -111,15 +112,13 @@ def cmd_export_embeddings(args) -> int:
     if not pool:
         raise DataError(f"export-embeddings: pool '{args.pool}' is empty")
     refs = {c: samples[0] for c, samples in dataset.by_class("support").items()}
-    rows = []
+    images = np.stack([refs[s.class_id].image for s in pool] + [s.image for s in pool])
     with no_grad():
-        for s in pool:
-            ref = refs[s.class_id]
-            ref_map = model.features(ref.image[None])
-            smp_map = model.features(s.image[None])
-            _fs, fq = re_represent_pair(ref_map, smp_map, model)
-            base = pooled_feature(smp_map)
-            rows.append((s.sample_id, s.class_id, s.pool, fq.data[0], base.data[0]))
+        ref_maps, smp_maps = np.split(_distinct_features(model, images).data, 2)
+        _fs, fq = re_represent_pair(Tensor(ref_maps), Tensor(smp_maps), model)
+        base = pooled_feature(Tensor(smp_maps))
+    rows = [(s.sample_id, s.class_id, s.pool, rep, b)
+            for s, rep, b in zip(pool, fq.data, base.data)]
     path = out / f"embeddings_{args.pool}.csv"
     cio.write_embeddings_csv(path, rows, channels=model.config.channels)
     print(f"wrote {len(rows)} rows to {path}")

@@ -439,10 +439,14 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
                     or not np.all(np.isfinite(image)):
                 raise DataError(f"load_pools: {f} holds a {image.dtype} {image.shape} image; each "
                                 f"must be finite, (1, S, S), S as in the first file ({size})")
+            mask = arrays["mask"]
+            if mask.dtype != bool or mask.shape != (size, size):
+                raise DataError(f"load_pools: {f} holds a {mask.dtype} {mask.shape} mask; it "
+                                f"must be bool and ({size}, {size}), the image's side")
             (support if pool == "support" else query).append(SyntheticSample(
                 image=image, class_id=class_id, pool=pool,
                 transforms_applied=[] if tags == "clean" else tags.split("-"),
-                target_mask=arrays["mask"], seed=int(arrays["seed"])))
+                target_mask=mask, seed=int(arrays["seed"])))
     cfg = config or DatasetConfig(
         n_classes=len(class_dirs),
         support_per_class=max(1, len(support) // max(1, len(class_dirs))),

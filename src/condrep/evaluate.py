@@ -1,5 +1,6 @@
 """N-way-K-shot meta-testing: episode sampling, the five K-shot inference
-strategies, the online linear classifier, and evaluation reports.
+strategies (three of them fit an online linear classifier on the
+re-represented supports), and evaluation reports.
 
 Inference is inductive: every query is classified from its own pairings
 with the supports only. The implementation batches all (query, support)
@@ -23,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .data import SyntheticDataset
-from .exceptions import ConfigError, DataError, StateError
+from .exceptions import ConfigError, DataError
 from .model import Model
 from .rerepresent import re_represent_pair
 
@@ -96,52 +97,6 @@ def sample_episode(dataset: SyntheticDataset, n_way: int, k_shot: int,
                        query_images=np.stack(qry_imgs),
                        query_labels=np.array(qry_labels),
                        class_ids=np.asarray(chosen))
-
-
-# ---------------------------------------------------------------------------
-# online linear classifier
-# ---------------------------------------------------------------------------
-
-class LinearClassifier:
-    """Multinomial logistic regression, full-batch gradient descent from a
-    zero init. ``predict`` before ``fit`` is an error."""
-
-    def __init__(self, n_classes: int, epochs: int = 100, lr: float = 0.1):
-        self.n_classes = n_classes
-        self.epochs = epochs
-        self.lr = lr
-        self.weights = None
-        self.bias = None
-
-    def fit(self, features: np.ndarray, labels: np.ndarray) -> "LinearClassifier":
-        x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels)
-        present = np.unique(y)
-        missing = sorted(set(range(self.n_classes)) - set(present.tolist()))
-        if missing:
-            raise DataError(f"linear classifier: no training features for classes {missing}")
-        w, b = _fit_logistic(x[None], y, self.n_classes, self.epochs, self.lr)
-        self.weights, self.bias = w[0], b[0]
-        return self
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        if self.weights is None:
-            raise StateError("linear classifier: predict called before fit")
-        logits = np.atleast_2d(np.asarray(features, dtype=np.float64)) @ self.weights + self.bias
-        return logits.argmax(axis=-1)
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        if self.weights is None:
-            raise StateError("linear classifier: predict called before fit")
-        logits = np.atleast_2d(np.asarray(features, dtype=np.float64)) @ self.weights + self.bias
-        return _softmax(logits)
-
-
-def online_linear_fit(features, labels, n_classes: int, epochs: int = 100,
-                      lr: float = 0.1) -> LinearClassifier:
-    """Fit the online classifier on (vector, label) pairs."""
-    return LinearClassifier(n_classes, epochs=epochs, lr=lr).fit(
-        np.asarray(features, dtype=np.float64), np.asarray(labels))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -22,4 +22,4 @@ class DataError(ValueError):
 
 
 class NonFiniteLossError(StateError):
-    """Training produced a NaN/Inf loss and was aborted."""
+    """Training produced a NaN/Inf loss or gradient and was aborted."""

@@ -145,7 +145,8 @@ def batch_loss(model: Model, batch: PairBatch, cfg: LossConfig) -> Tensor:
 
 def train_epoch(dataset: SyntheticDataset, model: Model, optimizer: AdamW,
                 cfg: TrainConfig, rng) -> float:
-    """One pass of pair batches; returns the mean batch loss."""
+    """One pass of pair batches; returns the mean batch loss. A non-finite
+    loss, or a non-finite gradient before the optimizer step, aborts it."""
     losses = []
     for b in range(cfg.resolved_batches(dataset)):
         batch = sample_pair_batch(dataset, cfg.batch_size, rng, augment=cfg.augment)
@@ -155,6 +156,10 @@ def train_epoch(dataset: SyntheticDataset, model: Model, optimizer: AdamW,
             raise NonFiniteLossError(f"training aborted: non-finite loss at batch {b}")
         optimizer.zero_grad()
         backward(loss)
+        for name, p in model.parameters().items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NonFiniteLossError(f"training aborted: non-finite gradient of "
+                                         f"'{name}' at batch {b}")
         optimizer.step()
         losses.append(value)
     return float(np.mean(losses))

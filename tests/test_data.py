@@ -221,6 +221,24 @@ class TestExportImport:
         with pytest.raises(DataError, match=f"{last.name}.*{re.escape(str(shape))}"):
             load_pools(tmp_path)
 
+    @pytest.mark.parametrize("mask", [np.zeros((32, 32)), np.zeros((32, 32), dtype=np.int64),
+                                      np.zeros((16, 16), dtype=bool),
+                                      np.zeros((32, 16), dtype=bool),
+                                      np.zeros((1, 32, 32), dtype=bool),
+                                      np.zeros((), dtype=bool), np.full((32, 32), "x")],
+                             ids=["float", "int", "16x16", "32x16", "1x32x32", "scalar", "str"])
+    def test_mask_not_bool_of_image_side_rejected(self, tmp_path, mask):
+        last = self._rewrite_last_file(tmp_path, mask=mask)
+        with pytest.raises(DataError, match=f"{last.name}.*{re.escape(str(mask.shape))} mask"):
+            load_pools(tmp_path)
+
+    def test_mask_follows_its_own_image_side(self, tmp_path):
+        ds = build_dataset(DatasetConfig(seed=7, n_classes=2, image_size=16,
+                                         support_per_class=1, query_per_class=1))
+        export_pools(ds, tmp_path)
+        loaded = load_pools(tmp_path)
+        assert {s.target_mask.shape for s in loaded.support + loaded.query} == {(16, 16)}
+
     def test_non_numeric_image_rejected(self, tmp_path):
         last = self._rewrite_last_file(tmp_path, image=np.full((1, 32, 32), "x"))
         with pytest.raises(DataError, match=last.name):

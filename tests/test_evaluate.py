@@ -1,14 +1,14 @@
-"""Episode sampling, inference strategies, online classifier, and reports."""
+"""Episode sampling, inference strategies, the online classifier they fit, and reports."""
 import numpy as np
 import pytest
 
 from condrep import evaluate
 from condrep.backbone import BackboneConfig
 from condrep.data import DatasetConfig, build_dataset
-from condrep.evaluate import (BASELINE, STRATEGIES, EvalReport, LinearClassifier,
-                              classify_query, episode_features, online_linear_fit,
-                              run_evaluation_suite, sample_episode, strategy_predictions)
-from condrep.exceptions import ConfigError, DataError, StateError
+from condrep.evaluate import (BASELINE, STRATEGIES, EvalReport, classify_query,
+                              episode_features, run_evaluation_suite, sample_episode,
+                              strategy_predictions)
+from condrep.exceptions import ConfigError, DataError
 from condrep.model import Model, ModelConfig
 
 
@@ -57,30 +57,27 @@ class TestSampleEpisode:
 
 
 class TestLinearClassifier:
+    """The logistic fit of the classifier, raw_query and weighted_query strategies."""
+
+    @staticmethod
+    def fit_logits(x, y, n_classes, epochs=100):
+        w, b = evaluate._fit_logistic(x[None], y, n_classes, epochs=epochs, lr=0.1)
+        return x @ w[0] + b[0]
+
     def test_separable_clusters_reach_full_accuracy(self):
         rng = np.random.default_rng(0)
         x = np.vstack([rng.normal(-3, 0.3, size=(10, 4)), rng.normal(3, 0.3, size=(10, 4))])
         y = np.array([0] * 10 + [1] * 10)
-        clf = online_linear_fit(x, y, n_classes=2)
-        assert np.mean(clf.predict(x) == y) == 1.0
+        assert np.mean(self.fit_logits(x, y, 2).argmax(axis=1) == y) == 1.0
 
     def test_zero_epochs_give_uniform_probabilities(self):
-        clf = LinearClassifier(3, epochs=0).fit(np.ones((3, 4)), np.array([0, 1, 2]))
-        np.testing.assert_allclose(clf.predict_proba(np.ones((2, 4))), 1 / 3, atol=1e-12)
+        logits = self.fit_logits(np.ones((3, 4)), np.array([0, 1, 2]), 3, epochs=0)
+        np.testing.assert_allclose(evaluate._softmax(logits), 1 / 3, atol=1e-12)
 
     def test_conflicting_duplicate_does_not_crash(self):
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1, 1])
-        clf = online_linear_fit(x, y, n_classes=2)
-        assert np.mean(clf.predict(x) == y) < 1.0
-
-    def test_missing_class_rejected(self):
-        with pytest.raises(DataError):
-            online_linear_fit(np.ones((2, 3)), np.array([0, 0]), n_classes=2)
-
-    def test_predict_before_fit_rejected(self):
-        with pytest.raises(StateError):
-            LinearClassifier(2).predict(np.ones((1, 3)))
+        assert np.mean(self.fit_logits(x, y, 2).argmax(axis=1) == y) < 1.0
 
 
 class TestStrategyRules:

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from condrep import io as cio
-from condrep.backbone import BackboneConfig
+from condrep.autodiff import no_grad
+from condrep.backbone import BackboneConfig, pooled_feature
 from condrep.cli import main
 from condrep.data import DatasetConfig, build_dataset, export_pools
 from condrep.evaluate import EvalReport
 from condrep.exceptions import ConfigError, DimensionError
 from condrep.model import Model, ModelConfig
 from condrep.plots import PLOT_H, accuracy_bars_svg, loss_curve_svg
+from condrep.rerepresent import re_represent_pair
 
 
 def tiny_model(seed=0):
@@ -334,11 +336,17 @@ class TestCli:
                          (run_dir / "checkpoint.txt").read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_export_embeddings(self, tmp_path):
+    def test_export_embeddings(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
         rc = main(["train", "--out", str(run_dir), *TINY_FLAGS,
                    "--epochs", "1", "--batch-size", "4", "--batches-per-epoch", "1"])
         assert rc == 0
+        calls, real_features = [], Model.features
+
+        def counted_features(model, images):
+            calls.append(len(images))
+            return real_features(model, images)
+        monkeypatch.setattr(Model, "features", counted_features)
         rc = main(["export-embeddings", "--out", str(run_dir), *TINY_FLAGS,
                    "--checkpoint", str(run_dir / "checkpoint.txt"), "--pool", "query"])
         assert rc == 0
@@ -346,6 +354,28 @@ class TestCli:
         assert lines[0].startswith("sample_id,class_id,pool,rep_0")
         assert lines[0].count("rep_") == 8 and lines[0].count("backbone_") == 8
         assert len(lines) == 1 + 3 * 6
+        # one backbone call over the 18 queries and the 3 class references
+        assert calls == [18 + 3]
+
+        # reference: each sample and its class's first support mapped alone
+        monkeypatch.setattr(Model, "features", real_features)
+        model, _meta = cio.model_from_checkpoint(run_dir / "checkpoint.txt")
+        ds = build_dataset(DatasetConfig(seed=0, n_classes=3, image_size=16,
+                                         support_per_class=4, query_per_class=6))
+        refs = {c: samples[0] for c, samples in ds.by_class("support").items()}
+        with no_grad():
+            for s, line in zip(ds.query, lines[1:]):
+                ref_map = model.features(refs[s.class_id].image[None])
+                smp_map = model.features(s.image[None])
+                _fs, fq = re_represent_pair(ref_map, smp_map, model)
+                expected = np.concatenate([fq.data[0], pooled_feature(smp_map).data[0]])
+                sample_id, class_id, pool, *values = line.split(",")
+                assert (sample_id, int(class_id), pool) == (s.sample_id, s.class_id, "query")
+                # at 16 px a conv gemm can take BLAS's small-matrix path and
+                # round the last bit differently in a batch than alone (rows
+                # measured within 4.4e-13 relative; bit-equal at 32 px)
+                np.testing.assert_allclose(np.array(values, dtype=float), expected,
+                                           rtol=1e-10, atol=1e-13)
 
     def test_plot_command(self, tmp_path):
         csv = tmp_path / "loss.csv"
@@ -390,10 +420,10 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "error: load_pools:" in proc.stderr
 
-    @pytest.mark.parametrize("defect", ["no_image_key", "nan_image"])
+    @pytest.mark.parametrize("defect", ["no_image_key", "nan_image", "float_mask"])
     def test_bad_pool_image_exits_2_without_traceback(self, tmp_path, defect):
-        # unchecked, a missing key exits 1 with a KeyError traceback and an
-        # all-NaN pool exits 0 with a chance-level report
+        # unchecked, a missing key exits 1 with a KeyError traceback, and an
+        # all-NaN pool or a float mask exits 0
         path, _lines = saved_checkpoint(tmp_path)
         ds = build_dataset(DatasetConfig(seed=0, n_classes=3, image_size=16,
                                          support_per_class=4, query_per_class=6))
@@ -403,8 +433,10 @@ class TestCli:
                 arrays = {k: z[k] for k in z.files}
             if defect == "no_image_key":
                 del arrays["image"]
-            else:
+            elif defect == "nan_image":
                 arrays["image"] = np.full_like(arrays["image"], np.nan)
+            else:
+                arrays["mask"] = arrays["mask"].astype(np.float64)
             np.savez(f, **arrays)
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -1,9 +1,15 @@
 """Pair sampling, contrastive loss, and the training loop."""
+import platform
+import resource
+import sys
+
 import numpy as np
 import pytest
 
 from condrep import autodiff as ad
+from condrep import training
 from condrep.autodiff import Tensor, backward
+from condrep.cli import main
 from condrep.data import DatasetConfig, build_dataset
 from condrep.exceptions import (ConfigError, ContractError, DataError, DimensionError,
                                 NonFiniteLossError)
@@ -223,8 +229,76 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteLossError, match="batch 0"):
             train_epoch(ds, model, opt, cfg, np.random.default_rng(0))
 
+    @staticmethod
+    def poison_gradients(monkeypatch, params_of, poisoned):
+        """Make ``training.backward`` run the real backward, then write one
+        non-finite value into the gradient of each named parameter."""
+        def backward_then_poison(loss):
+            backward(loss)
+            params = params_of()
+            for name, value in poisoned.items():
+                g = np.array(params[name].grad)
+                g.flat[0] = value
+                params[name].grad = g
+        monkeypatch.setattr(training, "backward", backward_then_poison)
+
+    def test_non_finite_gradient_names_first_parameter(self, monkeypatch):
+        ds = tiny_dataset()
+        model = tiny_model()
+        names = list(model.parameters())
+        self.poison_gradients(monkeypatch, model.parameters,
+                              {names[-1]: np.nan, names[3]: np.inf})
+        before = {k: v.data.copy() for k, v in model.parameters().items()}
+        opt = AdamW(model.parameters())
+        with pytest.raises(NonFiniteLossError, match=f"gradient of '{names[3]}' at batch 0"):
+            train_epoch(ds, model, opt, TrainConfig(epochs=1, batch_size=4),
+                        np.random.default_rng(0))
+        assert opt.step_count == 0
+        for k, v in model.parameters().items():
+            assert np.array_equal(before[k], v.data), k
+
+    def test_non_finite_gradient_exits_3_without_traceback(self, tmp_path, monkeypatch, capsys):
+        models, real_init = [], Model.init
+
+        def init_and_keep(config=None, seed=0):
+            models.append(real_init(config, seed))
+            return models[-1]
+        monkeypatch.setattr(Model, "init", init_and_keep)
+        self.poison_gradients(monkeypatch, lambda: models[0].parameters(),
+                              {"conditional.bias": np.nan})
+        rc = main(["train", "--out", str(tmp_path), "--image-size", "16",
+                   "--feature-channels", "8", "--feature-side", "2", "--n-classes", "3",
+                   "--support-per-class", "4", "--query-per-class", "6",
+                   "--epochs", "1", "--batch-size", "4", "--batches-per-epoch", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert "Traceback" not in err
+        assert "error: training aborted: non-finite gradient of 'conditional.bias'" in err
+        assert not (tmp_path / "checkpoint.txt").exists()
+
     def test_lr_schedule_drops_every_20_epochs(self):
         cfg = TrainConfig()
         drops = [cfg.learning_rate * cfg.lr_drop_factor ** (e // cfg.lr_drop_every)
                  for e in (0, 19, 20, 39, 40)]
         np.testing.assert_allclose(drops, [1e-3, 1e-3, 5e-4, 5e-4, 2.5e-4])
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_training_step_reuses_freed_heap_pages():
+    # without the policy glibc returns a step's freed temporaries to the OS
+    # and the next step faults them in again: ~20k minor faults per step
+    assert ad._MALLOPT_RESULTS == (1, 1)
+    ds = build_dataset(DatasetConfig())
+    model = Model.init(ModelConfig(), seed=0)
+    cfg = TrainConfig(epochs=1, batches_per_epoch=1)
+    assert (cfg.batch_size, model.config.backbone.input_size) == (80, 32)
+    opt = AdamW(model.parameters())
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        train_epoch(ds, model, opt, cfg, rng)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        train_epoch(ds, model, opt, cfg, rng)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"{faults} minor page faults in 3 training steps"
