@@ -8,9 +8,9 @@ pass backwards exactly once. Calling :func:`backward` twice on the same
 loss raises, because the graph is consumed by the first call.
 
 Operations accept arbitrary leading batch dimensions where the math
-allows it (matmul, softmax, layer_norm, conv2d, elementwise ops); the
-batched forms are exercised by the same finite-difference gradient suite
-as the plain ones.
+allows it (matmul, softmax, layer_norm, elementwise ops; conv2d and
+avg_pool take exactly one); the batched forms are exercised by the same
+finite-difference gradient suite as the plain ones.
 
 Graph construction is single-writer: do not build or backward one graph
 from several threads. Reading a frozen parameter set (inference inside
@@ -110,45 +110,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; all routing goes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def permute(self, axes):
-        return permute(self, axes)
 
 
 def as_tensor(x) -> Tensor:
@@ -317,19 +280,17 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of channels-last (B,H,W,C_in) or (H,W,C_in) images with
-    a (C_out,C_in,kh,kw) kernel; returns (B,H',W',C_out) or (H',W',C_out).
+    """Cross-correlation of channels-last (B,H,W,C_in) images with a
+    (C_out,C_in,kh,kw) kernel; returns (B,H',W',C_out).
 
     One gemm of the (B*H'*W', kh*kw*C_in) im2col matrix, whose columns keep
     each tap's channels contiguous, with the kernel flattened in the same
     order; the kernel gradient reuses that matrix."""
     x, kernel = as_tensor(x), as_tensor(kernel)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernel.ndim != 4:
-        raise DimensionError(f"conv2d: expected image (H,W,C)/(B,H,W,C) and kernel "
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise DimensionError(f"conv2d: expected images (B,H,W,C) and kernel "
                              f"(C_out,C_in,kh,kw), got {x.shape} and {kernel.shape}")
-    b, h, w, cin = xd.shape
+    b, h, w, cin = x.shape
     cout, kcin, kh, kw = kernel.shape
     if kcin != cin:
         raise DimensionError(f"conv2d: input channels {cin} != kernel channels {kcin}")
@@ -339,15 +300,14 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     if stride < 1:
         raise ContractError(f"conv2d: stride must be positive, got {stride}")
 
-    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xd
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0))) \
+        if padding else x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]             # (B,H',W',Cin,kh,kw)
     ho, wo = windows.shape[1], windows.shape[2]
     cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * cin)
     w2 = kernel.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     out = (cols @ w2.T).reshape(b, ho, wo, cout)
-    if squeeze:
-        out = out[0]
 
     def vjp_kernel(g):
         dw = g.reshape(-1, cout).T @ cols
@@ -360,8 +320,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
             for j in range(kw):
                 dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
                     (g2 @ kernel.data[:, :, i, j]).reshape(b, ho, wo, cin)
-        dx = dxp[:, padding:padding + h, padding:padding + w] if padding else dxp
-        return dx[0] if squeeze else dx
+        return dxp[:, padding:padding + h, padding:padding + w] if padding else dxp
 
     return _make(out, [(x, vjp_x), (kernel, vjp_kernel)])
 

@@ -71,9 +71,7 @@ def init_backbone(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
 
 def extract_features(images, params: dict[str, Tensor], config: BackboneConfig) -> Tensor:
     """Run the backbone; returns the batch of prototype maps (B, W, H, C)."""
-    x = images if isinstance(images, Tensor) else Tensor(images)
-    if x.ndim == 3:
-        x = ad.reshape(x, (1,) + x.shape)
+    x = ad.as_tensor(images)
     if x.ndim != 4 or x.shape[1] != config.channels_in or \
             x.shape[2] != config.input_size or x.shape[3] != config.input_size:
         raise DimensionError(f"backbone: expected images (B,{config.channels_in},"

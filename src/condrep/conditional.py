@@ -89,9 +89,10 @@ def aggregate_prototypes(first, second) -> Tensor:
     return positional_encode(stacked)
 
 
-def cross_correlate(f, fm, grid=None) -> Tensor:
+def cross_correlate(f, fm, grid) -> Tensor:
     """Scaled dot-product attention of a flattened prototype against the
-    aggregated feature (no learned projections), reshaped to (..., W, H, C)."""
+    aggregated feature (no learned projections), reshaped to (..., W, H, C)
+    with ``grid`` = (W, H)."""
     f, fm = ad.as_tensor(f), ad.as_tensor(fm)
     if f.ndim < 2 or fm.ndim < 2:
         raise DimensionError(f"cross_correlate: expected (..., T, C) inputs, "
@@ -101,12 +102,6 @@ def cross_correlate(f, fm, grid=None) -> Tensor:
         raise DimensionError(f"cross_correlate: channel counts differ, "
                              f"{f.shape} vs {fm.shape}")
     t = f.shape[-2]
-    if grid is None:
-        side = int(round(np.sqrt(t)))
-        if side * side != t:
-            raise DimensionError(f"cross_correlate: {t} positions are not a square "
-                                 f"grid; pass grid=(W, H)")
-        grid = (side, side)
     w, h = grid
     if w * h != t:
         raise DimensionError(f"cross_correlate: grid {grid} does not hold {t} positions")
@@ -285,8 +280,6 @@ def conv4d_oracle(rel, kernel: ConvKernel4D, direction: str) -> np.ndarray:
 class ConditionalOutput(NamedTuple):
     support_matrix: Tensor   # (..., W, H)
     query_matrix: Tensor     # (..., W, H)
-    support_feature: Tensor  # the fs that was passed in
-    query_feature: Tensor
 
 
 def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
@@ -303,4 +296,4 @@ def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
     s_corr = cross_correlate(qs, fm_s, grid=(w, h))
     q_corr = cross_correlate(qq, fm_q, grid=(w, h))
     support_matrix, query_matrix = conditional_matrices(s_corr, q_corr, kernel)
-    return ConditionalOutput(support_matrix, query_matrix, support_feature=fs, query_feature=fq)
+    return ConditionalOutput(support_matrix, query_matrix)

@@ -279,9 +279,6 @@ class SyntheticDataset:
             out.setdefault(s.class_id, []).append(s)
         return out
 
-    def images(self, samples) -> np.ndarray:
-        return np.stack([s.image for s in samples])
-
 
 def _tag_quota(mix: dict, n: int, blur_fraction: float) -> list[str]:
     """Largest-remainder allocation of difficulty tags, with the blur count
@@ -439,6 +436,9 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
                     or not np.all(np.isfinite(image)):
                 raise DataError(f"load_pools: {f} holds a {image.dtype} {image.shape} image; each "
                                 f"must be finite, (1, S, S), S as in the first file ({size})")
+            if np.any((image < 0) | (image > 1)):
+                raise DataError(f"load_pools: {f} holds image values in [{image.min()}, "
+                                f"{image.max()}]; they must lie in [0, 1], the generator's range")
             mask = arrays["mask"]
             if mask.dtype != bool or mask.shape != (size, size):
                 raise DataError(f"load_pools: {f} holds a {mask.dtype} {mask.shape} mask; it "

@@ -120,27 +120,21 @@ def _represent_side(feature, matrix, params: dict[str, Tensor], residual: bool) 
     return finalize_vector(f_prime, f_hat, params)
 
 
-def re_represent_pair(fs, fq, model, structure: str | None = None):
+def re_represent_pair(fs, fq, model):
     """Produce the final (F_support, F_query) vectors for a prototype pair.
 
-    ``model`` provides the conditional kernel and the re-representation
-    parameter set(s); ``structure`` defaults to the model's own.
+    ``model`` provides the conditional kernel, the re-representation
+    parameter set(s) and the structure they were built for.
     """
-    structure = structure or model.structure
-    if structure not in STRUCTURES:
-        raise ConfigError(f"re_represent_pair: unknown structure '{structure}'")
-    if structure != model.structure:
-        raise ConfigError(f"re_represent_pair: model was built for structure "
-                          f"'{model.structure}', not '{structure}'")
     cond = conditional_forward(fs, fq, model.kernel)
-    residual = structure != "non_residual"
-    if structure == "non_siamese":
+    residual = model.structure != "non_residual"
+    if model.structure == "non_siamese":
         side_s = {k[len("support."):]: v for k, v in model.rerep.items()
                   if k.startswith("support.")}
         side_q = {k[len("query."):]: v for k, v in model.rerep.items()
                   if k.startswith("query.")}
     else:
         side_s = side_q = model.rerep
-    f_s = _represent_side(cond.support_feature, cond.support_matrix, side_s, residual)
-    f_q = _represent_side(cond.query_feature, cond.query_matrix, side_q, residual)
+    f_s = _represent_side(fs, cond.support_matrix, side_s, residual)
+    f_q = _represent_side(fq, cond.query_matrix, side_q, residual)
     return f_s, f_q

@@ -120,26 +120,26 @@ class TestRelu:
 
 
 class TestConv2d:
-    # images are channels-last: (H, W, C) or (B, H, W, C)
+    # images are channels-last: (B, H, W, C)
     def test_identity_kernel(self):
-        x = np.random.default_rng(0).normal(size=(1, 5, 5)).transpose(1, 2, 0)
+        x = np.random.default_rng(0).normal(size=(1, 5, 5, 1))
         out = ad.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), stride=1, padding=0)
         np.testing.assert_array_equal(out.data, x)
 
     def test_hand_sum(self):
-        x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]).transpose(1, 2, 0))
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
         k = Tensor(np.ones((1, 1, 2, 2)))
         out = ad.conv2d(x, k, stride=1, padding=0)
-        np.testing.assert_array_equal(out.data, [[[10.0]]])
+        np.testing.assert_array_equal(out.data, [[[[10.0]]]])
 
     def test_zero_input(self):
-        out = ad.conv2d(Tensor(np.zeros((2, 4, 4)).transpose(1, 2, 0)),
+        out = ad.conv2d(Tensor(np.zeros((1, 4, 4, 2))),
                         Tensor(np.ones((3, 2, 3, 3))), stride=1, padding=1)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 4, 4)).transpose(1, 2, 0))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4, 4, 3)))
 
     def test_kernel_too_large(self):
-        with pytest.raises(DimensionError):
-            ad.conv2d(Tensor(np.zeros((1, 3, 3)).transpose(1, 2, 0)),
+        with pytest.raises(DimensionError, match="larger than padded input"):
+            ad.conv2d(Tensor(np.zeros((1, 3, 3, 1))),
                       Tensor(np.ones((1, 1, 6, 6))), stride=1, padding=1)
 
 

@@ -8,6 +8,7 @@ from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
 from condrep.backbone import BackboneConfig, extract_features, init_backbone, pooled_feature
 from condrep.exceptions import ConfigError, DimensionError
+from condrep.io import model_config_from, resolve_config
 
 
 def test_same_seed_gives_identical_parameters():
@@ -53,6 +54,24 @@ def test_identical_images_give_identical_maps():
     img = np.random.default_rng(1).uniform(size=(1, 32, 32))
     feats = extract_features(np.stack([img, img]), params, cfg)
     assert np.array_equal(feats.data[0], feats.data[1])
+
+
+@pytest.mark.parametrize("overrides", [{}, {"image_size": "28", "feature_side": "7",
+                                             "feature_channels": "64"}],
+                         ids=["32px_default", "28px_side7_c64"])
+def test_map_does_not_depend_on_its_batch_at_shipped_configs(overrides):
+    # training maps each distinct image once per batch and evaluation memoizes
+    # maps across episodes; both are bit-exact, and evaluation inductive, only
+    # while batch composition changes no bit of a map (at 16 px it does: BLAS
+    # takes its small-matrix path)
+    cfg = model_config_from(resolve_config(None, overrides)).backbone
+    params = init_backbone(cfg, seed=0)
+    images = np.random.default_rng(3).uniform(size=(80, 1, cfg.input_size, cfg.input_size))
+    with ad.no_grad():
+        batch = extract_features(images, params, cfg).data
+        for i in (0, 41, 79):
+            alone = extract_features(images[i:i + 1], params, cfg).data
+            assert np.array_equal(alone[0], batch[i]), i
 
 
 def test_wrong_image_shape_rejected():

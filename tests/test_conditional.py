@@ -67,12 +67,13 @@ class TestCrossCorrelate:
     def test_identical_rows_collapse_to_that_row(self):
         v = np.array([1.0, -2.0, 0.5, 3.0])
         fm = Tensor(np.tile(v, (6, 1)))
-        out = cross_correlate(Tensor(np.random.default_rng(0).normal(size=(4, 4))), fm)
+        out = cross_correlate(Tensor(np.random.default_rng(0).normal(size=(4, 4))), fm,
+                              grid=(2, 2))
         np.testing.assert_allclose(out.data, np.broadcast_to(v, (2, 2, 4)), atol=1e-12)
 
     def test_single_row_aggregate(self):
         fm = Tensor(np.array([[2.0, 4.0, -1.0, 0.0]]))
-        out = cross_correlate(Tensor(np.array([[9.0, 9.0, 9.0, 9.0]])), fm)
+        out = cross_correlate(Tensor(np.array([[9.0, 9.0, 9.0, 9.0]])), fm, grid=(1, 1))
         np.testing.assert_array_equal(out.data.reshape(4), fm.data[0])
 
     def test_matches_naive_softmax_matmul(self):
@@ -93,7 +94,7 @@ class TestCrossCorrelate:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            cross_correlate(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5))))
+            cross_correlate(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5))), grid=(2, 2))
 
 
 class TestRelationTensor:

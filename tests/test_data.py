@@ -214,6 +214,21 @@ class TestExportImport:
         with pytest.raises(DataError, match=f"{last.name}.*must be finite"):
             load_pools(tmp_path)
 
+    @pytest.mark.parametrize("image", [np.full((1, 32, 32), -1e-9), np.full((1, 32, 32), 1.5),
+                                       np.full((1, 32, 32), 255, dtype=np.uint8)],
+                             ids=["negative", "above_one", "uint8_255"])
+    def test_image_outside_unit_range_rejected(self, tmp_path, image):
+        last = self._rewrite_last_file(tmp_path, image=image)
+        with pytest.raises(DataError, match=f"{last.name}.*must lie in \\[0, 1\\]"):
+            load_pools(tmp_path)
+
+    def test_image_range_bounds_are_inclusive(self, tmp_path):
+        image = np.zeros((1, 32, 32))
+        image[0, 0, 0] = 1.0
+        self._rewrite_last_file(tmp_path, image=image)
+        loaded = load_pools(tmp_path)
+        assert any(np.array_equal(s.image, image) for s in loaded.support + loaded.query)
+
     @pytest.mark.parametrize("shape", [(32, 32), (2, 32, 32), (1, 32, 16), (1, 16, 16),
                                        (1, 1, 32, 32)])
     def test_image_of_wrong_shape_or_size_rejected(self, tmp_path, shape):

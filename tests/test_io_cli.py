@@ -1,8 +1,10 @@
-"""Checkpoints, configs, CSV/report consistency, plots, and the CLI contract."""
+"""Checkpoints, configs, CSV/report consistency, plots, the CLI contract, and the
+package's public surface."""
 import json
 import os
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -29,6 +31,15 @@ def tiny_model(seed=0):
 
 TINY_FLAGS = ["--image-size", "16", "--feature-channels", "8", "--feature-side", "2",
               "--n-classes", "3", "--support-per-class", "4", "--query-per-class", "6"]
+
+
+def test_package_exports_only_its_submodules():
+    import condrep
+    assert sorted(condrep.__all__) == ["autodiff", "backbone", "conditional", "data",
+                                       "evaluate", "exceptions", "gradcheck", "model",
+                                       "optim", "rerepresent", "training"]
+    assert all(isinstance(getattr(condrep, name), types.ModuleType)
+               for name in condrep.__all__)
 
 
 class TestCheckpoint:
@@ -420,10 +431,11 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "error: load_pools:" in proc.stderr
 
-    @pytest.mark.parametrize("defect", ["no_image_key", "nan_image", "float_mask"])
+    @pytest.mark.parametrize("defect", ["no_image_key", "nan_image", "float_mask",
+                                        "out_of_range"])
     def test_bad_pool_image_exits_2_without_traceback(self, tmp_path, defect):
         # unchecked, a missing key exits 1 with a KeyError traceback, and an
-        # all-NaN pool or a float mask exits 0
+        # all-NaN pool, a float mask or a 0-255 integer pool exits 0
         path, _lines = saved_checkpoint(tmp_path)
         ds = build_dataset(DatasetConfig(seed=0, n_classes=3, image_size=16,
                                          support_per_class=4, query_per_class=6))
@@ -435,6 +447,8 @@ class TestCli:
                 del arrays["image"]
             elif defect == "nan_image":
                 arrays["image"] = np.full_like(arrays["image"], np.nan)
+            elif defect == "out_of_range":
+                arrays["image"] = np.round(arrays["image"] * 255).astype(np.uint8)
             else:
                 arrays["mask"] = arrays["mask"].astype(np.float64)
             np.savez(f, **arrays)

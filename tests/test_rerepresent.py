@@ -184,10 +184,8 @@ class TestRepresentPair:
         assert not np.array_equal(fa.data, ga.data)
 
     def test_unknown_structure_rejected(self):
-        model = tiny_model()
-        with pytest.raises(ConfigError):
-            re_represent_pair(Tensor(np.zeros((2, 2, 8))), Tensor(np.zeros((2, 2, 8))),
-                              model, structure="double")
+        with pytest.raises(ConfigError, match="unknown structure"):
+            Model.init(ModelConfig(structure="double"))
 
     def test_batched_matches_single(self):
         model = tiny_model()

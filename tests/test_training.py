@@ -2,6 +2,7 @@
 import platform
 import resource
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -276,6 +277,24 @@ class TestTrainLoop:
         assert "error: training aborted: non-finite gradient of 'conditional.bias'" in err
         assert not (tmp_path / "checkpoint.txt").exists()
 
+    def test_each_batch_graph_is_freed_before_the_next_is_built(self, monkeypatch):
+        # a graph kept across batches holds all its activations and gradients
+        # while the next batch's forward runs (two default epochs peaked at
+        # 363 MB instead of 246 MB)
+        losses, real_batch_loss = [], training.batch_loss
+
+        def tracked_batch_loss(model, batch, cfg):
+            assert all(ref() is None for ref in losses), "an earlier batch's graph is alive"
+            loss = real_batch_loss(model, batch, cfg)
+            losses.append(weakref.ref(loss.data))
+            return loss
+        monkeypatch.setattr(training, "batch_loss", tracked_batch_loss)
+        model = tiny_model()
+        train_epoch(tiny_dataset(), model, AdamW(model.parameters()),
+                    TrainConfig(epochs=1, batch_size=4, batches_per_epoch=3),
+                    np.random.default_rng(0))
+        assert len(losses) == 3
+
     def test_lr_schedule_drops_every_20_epochs(self):
         cfg = TrainConfig()
         drops = [cfg.learning_rate * cfg.lr_drop_factor ** (e // cfg.lr_drop_every)
@@ -295,10 +314,18 @@ def test_training_step_reuses_freed_heap_pages():
     assert (cfg.batch_size, model.config.backbone.input_size) == (80, 32)
     opt = AdamW(model.parameters())
     rng = np.random.default_rng(0)
-    for _ in range(2):
+    # every step replays one batch, so the warm-up steps reach the heap's
+    # high-water mark and a measured step cannot fault in pages for a batch
+    # larger than any before it
+    state = rng.bit_generator.state
+
+    def step():
+        rng.bit_generator.state = state
         train_epoch(ds, model, opt, cfg, rng)
+    for _ in range(2):
+        step()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        train_epoch(ds, model, opt, cfg, rng)
+        step()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 1000, f"{faults} minor page faults in 3 training steps"
