@@ -8,8 +8,9 @@ pass backwards exactly once. Calling :func:`backward` twice on the same
 loss raises, because the graph is consumed by the first call.
 
 Operations accept arbitrary leading batch dimensions where the math
-allows it (matmul, softmax, layer_norm, elementwise ops; conv2d and
-avg_pool take exactly one); the batched forms are exercised by the same
+allows it (matmul, softmax, layer_norm, elementwise ops); the backbone ops
+are channel-major instead: conv2d and avg_pool take (C, B, H, W) and
+channel_norm normalizes axis 0. The batched forms are exercised by the same
 finite-difference gradient suite as the plain ones.
 
 Graph construction is single-writer: do not build or backward one graph
@@ -276,53 +277,109 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# channel-major backbone ops: (C, B, H, W)
 # ---------------------------------------------------------------------------
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of channels-last (B,H,W,C_in) images with a
-    (C_out,C_in,kh,kw) kernel; returns (B,H',W',C_out).
+def conv2d(x, kernel, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation of channel-major (C_in,B,H,W) images with a
+    (C_out,C_in,kh,kw) kernel; returns (C_out,B,H',W').
 
-    One gemm of the (B*H'*W', kh*kw*C_in) im2col matrix, whose columns keep
-    each tap's channels contiguous, with the kernel flattened in the same
-    order; the kernel gradient reuses that matrix."""
+    The (C_in*kh*kw, B*H'*W') im2col matrix is multiplied by the flattened
+    kernel one image at a time, straight into the output: every image's
+    gemm has the same shape whatever the batch, so no output bit depends on
+    the other images in it. The kernel gradient reuses that matrix."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
-        raise DimensionError(f"conv2d: expected images (B,H,W,C) and kernel "
+        raise DimensionError(f"conv2d: expected images (C,B,H,W) and kernel "
                              f"(C_out,C_in,kh,kw), got {x.shape} and {kernel.shape}")
-    b, h, w, cin = x.shape
+    cin, b, h, w = x.shape
     cout, kcin, kh, kw = kernel.shape
     if kcin != cin:
         raise DimensionError(f"conv2d: input channels {cin} != kernel channels {kcin}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input "
                              f"{h + 2 * padding}x{w + 2 * padding}")
-    if stride < 1:
-        raise ContractError(f"conv2d: stride must be positive, got {stride}")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0))) \
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
         if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]             # (B,H',W',Cin,kh,kw)
-    ho, wo = windows.shape[1], windows.shape[2]
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * cin)
-    w2 = kernel.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = (cols @ w2.T).reshape(b, ho, wo, cout)
+    ho, wo = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    k, n = cin * kh * kw, b * ho * wo
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(k, n)   # (C_in,kh,kw,B,H',W')
+    w2 = kernel.data.reshape(cout, k)
+    out = np.empty((cout, b, ho * wo))
+    np.matmul(w2, cols.reshape(k, b, ho * wo).transpose(1, 0, 2), out=out.transpose(1, 0, 2))
 
     def vjp_kernel(g):
-        dw = g.reshape(-1, cout).T @ cols
-        return dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+        return (g.reshape(cout, n) @ cols.T).reshape(kernel.shape)
 
     def vjp_x(g):
-        g2 = g.reshape(-1, cout)
-        dxp = np.zeros((b, h + 2 * padding, w + 2 * padding, cin))
+        dcols = (w2.T @ g.reshape(cout, n)).reshape(cin, kh, kw, b, ho, wo)
+        dxp = np.zeros((cin, b, h + 2 * padding, w + 2 * padding))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                    (g2 @ kernel.data[:, :, i, j]).reshape(b, ho, wo, cin)
-        return dxp[:, padding:padding + h, padding:padding + w] if padding else dxp
+                dxp[:, :, i:i + ho, j:j + wo] += dcols[:, i, j]
+        return dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
 
-    return _make(out, [(x, vjp_x), (kernel, vjp_kernel)])
+    return _make(out.reshape(cout, b, ho, wo), [(x, vjp_x), (kernel, vjp_kernel)])
+
+
+def channel_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Normalize axis 0 of a channel-major (C, ...) tensor to zero mean /
+    unit variance at every other index, then scale and shift each channel.
+
+    Every reduction over axis 0 adds the C channel rows one after another,
+    so the statistics at one index never depend on the values at another."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.ndim == 0 or x.shape[0] == 0:
+        raise DimensionError(f"channel_norm: empty channel axis in shape {x.shape}")
+    c = x.shape[0]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(
+            f"channel_norm: gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels")
+    x2 = x.data.reshape(c, -1)
+    xhat = x2 - x2.mean(axis=0)
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->j", xhat, xhat) / c + eps)
+    xhat *= inv
+    out = gamma.data[:, None] * xhat
+    out += beta.data[:, None]
+
+    def vjp_x(g):
+        dx = g.reshape(c, -1) * gamma.data[:, None]
+        m2 = np.einsum("ij,ij->j", dx, xhat) / c
+        dx -= dx.mean(axis=0)
+        dx -= xhat * m2
+        dx *= inv
+        return dx.reshape(x.shape)
+
+    return _make(out.reshape(x.shape), [
+        (x, vjp_x),
+        (gamma, lambda g: np.einsum("ij,ij->i", g.reshape(c, -1), xhat)),
+        (beta, lambda g: g.reshape(c, -1).sum(axis=1)),
+    ])
+
+
+def avg_pool(x, stride: int) -> Tensor:
+    """Average over non-overlapping stride x stride windows of (C,B,H,W):
+    column neighbours are added first, then row neighbours."""
+    x = as_tensor(x)
+    if x.ndim != 4:
+        raise DimensionError(f"avg_pool: expected (C,B,H,W), got {x.shape}")
+    h, w = x.shape[2:]
+    if stride < 1 or h % stride or w % stride:
+        raise DimensionError(f"avg_pool: stride {stride} does not divide {h}x{w}")
+    n = stride * stride
+    cols = x.data[..., ::stride]
+    for j in range(1, stride):
+        cols = cols + x.data[..., j::stride]
+    rows = cols[:, :, ::stride]
+    for i in range(1, stride):
+        rows = rows + cols[:, :, i::stride]
+
+    def vjp(g):
+        return np.repeat(np.repeat(g * (1.0 / n), stride, axis=3), stride, axis=2)
+
+    return _make(rows / n, [(x, vjp)])
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +462,6 @@ def sum_along(x, axis=None) -> Tensor:
 
     def vjp(g):
         return np.broadcast_to(g.reshape(keep_shape), x.shape).copy()
-
-    return _make(out, [(x, vjp)])
-
-
-def avg_pool(x, stride: int) -> Tensor:
-    """Average over non-overlapping stride x stride windows of (B,H,W,C)."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise DimensionError(f"avg_pool: expected (B,H,W,C), got {x.shape}")
-    b, h, w, c = x.shape
-    if stride < 1 or h % stride or w % stride:
-        raise DimensionError(f"avg_pool: stride {stride} does not divide {h}x{w}")
-    n = stride * stride
-    out = sum(x.data[:, i::stride, j::stride] for i in range(stride) for j in range(stride)) / n
-
-    def vjp(g):
-        spread = np.broadcast_to((g * (1.0 / n))[:, :, None, :, None],
-                                 (b, h // stride, stride, w // stride, stride, c))
-        return spread.reshape(x.shape)
 
     return _make(out, [(x, vjp)])
 

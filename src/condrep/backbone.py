@@ -1,14 +1,18 @@
 """Small convolutional feature extractor trained from scratch.
 
 Maps a grayscale image to a W x H x C prototype feature map. Each block is
-conv3x3 (stride 1, pad 1) -> layer norm over channels -> relu -> average
+conv3x3 (stride 1, pad 1) -> norm over channels -> relu -> average
 pooling with the block's stride. The toy default turns a 32x32 input into
 a 4x4x32 map.
 
-The backbone runs channels-last: the (B, C, H, W) input is permuted once
-to (B, H, W, C), and every op after it takes and returns that layout, so
-the conv output is already in the layout the channel norm reduces over.
-Kernels keep the (C_out, C_in, kh, kw) shape.
+The backbone runs channel-major: the (B, C, H, W) input is permuted once
+to (C, B, H, W), every conv, channel norm and pooling op takes and returns
+that layout, and the last block's output is permuted once to the batch of
+prototype maps the conditional learner reads, stored rows first as
+(B, H, W, C). The conv multiplies the kernel into each image's im2col
+columns with no transpose, the norm reduces over whole contiguous channel
+rows, and no op mixes images, so a map's bits do not depend on the batch it
+was computed in. Kernels keep the (C_out, C_in, kh, kw) shape.
 """
 from __future__ import annotations
 
@@ -76,14 +80,14 @@ def extract_features(images, params: dict[str, Tensor], config: BackboneConfig) 
             x.shape[2] != config.input_size or x.shape[3] != config.input_size:
         raise DimensionError(f"backbone: expected images (B,{config.channels_in},"
                              f"{config.input_size},{config.input_size}), got {x.shape}")
-    x = ad.permute(x, (0, 2, 3, 1))
+    x = ad.permute(x, (1, 0, 2, 3))
     for i, (cout, stride) in enumerate(config.blocks):
-        x = ad.conv2d(x, params[f"block{i}.kernel"], stride=1, padding=1)
-        x = ad.layer_norm(x, params[f"block{i}.gamma"], params[f"block{i}.beta"])
+        x = ad.conv2d(x, params[f"block{i}.kernel"], padding=1)
+        x = ad.channel_norm(x, params[f"block{i}.gamma"], params[f"block{i}.beta"])
         x = ad.relu(x)
         if stride > 1:
             x = ad.avg_pool(x, stride)
-    return x
+    return ad.permute(x, (1, 2, 3, 0))
 
 
 def pooled_feature(feature_maps: Tensor) -> Tensor:

@@ -11,10 +11,10 @@ independent of the other pairs in the batch.
 Nothing is computed twice. At K=1 each class prototype is its one support,
 so ``proto_dist`` is ``pair_dist``. Each episode makes one backbone call per
 model, and :func:`run_evaluation_suite` keeps, for that call only, a memo
-per model from image bytes to backbone map. No map depends on the rest of
-its batch: at the shipped 32 px and 28 px configs not in a single bit (a conv
-gemm small enough for BLAS's small-matrix path may round the last bit
-differently), so memoised maps equal fresh ones and inductive purity holds.
+per model from image bytes to backbone map. No bit of a map depends on the
+rest of its batch, at any image size (the backbone's conv runs one gemm of
+the same shape per image, and its norm and pooling reduce each position on
+its own), so memoised maps equal fresh ones and inductive purity holds.
 """
 from __future__ import annotations
 

@@ -104,11 +104,13 @@ def test_criterion_1_gradient_suite():
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         worst = max(worst, _grad_check(lambda t: sq(ad.layer_norm(t, gamma, beta)), x))
         kern = Tensor(rng.normal(size=(2, 1, 3, 3)))
-        x = Tensor(rng.normal(size=(1, 1, 5, 5)).transpose(0, 2, 3, 1), requires_grad=True)
-        worst = max(worst, _grad_check(lambda t: sq(ad.conv2d(t, kern, 1, 1)), x))
+        x = Tensor(rng.normal(size=(1, 1, 5, 5)), requires_grad=True)
+        worst = max(worst, _grad_check(lambda t: sq(ad.conv2d(t, kern, 1)), x))
         x = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
-        img = Tensor(rng.normal(size=(1, 1, 5, 5)).transpose(0, 2, 3, 1))
-        worst = max(worst, _grad_check(lambda t: sq(ad.conv2d(img, t, 1, 1)), x))
+        img = Tensor(rng.normal(size=(1, 1, 5, 5)))
+        worst = max(worst, _grad_check(lambda t: sq(ad.conv2d(img, t, 1)), x))
+        x = Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
+        worst = max(worst, _grad_check(lambda t: sq(ad.channel_norm(t, gamma, beta)), x))
 
     # full composite: loss of the complete pair pipeline w.r.t. images and
     # params, with the kernel at a trained-like scale (the near-flat init is

@@ -103,6 +103,33 @@ class TestLayerNorm:
             ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
 
+class TestChannelNorm:
+    # normalizes axis 0 of a channel-major (C, ...) tensor
+    def test_constant_column_goes_to_zero(self):
+        out = ad.channel_norm(Tensor(np.full((3, 2), 4.0)), Tensor(np.ones(3)),
+                              Tensor(np.zeros(3)))
+        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
+
+    def test_matches_layer_norm_of_the_transpose(self):
+        rng = np.random.default_rng(4)
+        x, gamma, beta = rng.normal(size=(6, 2, 5)), rng.normal(size=6), rng.normal(size=6)
+        out = ad.channel_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        ref = ad.layer_norm(Tensor(np.moveaxis(x, 0, -1)), Tensor(gamma), Tensor(beta)).data
+        np.testing.assert_allclose(out, np.moveaxis(ref, -1, 0), rtol=0, atol=1e-14)
+
+    def test_zero_gamma_broadcasts_beta(self):
+        beta = np.array([1.0, -2.0, 0.5])
+        out = ad.channel_norm(Tensor(np.random.default_rng(1).normal(size=(3, 4, 2))),
+                              Tensor(np.zeros(3)), Tensor(beta))
+        np.testing.assert_array_equal(out.data, np.broadcast_to(beta[:, None, None], (3, 4, 2)))
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(DimensionError, match="channel_norm"):
+            ad.channel_norm(Tensor(np.zeros((0, 2))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
+        with pytest.raises(DimensionError, match="channel_norm"):
+            ad.channel_norm(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+
+
 class TestRelu:
     def test_values(self):
         out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
@@ -120,45 +147,55 @@ class TestRelu:
 
 
 class TestConv2d:
-    # images are channels-last: (B, H, W, C)
+    # images are channel-major: (C, B, H, W)
     def test_identity_kernel(self):
-        x = np.random.default_rng(0).normal(size=(1, 5, 5, 1))
-        out = ad.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), stride=1, padding=0)
+        x = np.random.default_rng(0).normal(size=(1, 2, 5, 5))
+        out = ad.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), padding=0)
         np.testing.assert_array_equal(out.data, x)
 
     def test_hand_sum(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         k = Tensor(np.ones((1, 1, 2, 2)))
-        out = ad.conv2d(x, k, stride=1, padding=0)
+        out = ad.conv2d(x, k, padding=0)
         np.testing.assert_array_equal(out.data, [[[[10.0]]]])
 
     def test_zero_input(self):
-        out = ad.conv2d(Tensor(np.zeros((1, 4, 4, 2))),
-                        Tensor(np.ones((3, 2, 3, 3))), stride=1, padding=1)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 4, 4, 3)))
+        out = ad.conv2d(Tensor(np.zeros((2, 1, 4, 4))),
+                        Tensor(np.ones((3, 2, 3, 3))), padding=1)
+        np.testing.assert_array_equal(out.data, np.zeros((3, 1, 4, 4)))
+
+    def test_each_image_is_its_own_batch(self):
+        # one gemm per image: a map's bits do not depend on its batch
+        rng = np.random.default_rng(8)
+        x, k = rng.normal(size=(3, 7, 6, 6)), Tensor(rng.normal(size=(5, 3, 3, 3)))
+        batch = ad.conv2d(Tensor(x), k, padding=1).data
+        for i in range(7):
+            alone = ad.conv2d(Tensor(x[:, i:i + 1]), k, padding=1).data
+            assert np.array_equal(alone[:, 0], batch[:, i]), i
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError, match="larger than padded input"):
-            ad.conv2d(Tensor(np.zeros((1, 3, 3, 1))),
-                      Tensor(np.ones((1, 1, 6, 6))), stride=1, padding=1)
+            ad.conv2d(Tensor(np.zeros((1, 1, 3, 3))),
+                      Tensor(np.ones((1, 1, 6, 6))), padding=1)
 
 
 class TestAvgPool:
+    # images are channel-major: (C, B, H, W)
     def test_matches_window_mean(self):
-        x = np.random.default_rng(3).normal(size=(2, 4, 6, 3))
+        x = np.random.default_rng(3).normal(size=(3, 2, 4, 6))
         out = ad.avg_pool(Tensor(x), 2)
-        ref = x.reshape(2, 2, 2, 3, 2, 3).mean(axis=(2, 4))
+        ref = x.reshape(3, 2, 2, 2, 3, 2).mean(axis=(3, 5))
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-15)
 
     def test_constant_input_is_fixed_point(self):
-        out = ad.avg_pool(Tensor(np.full((1, 6, 6, 2), 0.75)), 3)
-        np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 2), 0.75))
+        out = ad.avg_pool(Tensor(np.full((2, 1, 6, 6), 0.75)), 3)
+        np.testing.assert_array_equal(out.data, np.full((2, 1, 2, 2), 0.75))
 
     def test_indivisible_side_rejected(self):
         with pytest.raises(DimensionError, match="avg_pool"):
-            ad.avg_pool(Tensor(np.zeros((1, 5, 4, 2))), 2)
+            ad.avg_pool(Tensor(np.zeros((2, 1, 5, 4))), 2)
         with pytest.raises(DimensionError, match="avg_pool"):
-            ad.avg_pool(Tensor(np.zeros((4, 4, 2))), 2)
+            ad.avg_pool(Tensor(np.zeros((2, 4, 4))), 2)
 
 
 class TestShapeOps:
@@ -417,21 +454,48 @@ def test_layer_norm_gradients_match_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-def test_conv2d_gradients_match_oracle(seed, stride, padding):
+def test_channel_norm_gradients_match_oracle(seed):
+    rng = np.random.default_rng(500 + seed)
+    gamma = Tensor(rng.normal(size=4), requires_grad=True)
+    beta = Tensor(rng.normal(size=4), requires_grad=True)
+    x = _random_tensor(rng, (4, 2, 3))
+
+    def f_x(t):
+        out = ad.channel_norm(t, gamma, beta)
+        return ad.sum_along(ad.mul(out, out))
+
+    backward(f_x(x))
+    assert max_relative_error(x.grad, fd_gradient_oracle(f_x, x)) < FD_TOL
+
+    def f_gamma(t):
+        out = ad.channel_norm(x, t, beta)
+        return ad.sum_along(ad.mul(out, out))
+
+    assert max_relative_error(gamma.grad, fd_gradient_oracle(f_gamma, gamma)) < FD_TOL
+
+    def f_beta(t):
+        out = ad.channel_norm(x, gamma, t)
+        return ad.sum_along(ad.mul(out, out))
+
+    assert max_relative_error(beta.grad, fd_gradient_oracle(f_beta, beta)) < FD_TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("batch,padding", [(1, 0), (1, 1), (3, 1)])
+def test_conv2d_gradients_match_oracle(seed, batch, padding):
     rng = np.random.default_rng(400 + seed)
-    x = Tensor(rng.normal(size=(2, 2, 5, 5)).transpose(0, 2, 3, 1), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, batch, 5, 5)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
 
     def f_x(t):
-        out = ad.conv2d(t, k, stride=stride, padding=padding)
+        out = ad.conv2d(t, k, padding=padding)
         return ad.sum_along(ad.mul(out, out))
 
     backward(f_x(x))
     assert max_relative_error(x.grad, fd_gradient_oracle(f_x, x)) < FD_TOL
 
     def f_k(t):
-        out = ad.conv2d(x, t, stride=stride, padding=padding)
+        out = ad.conv2d(x, t, padding=padding)
         return ad.sum_along(ad.mul(out, out))
 
     assert max_relative_error(k.grad, fd_gradient_oracle(f_k, k)) < FD_TOL
@@ -441,7 +505,7 @@ def test_conv2d_gradients_match_oracle(seed, stride, padding):
 def test_avg_pool_gradients_match_oracle(seed):
     rng = np.random.default_rng(600 + seed)
     stride = 2 + seed % 2
-    x = _random_tensor(rng, (2, 2 * stride, 3 * stride, 3))
+    x = _random_tensor(rng, (3, 2, 2 * stride, 3 * stride))
 
     def f(t):
         out = ad.avg_pool(t, stride)

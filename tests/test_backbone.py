@@ -56,22 +56,26 @@ def test_identical_images_give_identical_maps():
     assert np.array_equal(feats.data[0], feats.data[1])
 
 
-@pytest.mark.parametrize("overrides", [{}, {"image_size": "28", "feature_side": "7",
-                                             "feature_channels": "64"}],
-                         ids=["32px_default", "28px_side7_c64"])
-def test_map_does_not_depend_on_its_batch_at_shipped_configs(overrides):
+@pytest.mark.parametrize("cfg", [
+    BackboneConfig(),
+    model_config_from(resolve_config(None, {"image_size": "28", "feature_side": "7",
+                                            "feature_channels": "64"})).backbone,
+    BackboneConfig(input_size=16, blocks=((8, 2),) * 3, feature_channels=8, feature_side=2),
+], ids=["32px_default", "28px_side7_c64", "16px_test"])
+def test_map_does_not_depend_on_its_batch_at_shipped_configs(cfg):
     # training maps each distinct image once per batch and evaluation memoizes
-    # maps across episodes; both are bit-exact, and evaluation inductive, only
-    # while batch composition changes no bit of a map (at 16 px it does: BLAS
-    # takes its small-matrix path)
-    cfg = model_config_from(resolve_config(None, overrides)).backbone
+    # maps of image subsets across episodes; both are bit-exact, and evaluation
+    # inductive, because batch composition changes no bit of a map: the conv
+    # runs one gemm per image and the channel norm adds whole rows
     params = init_backbone(cfg, seed=0)
     images = np.random.default_rng(3).uniform(size=(80, 1, cfg.input_size, cfg.input_size))
     with ad.no_grad():
         batch = extract_features(images, params, cfg).data
-        for i in (0, 41, 79):
+        for i in range(len(images)):
             alone = extract_features(images[i:i + 1], params, cfg).data
             assert np.array_equal(alone[0], batch[i]), i
+        subset = [3, 11, 12, 40, 57, 66, 79]
+        assert np.array_equal(extract_features(images[subset], params, cfg).data, batch[subset])
 
 
 def test_wrong_image_shape_rejected():
@@ -103,9 +107,10 @@ def test_gradients_reach_every_backbone_parameter():
         assert p.grad is not None and np.any(p.grad != 0.0), name
 
 
-def test_graph_is_channels_last_after_one_input_permute():
-    # the backbone permutes its input once; a per-block transpose or an
-    # NCHW pooling mean showing up again means the layout regressed
+def test_graph_is_channel_major_between_two_permutes():
+    # the backbone permutes its input to (C, B, H, W) once and its output to
+    # (B, H, W, C) once; a per-block transpose, a pooling mean or a second
+    # norm per block showing up means the layout regressed
     cfg = BackboneConfig()
     params = init_backbone(cfg, seed=0)
     img = Tensor(np.random.default_rng(5).uniform(size=(2, 1, 32, 32)), requires_grad=True)
@@ -117,9 +122,10 @@ def test_graph_is_channels_last_after_one_input_permute():
         seen.add(id(node))
         counts[node._edges[0][1].__qualname__.split(".")[0]] += 1
         stack.extend(parent for parent, _ in node._edges)
-    assert counts["permute"] == 1
-    assert counts["max_pool2"] == 0 and counts["mean"] == 0
-    assert counts["conv2d"] == counts["layer_norm"] == counts["avg_pool"] == len(cfg.blocks)
+    assert counts["permute"] == 2
+    assert counts["max_pool2"] == 0 and counts["mean"] == 0 and counts["layer_norm"] == 0
+    assert counts["conv2d"] == counts["channel_norm"] == counts["avg_pool"] == len(cfg.blocks)
+    assert sum(counts.values()) == 2 + 4 * len(cfg.blocks)
 
 
 def test_pooled_feature_shape_and_value():
