@@ -6,13 +6,14 @@ pooling with the block's stride. The toy default turns a 32x32 input into
 a 4x4x32 map.
 
 The backbone runs channel-major: the (B, C, H, W) input is permuted once
-to (C, B, H, W), every conv, channel norm and pooling op takes and returns
-that layout, and the last block's output is permuted once to the batch of
+to (C, B, H, W), every conv, norm and pooling op takes and returns that
+layout, and the last block's output is permuted once to the batch of
 prototype maps the conditional learner reads, stored rows first as
 (B, H, W, C). The conv multiplies the kernel into each image's im2col
-columns with no transpose, the norm reduces over whole contiguous channel
-rows, and no op mixes images, so a map's bits do not depend on the batch it
-was computed in. Kernels keep the (C_out, C_in, kh, kw) shape.
+columns with no transpose, the norm (``layer_norm`` over axis 0) reduces
+over whole contiguous channel rows, and no op mixes images, so a map's bits
+do not depend on the batch it was computed in. Kernels keep the
+(C_out, C_in, kh, kw) shape.
 """
 from __future__ import annotations
 
@@ -83,7 +84,7 @@ def extract_features(images, params: dict[str, Tensor], config: BackboneConfig) 
     x = ad.permute(x, (1, 0, 2, 3))
     for i, (cout, stride) in enumerate(config.blocks):
         x = ad.conv2d(x, params[f"block{i}.kernel"], padding=1)
-        x = ad.channel_norm(x, params[f"block{i}.gamma"], params[f"block{i}.beta"])
+        x = ad.layer_norm(x, params[f"block{i}.gamma"], params[f"block{i}.beta"], axis=0)
         x = ad.relu(x)
         if stride > 1:
             x = ad.avg_pool(x, stride)

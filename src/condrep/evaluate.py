@@ -253,6 +253,10 @@ def run_evaluation_suite(dataset: SyntheticDataset, model: Model, *, n_way: int 
     comparison. ``baseline_model`` adds a raw backbone-prototype report
     computed with that (typically untrained) model's features. Each model's
     backbone maps every distinct image once per call."""
+    for name, value in (("n_way", n_way), ("k_shot", k_shot), ("q_per_class", q_per_class),
+                        ("n_episodes", n_episodes)):
+        if value < 1:
+            raise ConfigError(f"run_evaluation_suite: {name} must be >= 1, got {value}")
     strategies = list(strategies)
     for s in strategies:
         if s not in STRATEGIES:

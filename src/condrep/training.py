@@ -55,6 +55,12 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("train: epochs and batch_size must be positive")
+        for name in ("batches_per_epoch", "lr_drop_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"train: {name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.lr_drop_factor <= 1.0:
+            raise ConfigError(f"train: lr_drop_factor must lie in (0, 1], "
+                              f"got {self.lr_drop_factor}")
         self.loss.validate()
 
     def resolved_batches(self, dataset: SyntheticDataset) -> int:
@@ -129,11 +135,13 @@ def contrastive_loss(distances, same_class, cfg: LossConfig) -> Tensor:
 
 
 def _distinct_features(model: Model, images: np.ndarray) -> Tensor:
-    """Backbone maps of ``images``, each distinct image mapped once; repeats add gradients."""
+    """Backbone maps of ``images``, each distinct image mapped once and gathered
+    back into its slots with ``index_axis``, whose vjp adds the gradients of
+    repeats."""
     slot: dict[bytes, int] = {}
     index = np.array([slot.setdefault(im.tobytes(), len(slot)) for im in images])
     _, first = np.unique(index, return_index=True)
-    return ad.take(model.features(images[first]), index)
+    return ad.index_axis(model.features(images[first]), 0, index)
 
 
 def batch_loss(model: Model, batch: PairBatch, cfg: LossConfig) -> Tensor:

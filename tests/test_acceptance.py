@@ -110,7 +110,7 @@ def test_criterion_1_gradient_suite():
         img = Tensor(rng.normal(size=(1, 1, 5, 5)))
         worst = max(worst, _grad_check(lambda t: sq(ad.conv2d(img, t, 1)), x))
         x = Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
-        worst = max(worst, _grad_check(lambda t: sq(ad.channel_norm(t, gamma, beta)), x))
+        worst = max(worst, _grad_check(lambda t: sq(ad.layer_norm(t, gamma, beta, axis=0)), x))
 
     # full composite: loss of the complete pair pipeline w.r.t. images and
     # params, with the kernel at a trained-like scale (the near-flat init is

@@ -102,32 +102,32 @@ class TestLayerNorm:
         with pytest.raises(DimensionError):
             ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
-
-class TestChannelNorm:
-    # normalizes axis 0 of a channel-major (C, ...) tensor
-    def test_constant_column_goes_to_zero(self):
-        out = ad.channel_norm(Tensor(np.full((3, 2), 4.0)), Tensor(np.ones(3)),
-                              Tensor(np.zeros(3)))
+    # axis=0 normalizes a channel-major (C, ...) tensor, as the backbone does
+    def test_axis0_constant_column_goes_to_zero(self):
+        out = ad.layer_norm(Tensor(np.full((3, 2), 4.0)), Tensor(np.ones(3)),
+                            Tensor(np.zeros(3)), axis=0)
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
-    def test_matches_layer_norm_of_the_transpose(self):
+    def test_axis0_matches_last_axis_of_the_transpose(self):
         rng = np.random.default_rng(4)
         x, gamma, beta = rng.normal(size=(6, 2, 5)), rng.normal(size=6), rng.normal(size=6)
-        out = ad.channel_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        out = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), axis=0).data
         ref = ad.layer_norm(Tensor(np.moveaxis(x, 0, -1)), Tensor(gamma), Tensor(beta)).data
-        np.testing.assert_allclose(out, np.moveaxis(ref, -1, 0), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(out, np.moveaxis(ref, -1, 0))
 
-    def test_zero_gamma_broadcasts_beta(self):
+    def test_axis0_zero_gamma_broadcasts_beta(self):
         beta = np.array([1.0, -2.0, 0.5])
-        out = ad.channel_norm(Tensor(np.random.default_rng(1).normal(size=(3, 4, 2))),
-                              Tensor(np.zeros(3)), Tensor(beta))
+        out = ad.layer_norm(Tensor(np.random.default_rng(1).normal(size=(3, 4, 2))),
+                            Tensor(np.zeros(3)), Tensor(beta), axis=0)
         np.testing.assert_array_equal(out.data, np.broadcast_to(beta[:, None, None], (3, 4, 2)))
 
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(DimensionError, match="channel_norm"):
-            ad.channel_norm(Tensor(np.zeros((0, 2))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
-        with pytest.raises(DimensionError, match="channel_norm"):
-            ad.channel_norm(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+    def test_axis0_bad_shapes_rejected(self):
+        with pytest.raises(DimensionError, match="layer_norm"):
+            ad.layer_norm(Tensor(np.zeros((0, 2))), Tensor(np.ones(0)), Tensor(np.zeros(0)), axis=0)
+        with pytest.raises(DimensionError, match="layer_norm"):
+            ad.layer_norm(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), axis=0)
+        with pytest.raises(DimensionError, match="layer_norm"):
+            ad.layer_norm(Tensor(np.zeros((3, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3)), axis=2)
 
 
 class TestRelu:
@@ -219,20 +219,24 @@ class TestShapeOps:
         with pytest.raises(DimensionError, match="reshape"):
             ad.reshape(Tensor(np.zeros((2, 3))), (4, 4))
 
-    def test_take_gathers_rows_in_index_order(self):
+    def test_index_axis_gathers_rows_in_index_order(self):
         x = np.arange(12.0).reshape(4, 3)
-        out = ad.take(Tensor(x), [2, 0, 2, 3])
+        out = ad.index_axis(Tensor(x), 0, [2, 0, 2, 3])
         np.testing.assert_array_equal(out.data, x[[2, 0, 2, 3]])
 
-    def test_take_sums_gradients_of_repeated_rows(self):
+    def test_index_axis_sums_gradients_of_repeated_rows(self):
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
-        backward(ad.sum_along(ad.take(x, [1, 1, 0, 1])))
+        backward(ad.sum_along(ad.index_axis(x, 0, [1, 1, 0, 1])))
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [3.0, 3.0], [0.0, 0.0]])
 
-    @pytest.mark.parametrize("index", [[3], [-1], [[0]]])
-    def test_take_rejects_bad_index(self, index):
-        with pytest.raises(DimensionError, match="take"):
-            ad.take(Tensor(np.zeros((3, 2))), index)
+    @pytest.mark.parametrize("index", [[3], [-1], [[0]], [0.5], 1.0, 3, -1, [True]])
+    def test_index_axis_rejects_bad_index(self, index):
+        with pytest.raises(DimensionError, match="index_axis"):
+            ad.index_axis(Tensor(np.zeros((3, 2))), 0, index)
+
+    def test_index_axis_rejects_bad_axis(self):
+        with pytest.raises(DimensionError, match="index_axis"):
+            ad.index_axis(Tensor(np.zeros((3, 2))), 2, 0)
 
 
 class TestBackward:
@@ -426,55 +430,32 @@ def test_batched_matmul_gradients_match_oracle(seed):
     assert max_relative_error(y.grad, fd) < FD_TOL
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_layer_norm_gradients_match_oracle(seed):
-    rng = np.random.default_rng(300 + seed)
+# the last axis of a (3, 4) array (the head's norm), and axis 0 of a channel-major
+# (4, 2, 3) array (the backbone's)
+@pytest.mark.parametrize("axis,shape,seed", [
+    *(pytest.param(-1, (3, 4), 300 + s, id=str(s)) for s in range(5)),
+    *(pytest.param(0, (4, 2, 3), 500 + s, id=f"axis0-{s}") for s in range(5))])
+def test_layer_norm_gradients_match_oracle(axis, shape, seed):
+    rng = np.random.default_rng(seed)
     gamma = Tensor(rng.normal(size=4), requires_grad=True)
     beta = Tensor(rng.normal(size=4), requires_grad=True)
-    x = _random_tensor(rng, (3, 4))
+    x = _random_tensor(rng, shape)
 
     def f_x(t):
-        out = ad.layer_norm(t, gamma, beta)
+        out = ad.layer_norm(t, gamma, beta, axis=axis)
         return ad.sum_along(ad.mul(out, out))
 
     backward(f_x(x))
     assert max_relative_error(x.grad, fd_gradient_oracle(f_x, x)) < FD_TOL
 
     def f_gamma(t):
-        out = ad.layer_norm(x, t, beta)
+        out = ad.layer_norm(x, t, beta, axis=axis)
         return ad.sum_along(ad.mul(out, out))
 
     assert max_relative_error(gamma.grad, fd_gradient_oracle(f_gamma, gamma)) < FD_TOL
 
     def f_beta(t):
-        out = ad.layer_norm(x, gamma, t)
-        return ad.sum_along(ad.mul(out, out))
-
-    assert max_relative_error(beta.grad, fd_gradient_oracle(f_beta, beta)) < FD_TOL
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_channel_norm_gradients_match_oracle(seed):
-    rng = np.random.default_rng(500 + seed)
-    gamma = Tensor(rng.normal(size=4), requires_grad=True)
-    beta = Tensor(rng.normal(size=4), requires_grad=True)
-    x = _random_tensor(rng, (4, 2, 3))
-
-    def f_x(t):
-        out = ad.channel_norm(t, gamma, beta)
-        return ad.sum_along(ad.mul(out, out))
-
-    backward(f_x(x))
-    assert max_relative_error(x.grad, fd_gradient_oracle(f_x, x)) < FD_TOL
-
-    def f_gamma(t):
-        out = ad.channel_norm(x, t, beta)
-        return ad.sum_along(ad.mul(out, out))
-
-    assert max_relative_error(gamma.grad, fd_gradient_oracle(f_gamma, gamma)) < FD_TOL
-
-    def f_beta(t):
-        out = ad.channel_norm(x, gamma, t)
+        out = ad.layer_norm(x, gamma, t, axis=axis)
         return ad.sum_along(ad.mul(out, out))
 
     assert max_relative_error(beta.grad, fd_gradient_oracle(f_beta, beta)) < FD_TOL
@@ -516,7 +497,7 @@ def test_avg_pool_gradients_match_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_take_gradients_match_oracle(seed):
+def test_index_axis_gather_gradients_match_oracle(seed):
     # repeated and unordered rows, and a row never taken (zero gradient)
     rng = np.random.default_rng(700 + seed)
     x = _random_tensor(rng, (5, 2, 3))
@@ -524,7 +505,7 @@ def test_take_gradients_match_oracle(seed):
     weights = Tensor(rng.normal(size=(len(index), 2, 3)))
 
     def f(t):
-        out = ad.take(t, index)
+        out = ad.index_axis(t, 0, index)
         return ad.sum_along(ad.mul(ad.mul(out, out), weights))
 
     backward(f(x))

@@ -258,6 +258,16 @@ class TestRunEvaluation:
             run_evaluation_suite(dataset, model, n_way=2, k_shot=1, q_per_class=2,
                                  n_episodes=1, strategies=["oracle"], seed=0)
 
+    # 0 episodes reported a mean of 0.0 over nothing; a 0-way, 0-shot or
+    # 0-query episode died in np.stack with a message naming no argument
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("arg", ["n_way", "k_shot", "q_per_class", "n_episodes"])
+    def test_protocol_argument_below_one_rejected(self, dataset, model, arg, value):
+        kwargs = {"n_way": 2, "k_shot": 1, "q_per_class": 2, "n_episodes": 1, arg: value}
+        with pytest.raises(ConfigError, match=f"{arg} must be >= 1"):
+            run_evaluation_suite(dataset, model, strategies=["weighted_query"], seed=0,
+                                 baseline_model=model, **kwargs)
+
     def test_protocol_defaults(self):
         import inspect
         sig = inspect.signature(run_evaluation_suite)

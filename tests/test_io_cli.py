@@ -418,6 +418,22 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "error: checkpoint:" in proc.stderr
 
+    def test_zero_episodes_exits_2_without_traceback_or_report(self, tmp_path):
+        # it exited 0 with a report of mean 0.0 over 0 episodes and a
+        # header-only accuracy.csv that `plot` then refused
+        path, _lines = saved_checkpoint(tmp_path)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-m", "condrep.cli", "eval", "--out",
+                               str(tmp_path / "run"), "--checkpoint", str(path),
+                               "--episodes", "0", *TINY_FLAGS],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: run_evaluation_suite: n_episodes must be >= 1" in proc.stderr
+        assert not (tmp_path / "run" / "report.json").exists()
+        assert not (tmp_path / "run" / "accuracy.csv").exists()
+
     def test_malformed_pool_directory_exits_2_without_traceback(self, tmp_path):
         path, _lines = saved_checkpoint(tmp_path)
         (tmp_path / "data" / "class_0").mkdir(parents=True)

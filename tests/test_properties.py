@@ -1,6 +1,6 @@
-"""Property-based checks of the channel-major backbone ops (conv2d,
-channel_norm, avg_pool): random shapes against nested-loop oracles, and
-their vjps against the finite-difference oracle.
+"""Property-based checks of the backbone ops (conv2d, layer_norm along any
+axis, avg_pool) and of index_axis: random shapes against nested-loop and
+numpy oracles, and their vjps against the finite-difference oracle.
 
 Examples are derandomized and few, so the suite runs the same cases in
 about a second every time.
@@ -80,22 +80,33 @@ def pool_cases(draw, max_cells=3):
 
 
 @st.composite
-def norm_cases(draw, max_rest=4, scales=(1e-3, 1.0, 50.0)):
-    c = draw(st.integers(1, 5))
-    rest = tuple(draw(st.lists(st.integers(1, max_rest), min_size=1, max_size=3)))
+def norm_cases(draw, max_side=4, scales=(1e-3, 1.0, 50.0)):
+    shape = tuple(draw(st.lists(st.integers(1, max_side), min_size=1, max_size=4)))
+    axis = draw(st.integers(0, len(shape) - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from(scales))
-    return rng.normal(scale=scale, size=(c,) + rest), rng.normal(size=c), rng.normal(size=c)
+    n = shape[axis]
+    return rng.normal(scale=scale, size=shape), rng.normal(size=n), rng.normal(size=n), axis
+
+
+@st.composite
+def gather_cases(draw, max_side=4):
+    # repeats, any order, and some slices never taken
+    shape = tuple(draw(st.lists(st.integers(1, max_side), min_size=1, max_size=3)))
+    axis = draw(st.integers(0, len(shape) - 1))
+    index = np.array(draw(st.lists(st.integers(0, shape[axis] - 1), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.normal(size=shape), axis, index
 
 
 def _sq(t):
     return ad.sum_along(ad.mul(t, t))
 
 
-def _grad_error(f, x):
+def _grad_error(f, x, step=1e-3):
     x = Tensor(x, requires_grad=True)
     backward(f(x))
-    return max_relative_error(x.grad, fd_gradient_oracle(f, x))
+    return max_relative_error(x.grad, fd_gradient_oracle(f, x, step))
 
 
 @ORACLE
@@ -116,10 +127,71 @@ def test_avg_pool_matches_nested_loops(case):
 
 @ORACLE
 @given(norm_cases())
-def test_channel_norm_matches_nested_loops(case):
-    x, gamma, beta = case
-    out = ad.channel_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
-    np.testing.assert_allclose(out, norm_oracle(x, gamma, beta), rtol=1e-9, atol=1e-9)
+def test_layer_norm_matches_nested_loops(case):
+    x, gamma, beta, axis = case
+    out = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), axis=axis).data
+    ref = np.moveaxis(norm_oracle(np.moveaxis(x, axis, 0), gamma, beta), 0, axis)
+    np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
+
+
+def _norm_and_grads(x, gamma, beta, axis, weights):
+    ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    out = ad.layer_norm(*ts, axis=axis)
+    backward(ad.sum_along(ad.mul(out, weights)))
+    return [out.data] + [t.grad for t in ts]
+
+
+@ORACLE
+@given(norm_cases())
+def test_layer_norm_is_bit_identical_to_the_last_axis_of_the_moved_array(case):
+    x, gamma, beta, axis = case
+    weights = np.random.default_rng(0).normal(size=x.shape)
+    out, dx, dgamma, dbeta = _norm_and_grads(x, gamma, beta, axis, weights)
+    moved = _norm_and_grads(np.moveaxis(x, axis, -1), gamma, beta, -1,
+                            np.moveaxis(weights, axis, -1))
+    np.testing.assert_array_equal(out, np.moveaxis(moved[0], -1, axis))
+    np.testing.assert_array_equal(dx, np.moveaxis(moved[1], -1, axis))
+    np.testing.assert_array_equal(dgamma, moved[2])
+    np.testing.assert_array_equal(dbeta, moved[3])
+
+
+@ORACLE
+@given(gather_cases())
+def test_index_axis_gather_matches_np_take(case):
+    x, axis, index = case
+    np.testing.assert_array_equal(ad.index_axis(Tensor(x), axis, index).data,
+                                  np.take(x, index, axis=axis))
+
+
+@ORACLE
+@given(gather_cases())
+def test_index_axis_vjp_matches_add_at(case):
+    x, axis, index = case
+    t = Tensor(x, requires_grad=True)
+    out = ad.index_axis(t, axis, index)
+    weights = np.random.default_rng(1).normal(size=out.shape)
+    backward(ad.sum_along(ad.mul(out, weights)))
+    ref = np.zeros_like(x)
+    np.add.at(np.moveaxis(ref, axis, 0), index, np.moveaxis(weights, axis, 0))
+    np.testing.assert_array_equal(t.grad, ref)
+
+
+@ORACLE
+@given(gather_cases())
+def test_int_index_equals_the_squeezed_one_element_gather(case):
+    x, axis, index = case
+    i = int(index[0])
+
+    def run(idx):
+        t = Tensor(x, requires_grad=True)
+        out = ad.reshape(ad.index_axis(t, axis, idx), x.shape[:axis] + x.shape[axis + 1:])
+        weights = np.random.default_rng(2).normal(size=out.shape)
+        backward(ad.sum_along(ad.mul(out, weights)))
+        return out.data, t.grad
+
+    (a, da), (b, db) = run(i), run(np.array([i]))
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(da, db)
 
 
 @GRADCHECK
@@ -138,10 +210,22 @@ def test_avg_pool_vjp_matches_finite_differences(case):
 
 
 @GRADCHECK
-@given(norm_cases(max_rest=3, scales=(1.0,)))
-def test_channel_norm_vjps_match_finite_differences(case):
-    x, gamma, beta = case
-    g, b = Tensor(gamma), Tensor(beta)
-    assert _grad_error(lambda t: _sq(ad.channel_norm(t, g, b)), x) < FD_TOL
-    assert _grad_error(lambda t: _sq(ad.channel_norm(Tensor(x), t, b)), gamma) < FD_TOL
-    assert _grad_error(lambda t: _sq(ad.channel_norm(Tensor(x), g, t)), beta) < FD_TOL
+@given(norm_cases(max_side=3, scales=(1.0,)))
+def test_layer_norm_vjps_match_finite_differences(case):
+    # where a length-2 axis holds two entries ~1e-2 apart, a 1e-3 step measures
+    # the central difference's truncation, not the vjp; 1e-5 lies well below
+    # sqrt(eps) ~ 3e-3, the narrowest scale on which the norm bends
+    x, gamma, beta, axis = case
+    g, b, step = Tensor(gamma), Tensor(beta), 1e-5
+    assert _grad_error(lambda t: _sq(ad.layer_norm(t, g, b, axis=axis)), x, step) < FD_TOL
+    assert _grad_error(lambda t: _sq(ad.layer_norm(Tensor(x), t, b, axis=axis)), gamma,
+                       step) < FD_TOL
+    assert _grad_error(lambda t: _sq(ad.layer_norm(Tensor(x), g, t, axis=axis)), beta,
+                       step) < FD_TOL
+
+
+@GRADCHECK
+@given(gather_cases())
+def test_index_axis_vjp_matches_finite_differences(case):
+    x, axis, index = case
+    assert _grad_error(lambda t: _sq(ad.index_axis(t, axis, index)), x) < FD_TOL

@@ -1,8 +1,11 @@
 """Pair sampling, contrastive loss, and the training loop."""
+import os
 import platform
 import resource
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +188,13 @@ class TestBatchLoss:
         assert seen == distinct
         assert sum(seen) < 2 * len(batch.same_class)
 
+    def test_gather_is_an_index_axis_node(self):
+        model, batch = Model.init(ModelConfig(), seed=0), self.repeated_batch()
+        maps = training._distinct_features(model, batch.support_images)
+        ((distinct, vjp),) = maps._edges
+        assert vjp.__qualname__.split(".")[0] == "index_axis"
+        assert distinct.shape[0] < maps.shape[0] == len(batch.support_images)
+
 
 class TestTrainLoop:
     def test_zero_learning_rate_keeps_parameters_bit_identical(self):
@@ -300,6 +310,30 @@ class TestTrainLoop:
         drops = [cfg.learning_rate * cfg.lr_drop_factor ** (e // cfg.lr_drop_every)
                  for e in (0, 19, 20, 39, 40)]
         np.testing.assert_allclose(drops, [1e-3, 1e-3, 5e-4, 5e-4, 2.5e-4])
+
+    # a negative count was read as 0 ("derive from the pool") or as "never
+    # drop"; a factor of -0.5 made the step learning rate negative on odd
+    # drops, and 0 froze training
+    @pytest.mark.parametrize("field,value", [
+        ("batches_per_epoch", -1), ("lr_drop_every", -1), ("lr_drop_factor", -0.5),
+        ("lr_drop_factor", 0.0), ("lr_drop_factor", 1.5), ("lr_drop_factor", float("nan"))])
+    def test_bad_schedule_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_bad_schedule_exits_2_without_traceback(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "condrep.cli", "train", "--out", str(tmp_path),
+             "--image-size", "16", "--feature-channels", "8", "--feature-side", "2",
+             "--n-classes", "3", "--support-per-class", "4", "--query-per-class", "6",
+             "--epochs", "1", "--batch-size", "4", "--lr-drop-factor=-0.5"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: train: lr_drop_factor" in proc.stderr
+        assert not (tmp_path / "checkpoint.txt").exists()
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
