@@ -4,8 +4,11 @@ Every operation records, on its output, the list of (parent, vjp) edges
 needed to route the output gradient back to its inputs. That implicit
 per-node record *is* the computation record: the set of nodes reachable
 from a loss, visited in reverse topological order, replays the forward
-pass backwards exactly once. Calling :func:`backward` twice on the same
-loss raises, because the graph is consumed by the first call.
+pass backwards exactly once. :func:`backward` fills ``grad`` on the leaves
+(parameters and ``requires_grad`` inputs) only, and consumes the graph as
+it walks it: each op output's gradient, closures and saved activations are
+freed once its vjps have run, so a backward pass holds little more than
+the forward left alive. A second walk that reaches a consumed tensor raises.
 
 Operations accept arbitrary leading batch dimensions where the math
 allows it (matmul, softmax, elementwise ops); layer_norm normalizes any one
@@ -83,8 +86,8 @@ def no_grad():
 class Tensor:
     """n-dimensional float64 array with optional gradient tracking.
 
-    ``data`` is always a contiguous float64 ndarray; ``grad`` is filled by
-    :func:`backward` and has the same shape as ``data``.
+    ``data`` is always a contiguous float64 ndarray; on a leaf, ``grad`` is
+    filled by :func:`backward` and has the same shape as ``data``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_edges", "_consumed")
@@ -272,8 +275,15 @@ def layer_norm(x, gamma, beta, axis: int = -1) -> Tensor:
     out = gamma.data[:, None] * xhat
     out += beta.data[:, None]
 
+    shared = [None, None]   # (g, rows(g)): one transposed copy for all three vjps
+
+    def rows_of(g):
+        if shared[0] is not g:
+            shared[:] = g, rows(g)
+        return shared[1]
+
     def vjp_x(g):
-        dx = rows(g) * gamma.data[:, None]
+        dx = rows_of(g) * gamma.data[:, None]
         m2 = np.einsum("ij,ij->j", dx, xhat) / n
         dx -= dx.mean(axis=0)
         dx -= xhat * m2
@@ -282,8 +292,8 @@ def layer_norm(x, gamma, beta, axis: int = -1) -> Tensor:
 
     return _make(np.moveaxis(out.reshape(moved_shape), 0, axis), [
         (x, vjp_x),
-        (gamma, lambda g: np.einsum("ij,ij->i", rows(g), xhat)),
-        (beta, lambda g: rows(g).sum(axis=1)),
+        (gamma, lambda g: np.einsum("ij,ij->i", rows_of(g), xhat)),
+        (beta, lambda g: rows_of(g).sum(axis=1)),
     ])
 
 
@@ -447,21 +457,27 @@ def index_axis(x, axis: int, index) -> Tensor:
     gathers those slices in its order. Indices may repeat, and the vjp adds
     the gradients of repeated slices together."""
     x = as_tensor(x)
-    idx = np.asarray(index)
-    if not (0 <= axis < x.ndim) or idx.ndim > 1 or idx.dtype.kind not in "iu" \
-            or not np.all((idx >= 0) & (idx < x.shape[axis])):
+    if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
+        sel = int(index)   # plain int checks: the conditional kernel slices this way
+        rows = (sel,)
+        valid = 0 <= axis < x.ndim and 0 <= sel < x.shape[axis]
+    else:
+        sel = np.asarray(index)
+        rows = sel.reshape(-1)
+        valid = (0 <= axis < x.ndim and sel.ndim <= 1 and sel.dtype.kind in "iu"
+                 and bool(np.all((sel >= 0) & (sel < x.shape[axis]))))
+    if not valid:
         raise DimensionError(f"index_axis: (axis={axis}, index={index}) invalid for shape {x.shape}")
-    sl = (slice(None),) * axis + (int(idx) if idx.ndim == 0 else idx,)
-    kept = x.shape[:axis] + (idx.size,) + x.shape[axis + 1:]
 
     def vjp(g):
         z = np.zeros_like(x.data)
+        kept = x.shape[:axis] + (len(rows),) + x.shape[axis + 1:]
         zs, gs = np.moveaxis(z, axis, 0), np.moveaxis(g.reshape(kept), axis, 0)
-        for i, row in enumerate(idx.reshape(-1)):   # ~10x faster than np.add.at on (80, 7, 7, 64)
+        for i, row in enumerate(rows):   # ~10x faster than np.add.at on (80, 7, 7, 64)
             zs[row] += gs[i]
         return z
 
-    return _make(x.data[sl], [(x, vjp)])
+    return _make(x.data[(slice(None),) * axis + (sel,)], [(x, vjp)])
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +485,18 @@ def index_axis(x, axis: int, index) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from the scalar ``loss``."""
+    """Fill ``grad`` on the leaves reachable from the scalar ``loss``.
+
+    Leaves are the tensors no op made (parameters and ``requires_grad``
+    inputs); they keep their gradients. The graph is consumed on the way:
+    each op output drops its edges and, except ``loss``, its gradient once
+    its vjps have been taken, so its saved activations and closures are
+    freed as soon as the walk no longer needs them. A later walk that
+    reaches a consumed tensor raises ``StateError``."""
     if not isinstance(loss, Tensor):
         raise ContractError("backward: loss must be a Tensor")
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._consumed:
-        raise StateError("backward: graph already consumed by a previous backward call")
 
     # iterative topological sort (graphs can exceed the recursion limit)
     topo = []
@@ -492,6 +513,8 @@ def backward(loss: Tensor) -> None:
             topo.append(node)
             stack.pop()
             continue
+        if node._consumed:
+            raise StateError("backward: graph already consumed by a previous backward call")
         state[nid] = 0
         for parent, _ in node._edges:
             if state.get(id(parent)) is None:
@@ -499,14 +522,21 @@ def backward(loss: Tensor) -> None:
 
     # a vjp may return a view of g, or g itself (``_unbroadcast``), so a stored
     # first contribution can be shared with a sibling: the second allocates a
-    # sum, only a sum allocated here is added into in place, and leaves copy
+    # sum, only a sum allocated here is added into in place, and leaves copy.
+    # ``owned`` holds ids of unprocessed nodes only, each still alive in topo.
     loss.grad = np.ones_like(loss.data)
     owned = set()
-    for node in reversed(topo):
-        g = node.grad
-        if g is None or not node._edges:
+    while topo:
+        node = topo.pop()
+        owned.discard(id(node))
+        edges, g = node._edges, node.grad
+        if not edges:
             continue
-        for parent, vjp in node._edges:
+        node._edges = ()
+        node._consumed = True
+        if node is not loss:
+            node.grad = None
+        for parent, vjp in edges:
             contrib = vjp(g)
             if parent.grad is None:
                 parent.grad = contrib if parent._edges else contrib.copy()
@@ -515,4 +545,3 @@ def backward(loss: Tensor) -> None:
             else:
                 parent.grad = parent.grad + contrib
                 owned.add(id(parent))
-    loss._consumed = True

@@ -170,7 +170,6 @@ def train_epoch(dataset: SyntheticDataset, model: Model, optimizer: AdamW,
                                          f"'{name}' at batch {b}")
         optimizer.step()
         losses.append(value)
-        del loss   # frees this batch's graph before the next batch builds its own
     return float(np.mean(losses))
 
 

@@ -1,6 +1,7 @@
 """Tensor ops, backward, and optimizer against hand values and the
 finite-difference oracle."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -275,6 +276,42 @@ class TestBackward:
         with pytest.raises(StateError):
             backward(loss)
 
+    def test_second_backward_through_a_consumed_node_rejected(self):
+        # y's gradient from the first walk was once added in again by the
+        # second, which left 16 in x.grad where 12 is right
+        x = Tensor([2.0], requires_grad=True)
+        y = ad.mul(x, x)
+        backward(ad.sum_along(y))
+        x.grad = None
+        with pytest.raises(StateError, match="consumed"):
+            backward(ad.sum_along(ad.mul(y, 3.0)))
+        assert x.grad is None
+
+    def test_walk_releases_intermediates_and_leaves_keep_their_gradients(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        w = Tensor([0.5, 3.0], requires_grad=True)
+        h = ad.mul(x, w)
+        r = ad.relu(h)
+        loss = ad.sum_along(ad.add(r, h))
+        backward(loss)
+        for t in (h, r, loss):
+            assert t._edges == () and t._consumed
+        assert h.grad is None and r.grad is None
+        assert np.array_equal(loss.grad, 1.0)
+        assert np.array_equal(x.grad, [1.0, 3.0]) and np.array_equal(w.grad, [2.0, -2.0])
+        assert not x._consumed and not w._consumed
+
+    def test_intermediate_activation_dies_with_the_walk(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        h = ad.relu(ad.matmul(x, Tensor(np.ones((3, 4)))))
+        ref = weakref.ref(h.data)
+        loss = ad.sum_along(ad.mul(h, h))
+        del h
+        assert ref() is not None
+        backward(loss)
+        assert ref() is None
+        assert loss.item() == 4 * (3.0 ** 2 + 12.0 ** 2)
+
     @pytest.mark.parametrize("add_first", [True, False])
     def test_aliased_contributions_stay_apart(self, add_first):
         # add hands one gradient array to both x and z; x then takes a second
@@ -289,6 +326,19 @@ class TestBackward:
         assert np.array_equal(z.grad, [1.0, 1.0])
         assert np.array_equal(x.grad, [4.0, 4.0])
         assert not np.shares_memory(x.grad, z.grad)
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_aliased_intermediate_gradients_stay_apart(self, add_first):
+        # the same with op outputs, which store a first contribution without
+        # a copy: when add runs first, a and b hold one array, and neither's
+        # second contribution (from a * b) may be written into the other's
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        a, b = ad.mul(x, 2.0), ad.mul(x, 3.0)
+        terms = [ad.sum_along(ad.add(a, b)), ad.sum_along(ad.mul(a, b))]
+        if not add_first:
+            terms.reverse()
+        backward(ad.add(*terms))
+        assert np.array_equal(x.grad, 5.0 + 12.0 * x.data)   # d/dx of 5x + 6x^2
 
     def test_single_contribution_leaves_own_their_gradients(self):
         x = Tensor([1.0, -2.0], requires_grad=True)

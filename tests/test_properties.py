@@ -1,6 +1,8 @@
 """Property-based checks of the backbone ops (conv2d, layer_norm along any
 axis, avg_pool) and of index_axis: random shapes against nested-loop and
-numpy oracles, and their vjps against the finite-difference oracle.
+numpy oracles, and their vjps against the finite-difference oracle. Random
+small graphs check that backward, which frees the graph as it walks it,
+still adds every path's gradient into the leaves.
 
 Examples are derandomized and few, so the suite runs the same cases in
 about a second every time.
@@ -229,3 +231,41 @@ def test_layer_norm_vjps_match_finite_differences(case):
 def test_index_axis_vjp_matches_finite_differences(case):
     x, axis, index = case
     assert _grad_error(lambda t: _sq(ad.index_axis(t, axis, index)), x) < FD_TOL
+
+
+@st.composite
+def dag_cases(draw):
+    # a straight-line program over leaves x (3,) and z (1,), which broadcasts
+    # against x; operands are drawn from the last three nodes, so a node feeds
+    # several others, and "alias" adds a node to itself (add hands one
+    # gradient array to both of its edges)
+    ops = st.sampled_from(("add", "sub", "mul", "alias"))
+    steps = draw(st.lists(st.tuples(ops, st.integers(0, 99), st.integers(0, 99)),
+                          min_size=2, max_size=8))
+    outputs = draw(st.lists(st.integers(0, 99), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.uniform(-1.0, 1.0, size=3), rng.uniform(-1.0, 1.0, size=1), steps, outputs
+
+
+def _run_dag(x, z, steps, outputs):
+    nodes = [x, z]
+    for op, i, j in steps:
+        a, b = nodes[-1 - i % min(3, len(nodes))], nodes[-1 - j % min(3, len(nodes))]
+        nodes.append(ad.add(a, a) if op == "alias" else getattr(ad, op)(a, b))
+    loss = ad.sum_along(nodes[-1])
+    for k in outputs:
+        loss = ad.add(loss, ad.sum_along(nodes[k % len(nodes)]))
+    return loss
+
+
+@ORACLE
+@given(dag_cases())
+def test_random_graph_leaf_gradients_match_finite_differences(case):
+    x0, z0, steps, outputs = case
+    x, z = Tensor(x0, requires_grad=True), Tensor(z0, requires_grad=True)
+    backward(_run_dag(x, z, steps, outputs))
+    fd_x = fd_gradient_oracle(lambda t: _run_dag(t, Tensor(z0), steps, outputs), x0, step=1e-4)
+    fd_z = fd_gradient_oracle(lambda t: _run_dag(Tensor(x0), t, steps, outputs), z0, step=1e-4)
+    for leaf, fd in ((x, fd_x), (z, fd_z)):   # a leaf the loss never reaches keeps None
+        grad = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
+        assert max_relative_error(grad, fd) < FD_TOL
