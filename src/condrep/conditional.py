@@ -1,6 +1,12 @@
-"""Conditional learner: cross-attention against the aggregated pair feature,
-followed by a bidirectional 4D convolution of the relation tensor
-``rel[ws, hs, wq, hq, c] = s[ws, hs, c] * q[wq, hq, c]``.
+"""Conditional learner on (..., W*H, C) position rows: each image attends
+against its pair view, then a bidirectional 4D convolution reduces the
+relation tensor ``rel[ws, hs, wq, hq, c] = s[ws, hs, c] * q[wq, hq, c]`` of
+the two attended maps.
+
+Each image's rows plus the first W*H rows of the 2*W*H sinusoid table are
+both its attending query and the first half of its self-first view
+``[self; other]``; its rows plus the table's last W*H rows are the second
+half of its partner's view.
 
 The support direction slides the kernel's centre cross-slice K over rel's
 query axes and sums all windows and channels, which weights query cell
@@ -17,13 +23,11 @@ Symmetry contract: for any inputs a, b and any parameter values,
 ``conditional_forward(b, a).query_matrix``. Two implementation choices
 make that hold exactly rather than only up to rounding:
 
-* each side attends against its own self-first aggregated view
-  ``[flatten(self); flatten(other)]``, so a given image's attention
-  computation is the same float program in either role;
+* each side attends against its own self-first view, so a given image's
+  attention computation is the same float program in either role;
 * both directions are one helper, ``_directional_reduce(own, other)``,
-  called as ``(s, q)`` and as ``(q, s)``, reading the same sliding
-  weights from the shared 4D kernel - its centre cross-slice
-  ``weights[:, :, M//2, N//2]``.
+  called as ``(s, q)`` and as ``(q, s)`` with the same sliding weights, the
+  shared 4D kernel's centre cross-slice ``weights[:, :, M//2, N//2]``.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from .exceptions import ConfigError, ContractError, DimensionError
 
 
 # ---------------------------------------------------------------------------
-# positional encoding
+# positional encoding and attention
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
@@ -54,80 +58,14 @@ def _sinusoid_table(length: int, channels: int) -> np.ndarray:
     return table
 
 
-def positional_encode(x) -> Tensor:
-    """Add the sinusoidal encoding over the flattened position index."""
-    x = ad.as_tensor(x)
-    if x.ndim < 2:
-        raise DimensionError(f"positional_encode: expected (..., T, C), got {x.shape}")
-    t, c = x.shape[-2], x.shape[-1]
-    if c % 2 != 0:
-        raise ConfigError(f"positional_encode: channel count must be even, got {c}")
-    return ad.add(x, Tensor(_sinusoid_table(t, c)))
-
-
-# ---------------------------------------------------------------------------
-# aggregation and cross-attention
-# ---------------------------------------------------------------------------
-
-def flatten_grid(f) -> Tensor:
-    """(..., W, H, C) -> (..., W*H, C), row-major."""
-    f = ad.as_tensor(f)
-    if f.ndim < 3:
-        raise DimensionError(f"flatten_grid: expected (..., W, H, C), got {f.shape}")
-    w, h, c = f.shape[-3], f.shape[-2], f.shape[-1]
-    return ad.reshape(f, f.shape[:-3] + (w * h, c))
-
-
-def aggregate_prototypes(first, second) -> Tensor:
-    """Flatten and concatenate two prototype maps (first on top), then encode
-    positions over the combined 2*W*H index."""
-    first, second = ad.as_tensor(first), ad.as_tensor(second)
-    if first.shape != second.shape:
-        raise DimensionError(f"aggregate_prototypes: shapes {first.shape} and "
-                             f"{second.shape} differ")
-    stacked = ad.concat([flatten_grid(first), flatten_grid(second)], axis=-2)
-    return positional_encode(stacked)
-
-
-def cross_correlate(f, fm, grid) -> Tensor:
-    """Scaled dot-product attention of a flattened prototype against the
-    aggregated feature (no learned projections), reshaped to (..., W, H, C)
-    with ``grid`` = (W, H)."""
-    f, fm = ad.as_tensor(f), ad.as_tensor(fm)
-    if f.ndim < 2 or fm.ndim < 2:
-        raise DimensionError(f"cross_correlate: expected (..., T, C) inputs, "
-                             f"got {f.shape} and {fm.shape}")
-    c = f.shape[-1]
-    if fm.shape[-1] != c:
-        raise DimensionError(f"cross_correlate: channel counts differ, "
-                             f"{f.shape} vs {fm.shape}")
-    t = f.shape[-2]
-    w, h = grid
-    if w * h != t:
-        raise DimensionError(f"cross_correlate: grid {grid} does not hold {t} positions")
-    scores = ad.mul(ad.matmul(f, ad.permute(fm, _swap_last_two(fm.ndim))), c ** -0.5)
-    out = ad.matmul(ad.softmax_lastdim(scores), fm)
-    return ad.reshape(out, out.shape[:-2] + (w, h, c))
-
-
-def _swap_last_two(ndim: int):
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
-
-
-def build_relation_tensor(support_corr, query_corr) -> Tensor:
-    """Uncompressed channelwise outer product, the input of :func:`conv4d_oracle`:
-    out[..., ws, hs, wq, hq, c] = support[..., ws, hs, c] * query[..., wq, hq, c]."""
-    s, q = ad.as_tensor(support_corr), ad.as_tensor(query_corr)
-    if s.ndim < 3 or q.ndim < 3 or s.shape[-1] != q.shape[-1]:
-        raise DimensionError(f"build_relation_tensor: channel counts differ, "
-                             f"{s.shape} vs {q.shape}")
-    ws, hs, c = s.shape[-3], s.shape[-2], s.shape[-1]
-    wq, hq = q.shape[-3], q.shape[-2]
-    s5 = ad.reshape(s, s.shape[:-3] + (ws, hs, 1, 1, c))
-    q5 = ad.reshape(q, q.shape[:-3] + (1, 1, wq, hq, c))
-    return ad.mul(s5, q5)
+def attend(q, k, v) -> Tensor:
+    """Scaled dot-product attention ``softmax(q . k^T / sqrt(C)) . v`` of
+    (..., Tq, C) query rows against (..., Tk, C) key and value rows."""
+    k = ad.as_tensor(k)
+    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    # no local holds the transposed copy, so under no_grad it is freed before the softmax
+    scores = ad.mul(ad.matmul(q, ad.permute(k, swap)), k.shape[-1] ** -0.5)
+    return ad.matmul(ad.softmax_lastdim(scores), v)
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +137,18 @@ def _fold_matrix(grid: int, k: int) -> np.ndarray:
     return fold
 
 
-def _directional_reduce(own: Tensor, other: Tensor, kernel: ConvKernel4D) -> Tensor:
-    """Conditional matrix on ``own``'s grid, with the kernel sliding over
-    ``other``'s: ``relu(own . pooled + bias)``."""
-    c = own.shape[-1]
-    wr, hr = other.shape[-3], other.shape[-2]
-    kern = kernel.sliding_slice()
+def _directional_reduce(own: Tensor, other: Tensor, kern: Tensor, bias: Tensor) -> Tensor:
+    """Conditional matrix on ``own``'s grid, with the sliding kernel slice
+    ``kern`` moving over ``other``'s: ``relu(own . pooled + bias)``."""
+    *_, wr, hr, c = other.shape
     k, l = kern.shape
     coef = ad.matmul(ad.matmul(Tensor(_fold_matrix(wr, k)), kern),
                      Tensor(_fold_matrix(hr, l).T))                     # (Wr, Hr)
-    pooled = ad.matmul(ad.reshape(coef, (1, wr * hr)), flatten_grid(other))  # (..., 1, C)
-    summed = ad.matmul(flatten_grid(own), ad.reshape(pooled, pooled.shape[:-2] + (c, 1)))
-    return ad.relu(ad.add(ad.reshape(summed, own.shape[:-1]), kernel.bias))
+    pooled = ad.matmul(ad.reshape(coef, (1, wr * hr)),
+                       ad.reshape(other, other.shape[:-3] + (wr * hr, c)))   # (..., 1, C)
+    own_rows = ad.reshape(own, own.shape[:-3] + (own.shape[-3] * own.shape[-2], c))
+    summed = ad.matmul(own_rows, ad.reshape(pooled, pooled.shape[:-2] + (c, 1)))
+    return ad.relu(ad.add(ad.reshape(summed, own.shape[:-1]), bias))
 
 
 def conditional_matrices(s_corr, q_corr, kernel: ConvKernel4D) -> tuple[Tensor, Tensor]:
@@ -222,7 +160,23 @@ def conditional_matrices(s_corr, q_corr, kernel: ConvKernel4D) -> tuple[Tensor, 
             or s.shape[-1] != q.shape[-1]:
         raise DimensionError(f"conditional_matrices: expected (..., W, H, C) inputs with "
                              f"equal batch dims and channels, got {s.shape} and {q.shape}")
-    return _directional_reduce(s, q, kernel), _directional_reduce(q, s, kernel)
+    kern = kernel.sliding_slice()
+    return (_directional_reduce(s, q, kern, kernel.bias),
+            _directional_reduce(q, s, kern, kernel.bias))
+
+
+def build_relation_tensor(support_corr, query_corr) -> Tensor:
+    """Uncompressed channelwise outer product, the input of :func:`conv4d_oracle`:
+    out[..., ws, hs, wq, hq, c] = support[..., ws, hs, c] * query[..., wq, hq, c]."""
+    s, q = ad.as_tensor(support_corr), ad.as_tensor(query_corr)
+    if s.ndim < 3 or q.ndim < 3 or s.shape[-1] != q.shape[-1]:
+        raise DimensionError(f"build_relation_tensor: channel counts differ, "
+                             f"{s.shape} vs {q.shape}")
+    ws, hs, c = s.shape[-3], s.shape[-2], s.shape[-1]
+    wq, hq = q.shape[-3], q.shape[-2]
+    s5 = ad.reshape(s, s.shape[:-3] + (ws, hs, 1, 1, c))
+    q5 = ad.reshape(q, q.shape[:-3] + (1, 1, wq, hq, c))
+    return ad.mul(s5, q5)
 
 
 def conv4d_oracle(rel, kernel: ConvKernel4D, direction: str) -> np.ndarray:
@@ -285,15 +239,18 @@ class ConditionalOutput(NamedTuple):
 def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
     """Full conditional learner for one (support, query) prototype pair."""
     fs, fq = ad.as_tensor(fs), ad.as_tensor(fq)
-    if fs.shape != fq.shape:
-        raise DimensionError(f"conditional_forward: prototype shapes {fs.shape} and "
-                             f"{fq.shape} differ")
-    w, h = fs.shape[-3], fs.shape[-2]
-    fm_s = aggregate_prototypes(fs, fq)      # support's self-first view
-    fm_q = aggregate_prototypes(fq, fs)      # query's self-first view
-    qs = positional_encode(flatten_grid(fs))
-    qq = positional_encode(flatten_grid(fq))
-    s_corr = cross_correlate(qs, fm_s, grid=(w, h))
-    q_corr = cross_correlate(qq, fm_q, grid=(w, h))
-    support_matrix, query_matrix = conditional_matrices(s_corr, q_corr, kernel)
-    return ConditionalOutput(support_matrix, query_matrix)
+    if fs.ndim < 3 or fs.shape != fq.shape:
+        raise DimensionError(f"conditional_forward: expected equal (..., W, H, C) prototype "
+                             f"shapes, got {fs.shape} and {fq.shape}")
+    w, h, c = fs.shape[-3:]
+    if c % 2 != 0:
+        raise ConfigError(f"conditional_forward: channel count must be even, got {c}")
+    t = w * h
+    pe = _sinusoid_table(2 * t, c)
+    rows_s, rows_q = (ad.reshape(f, f.shape[:-3] + (t, c)) for f in (fs, fq))
+    own_s, own_q = ad.add(rows_s, pe[:t]), ad.add(rows_q, pe[:t])
+    view_s = ad.concat([own_s, ad.add(rows_q, pe[t:])], axis=-2)     # support's [self; other]
+    view_q = ad.concat([own_q, ad.add(rows_s, pe[t:])], axis=-2)     # query's [self; other]
+    s_corr = ad.reshape(attend(own_s, view_s, view_s), fs.shape)
+    q_corr = ad.reshape(attend(own_q, view_q, view_q), fq.shape)
+    return ConditionalOutput(*conditional_matrices(s_corr, q_corr, kernel))

@@ -62,10 +62,12 @@ class DatasetConfig:
             raise ConfigError(f"dataset: image_size must be >= 16, got {self.image_size}")
         if set(self.transform_mix) != set(DIFFICULTY_TAGS):
             raise ConfigError(f"dataset: transform_mix must cover exactly {DIFFICULTY_TAGS}")
-        total = sum(self.transform_mix.values())
-        if any(p < 0 for p in self.transform_mix.values()) or abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"dataset: transform_mix must be non-negative and sum to 1, "
-                              f"got {self.transform_mix}")
+        mix = self.transform_mix
+        if not all(0.0 <= p < np.inf for p in mix.values()) or abs(sum(mix.values()) - 1.0) > 1e-9:
+            raise ConfigError(f"dataset: transform_mix must be finite, non-negative and sum "
+                              f"to 1, got {mix}")
+        if not 0.0 <= self.blur_fraction <= 1.0:
+            raise ConfigError(f"dataset: blur_fraction must lie in [0, 1], got {self.blur_fraction}")
         if self.transform_mix["blurry_noisy"] > 0 and self.blur_fraction < 0.05:
             raise ConfigError(f"dataset: blur_fraction must be >= 0.05 when the blurry "
                               f"transform is enabled, got {self.blur_fraction}")
@@ -293,7 +295,7 @@ def _tag_quota(mix: dict, n: int, blur_fraction: float) -> list[str]:
         need = int(np.ceil(blur_fraction * n))
         bi = tags.index("blurry_noisy")
         while counts[bi] < need:
-            donor = int(np.argmax(counts))
+            donor = max((i for i in range(len(tags)) if i != bi), key=lambda i: counts[i])
             counts[donor] -= 1
             counts[bi] += 1
     out: list[str] = []

@@ -264,6 +264,8 @@ def run_evaluation_suite(dataset: SyntheticDataset, model: Model, *, n_way: int 
     accs: dict[str, list[float]] = {s: [] for s in strategies}
     if baseline_model is not None:
         accs[BASELINE] = []
+    if not accs:
+        raise ConfigError("run_evaluation_suite: no strategy and no baseline requested")
     memo, baseline_memo = {}, {}
     for ep in range(n_episodes):
         rng = np.random.default_rng(np.random.SeedSequence([0x657, seed, ep]))

@@ -187,6 +187,8 @@ def model_config_from(cfg: dict[str, str]) -> ModelConfig:
     size = int(cfg["image_size"])
     side = int(cfg["feature_side"])
     channels = int(cfg["feature_channels"])
+    if not 1 <= side <= size:
+        raise ConfigError(f"config: feature_side must lie in 1..image_size ({size}), got {side}")
     n_blocks = int(np.log2(size // side))
     if side * 2 ** n_blocks != size:
         raise ConfigError(f"config: image_size {size} cannot reach feature_side {side} "

@@ -18,14 +18,14 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.05):
-        if lr < 0:
-            raise ConfigError(f"adamw: learning rate must be >= 0, got {lr}")
+        if not 0.0 <= lr < np.inf:
+            raise ConfigError(f"adamw: learning rate must be finite and >= 0, got {lr}")
         if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
             raise ConfigError(f"adamw: betas must lie in (0,1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ConfigError(f"adamw: eps must be positive, got {eps}")
-        if weight_decay < 0:
-            raise ConfigError(f"adamw: weight decay must be >= 0, got {weight_decay}")
+        if not 0.0 < eps < np.inf:
+            raise ConfigError(f"adamw: eps must be finite and positive, got {eps}")
+        if not 0.0 <= weight_decay < np.inf:
+            raise ConfigError(f"adamw: weight decay must be finite and >= 0, got {weight_decay}")
         self.params = dict(params)
         self.lr = lr
         self.beta1 = beta1

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .conditional import conditional_forward
+from .conditional import attend, conditional_forward
 from .exceptions import ConfigError, DimensionError
 
 STRUCTURES = ("siamese", "non_siamese", "non_residual")
@@ -89,11 +89,7 @@ def self_attend(f_prime, params: dict[str, Tensor]) -> Tensor:
         if m.shape != (c, c):
             raise DimensionError(f"self_attend: {name} shape {m.shape} does not match "
                                  f"channels {c}")
-    q, k, v = ad.matmul(fp, wq), ad.matmul(fp, wk), ad.matmul(fp, wv)
-    swap = list(range(k.ndim))
-    swap[-1], swap[-2] = swap[-2], swap[-1]
-    scores = ad.mul(ad.matmul(q, ad.permute(k, tuple(swap))), c ** -0.5)
-    return ad.matmul(ad.softmax_lastdim(scores), v)
+    return attend(ad.matmul(fp, wq), ad.matmul(fp, wk), ad.matmul(fp, wv))
 
 
 def finalize_vector(f_prime, f_hat, params: dict[str, Tensor]) -> Tensor:

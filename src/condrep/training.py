@@ -32,8 +32,8 @@ class LossConfig:
     def validate(self):
         if self.variant not in ("standard", "literal"):
             raise ConfigError(f"loss: unknown variant '{self.variant}'")
-        if self.margin <= 0:
-            raise ConfigError(f"loss: margin must be positive, got {self.margin}")
+        if not 0.0 < self.margin < np.inf:
+            raise ConfigError(f"loss: margin must be finite and positive, got {self.margin}")
         if not (0.0 < self.epsilon <= 1e-3):
             raise ConfigError(f"loss: epsilon must lie in (0, 1e-3], got {self.epsilon}")
 
@@ -55,9 +55,10 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("train: epochs and batch_size must be positive")
-        for name in ("batches_per_epoch", "lr_drop_every"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"train: {name} must be >= 0, got {getattr(self, name)}")
+        for name in ("batches_per_epoch", "lr_drop_every", "learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"train: {name} must be finite and >= 0, got {value}")
         if not 0.0 < self.lr_drop_factor <= 1.0:
             raise ConfigError(f"train: lr_drop_factor must lie in (0, 1], "
                               f"got {self.lr_drop_factor}")

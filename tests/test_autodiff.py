@@ -8,7 +8,7 @@ import pytest
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
-from condrep.exceptions import ContractError, DimensionError, StateError
+from condrep.exceptions import ConfigError, ContractError, DimensionError, StateError
 from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.optim import AdamW
 
@@ -390,6 +390,14 @@ class TestAdamW:
         assert opt.step_count == 0
         opt.step()
         assert opt.step_count == 1
+
+    # `lr < 0` and `weight_decay < 0` let a NaN through
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("arg,name", [("lr", "learning rate"),
+                                          ("weight_decay", "weight decay"), ("eps", "eps")])
+    def test_non_finite_hyperparameter_rejected(self, arg, name, value):
+        with pytest.raises(ConfigError, match=name):
+            AdamW({"p": Tensor([1.0], requires_grad=True)}, **{arg: value})
 
     def test_missing_grad_names_parameter(self):
         p = Tensor([1.0], requires_grad=True)

@@ -1,15 +1,14 @@
-"""Conditional learner: positional encoding, cross-attention, relation tensor,
-and the factored bidirectional 4D convolution against its nested-loop oracle
-on the dense relation tensor."""
+"""Conditional learner: positional table, attention, relation tensor, and
+the factored bidirectional 4D convolution against its nested-loop oracle on
+the dense relation tensor."""
 import numpy as np
 import pytest
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
-from condrep.conditional import (ConvKernel4D, aggregate_prototypes, build_relation_tensor,
+from condrep.conditional import (ConvKernel4D, attend, build_relation_tensor,
                                  conditional_forward, conditional_matrices, conv4d_oracle,
-                                 cross_correlate, flatten_grid, init_conv_kernel,
-                                 positional_encode, _sinusoid_table)
+                                 init_conv_kernel, _sinusoid_table)
 from condrep.exceptions import ConfigError, DimensionError
 from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 
@@ -22,79 +21,59 @@ def delta_kernel(shape=(3, 3, 3, 3), bias=0.0) -> ConvKernel4D:
 
 class TestPositionalEncoding:
     def test_position_zero_adds_sin0_cos0_pattern(self):
-        x = np.zeros((1, 6))
-        out = positional_encode(Tensor(x))
-        np.testing.assert_array_equal(out.data[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-
-    def test_encoding_is_purely_additive(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(5, 8))
-        table = positional_encode(Tensor(np.zeros((5, 8)))).data
-        np.testing.assert_array_equal(positional_encode(Tensor(x)).data, x + table)
+        np.testing.assert_array_equal(_sinusoid_table(1, 6)[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
     def test_positions_are_pairwise_distinct(self):
         table = _sinusoid_table(512, 16)
         # no two rows identical
         assert len({row.tobytes() for row in table}) == 512
 
+    def test_leading_rows_of_the_pair_table_equal_the_image_table(self):
+        # conditional_forward encodes an image's own rows with the pair table's first T rows
+        for c in range(2, 65, 2):
+            for t in range(1, 70):
+                np.testing.assert_array_equal(_sinusoid_table(2 * t, c)[:t], _sinusoid_table(t, c))
+
     def test_odd_channel_count_rejected(self):
+        f = Tensor(np.zeros((2, 2, 5)))
         with pytest.raises(ConfigError):
-            positional_encode(Tensor(np.zeros((4, 5))))
-
-
-class TestAggregate:
-    def test_output_shape(self):
-        fs = Tensor(np.random.default_rng(0).normal(size=(2, 2, 4)))
-        out = aggregate_prototypes(fs, fs)
-        assert out.shape == (8, 4)
-
-    def test_equal_inputs_have_identical_halves_before_encoding(self):
-        f = np.random.default_rng(1).normal(size=(2, 2, 4))
-        stacked = ad.concat([flatten_grid(Tensor(f)), flatten_grid(Tensor(f))], axis=-2)
-        np.testing.assert_array_equal(stacked.data[:4], stacked.data[4:])
-
-    def test_row_zero_is_first_cell_plus_pe0(self):
-        f = np.random.default_rng(2).normal(size=(2, 2, 4))
-        out = aggregate_prototypes(Tensor(f), Tensor(np.zeros((2, 2, 4))))
-        np.testing.assert_array_equal(out.data[0], f[0, 0, :] + _sinusoid_table(8, 4)[0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            aggregate_prototypes(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((2, 2, 6))))
+            conditional_forward(f, f, init_conv_kernel())
 
 
 class TestCrossCorrelate:
+    """The conditional learner's cross-attention is ``attend(q, view, view)``."""
+
     def test_identical_rows_collapse_to_that_row(self):
         v = np.array([1.0, -2.0, 0.5, 3.0])
         fm = Tensor(np.tile(v, (6, 1)))
-        out = cross_correlate(Tensor(np.random.default_rng(0).normal(size=(4, 4))), fm,
-                              grid=(2, 2))
-        np.testing.assert_allclose(out.data, np.broadcast_to(v, (2, 2, 4)), atol=1e-12)
+        out = attend(Tensor(np.random.default_rng(0).normal(size=(4, 4))), fm, fm)
+        np.testing.assert_allclose(out.data, np.broadcast_to(v, (4, 4)), atol=1e-12)
 
     def test_single_row_aggregate(self):
         fm = Tensor(np.array([[2.0, 4.0, -1.0, 0.0]]))
-        out = cross_correlate(Tensor(np.array([[9.0, 9.0, 9.0, 9.0]])), fm, grid=(1, 1))
+        out = attend(Tensor(np.array([[9.0, 9.0, 9.0, 9.0]])), fm, fm)
         np.testing.assert_array_equal(out.data.reshape(4), fm.data[0])
 
     def test_matches_naive_softmax_matmul(self):
         rng = np.random.default_rng(3)
         f, fm = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
-        out = cross_correlate(Tensor(f), Tensor(fm), grid=(2, 2))
+        out = attend(Tensor(f), Tensor(fm), Tensor(fm))
         scores = f @ fm.T / np.sqrt(8)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         expected = (e / e.sum(axis=-1, keepdims=True)) @ fm
-        np.testing.assert_allclose(out.data.reshape(4, 8), expected, atol=1e-9)
+        np.testing.assert_allclose(out.data, expected, atol=1e-9)
 
     def test_outputs_stay_in_row_convex_hull(self):
         rng = np.random.default_rng(4)
         f, fm = rng.normal(size=(9, 6)), rng.normal(size=(5, 6))
-        out = cross_correlate(Tensor(f), Tensor(fm), grid=(3, 3)).data.reshape(9, 6)
+        out = attend(Tensor(f), Tensor(fm), Tensor(fm)).data
         assert np.all(out >= fm.min(axis=0) - 1e-9)
         assert np.all(out <= fm.max(axis=0) + 1e-9)
 
     def test_channel_mismatch_rejected(self):
+        fm = Tensor(np.zeros((4, 5)))
         with pytest.raises(DimensionError):
-            cross_correlate(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5))), grid=(2, 2))
+            attend(Tensor(np.zeros((4, 3))), fm, fm)
 
 
 class TestRelationTensor:
@@ -197,6 +176,10 @@ class TestConditionalForward:
         f = Tensor(np.random.default_rng(10).normal(size=(3, 3, 4)))
         out = conditional_forward(f, f, kernel)
         assert np.array_equal(out.support_matrix.data, out.query_matrix.data)
+
+    def test_shape_mismatch_rejected(self, kernel):
+        with pytest.raises(DimensionError):
+            conditional_forward(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((2, 2, 6))), kernel)
 
     def test_output_spatial_shapes(self, kernel):
         rng = np.random.default_rng(11)

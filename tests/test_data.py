@@ -1,5 +1,9 @@
 """Synthetic dataset: glyph rendering, difficulty rules, pool assembly."""
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +135,34 @@ class TestBuildDataset:
                                          "incomplete": 0.2, "blurry_noisy": 0.05}).validate()
         with pytest.raises(ConfigError):
             DatasetConfig(blur_fraction=0.01).validate()
+
+    # a NaN share passed both the sign and the sum check, and `gen-data
+    # --mix-camouflaged nan` wrote 45 of 60 queries per class; a NaN
+    # blur_fraction died in int() with a message naming no key
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mix_or_blur_fraction_names_its_key(self, value):
+        mix = dict(DatasetConfig().transform_mix, camouflaged=value)
+        with pytest.raises(ConfigError, match="camouflaged"):
+            DatasetConfig(transform_mix=mix).validate()
+        with pytest.raises(ConfigError, match="blur_fraction"):
+            DatasetConfig(blur_fraction=value).validate()
+
+    def test_blur_fraction_above_one_rejected(self):
+        with pytest.raises(ConfigError, match="blur_fraction"):
+            DatasetConfig(blur_fraction=1.5).validate()
+
+    def test_blur_top_up_never_takes_from_the_blur_tag(self):
+        # once the blur count led, it was its own donor and the top-up loop
+        # never ended (`gen-data --blur-fraction 0.27` hung at the default
+        # mix); the quota runs in a child process so that a hang fails
+        code = ("from condrep.data import DatasetConfig, _tag_quota\n"
+                "for f in (0.27, 0.5, 1.0):\n"
+                "    tags = _tag_quota(DatasetConfig().transform_mix, 60, f)\n"
+                "    print(len(tags), tags.count('blurry_noisy'))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.split() == ["60", "17", "60", "30", "60", "60"], proc.stderr
 
 
 class TestAugmentation:

@@ -268,6 +268,13 @@ class TestRunEvaluation:
             run_evaluation_suite(dataset, model, strategies=["weighted_query"], seed=0,
                                  baseline_model=model, **kwargs)
 
+    def test_no_strategy_and_no_baseline_rejected(self, dataset, model):
+        # it returned no report at all, and `eval --strategies ,` wrote an
+        # accuracy.csv of "episode," that `plot` then refused
+        with pytest.raises(ConfigError, match="no strategy"):
+            run_evaluation_suite(dataset, model, n_way=2, k_shot=1, q_per_class=2,
+                                 n_episodes=1, strategies=[], seed=0)
+
     def test_protocol_defaults(self):
         import inspect
         sig = inspect.signature(run_evaluation_suite)

@@ -434,6 +434,29 @@ class TestCli:
         assert not (tmp_path / "run" / "report.json").exists()
         assert not (tmp_path / "run" / "accuracy.csv").exists()
 
+    def test_empty_strategy_list_exits_2_without_report(self, tmp_path, capsys):
+        path, _lines = saved_checkpoint(tmp_path)
+        rc = main(["eval", "--out", str(tmp_path / "run"), "--checkpoint", str(path),
+                   "--episodes", "1", "--strategies", ",", *TINY_FLAGS])
+        assert rc == 2
+        assert "no strategy" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "report.json").exists()
+        assert not (tmp_path / "run" / "accuracy.csv").exists()
+
+    # 0 divided by zero and a side above the image overflowed in
+    # model_config_from; both exited 1 with a traceback
+    @pytest.mark.parametrize("side", ["0", "64"])
+    def test_feature_side_out_of_range_exits_2(self, tmp_path, capsys, side):
+        rc = main(["train", "--out", str(tmp_path), *TINY_FLAGS, "--feature-side", side])
+        assert rc == 2
+        assert "feature_side" in capsys.readouterr().err
+
+    def test_non_finite_mix_exits_2_and_writes_no_pools(self, tmp_path, capsys):
+        rc = main(["gen-data", "--out", str(tmp_path), *TINY_FLAGS, "--mix-camouflaged", "nan"])
+        assert rc == 2
+        assert "camouflaged" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_malformed_pool_directory_exits_2_without_traceback(self, tmp_path):
         path, _lines = saved_checkpoint(tmp_path)
         (tmp_path / "data" / "class_0").mkdir(parents=True)

@@ -2,7 +2,8 @@
 axis, avg_pool) and of index_axis: random shapes against nested-loop and
 numpy oracles, and their vjps against the finite-difference oracle. Random
 small graphs check that backward, which frees the graph as it walks it,
-still adds every path's gradient into the leaves.
+still adds every path's gradient into the leaves. The conditional learner
+on position rows is checked bit for bit against its grid-level composition.
 
 Examples are derandomized and few, so the suite runs the same cases in
 about a second every time.
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
+from condrep.conditional import (ConvKernel4D, _sinusoid_table, conditional_forward,
+                                 conditional_matrices)
 from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 
 FD_TOL = 1e-4
@@ -269,3 +272,41 @@ def test_random_graph_leaf_gradients_match_finite_differences(case):
     for leaf, fd in ((x, fd_x), (z, fd_z)):   # a leaf the loss never reaches keeps None
         grad = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
         assert max_relative_error(grad, fd) < FD_TOL
+
+
+@st.composite
+def pair_cases(draw):
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    w, h, c = draw(st.integers(1, 5)), draw(st.integers(1, 5)), 2 * draw(st.integers(1, 4))
+    kshape = tuple(draw(st.sampled_from([1, 3])) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kernel = ConvKernel4D(weights=Tensor(rng.normal(size=kshape)), bias=Tensor(rng.normal()))
+    return rng.normal(size=batch + (w, h, c)), rng.normal(size=batch + (w, h, c)), kernel
+
+
+def _grid_level_corr(a, b):
+    """Cross-attention of ``a`` against its view ``[a; b]``, in plain numpy:
+    flatten both maps, encode the view over 2*W*H positions and the query
+    over W*H, and attend."""
+    *lead, w, h, c = a.shape
+    t = w * h
+    flat_a, flat_b = a.reshape(*lead, t, c), b.reshape(*lead, t, c)
+    view = np.concatenate([flat_a, flat_b], axis=-2) + _sinusoid_table(2 * t, c)
+    q = flat_a + _sinusoid_table(t, c)
+    scores = q @ np.ascontiguousarray(np.swapaxes(view, -1, -2)) * c ** -0.5
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True) @ view).reshape(a.shape)
+
+
+@ORACLE
+@given(pair_cases())
+def test_conditional_forward_equals_the_grid_level_composition(case):
+    a, b, kernel = case
+    out = conditional_forward(Tensor(a), Tensor(b), kernel)
+    ref = conditional_matrices(Tensor(_grid_level_corr(a, b)), Tensor(_grid_level_corr(b, a)),
+                               kernel)
+    np.testing.assert_array_equal(out.support_matrix.data, ref[0].data)
+    np.testing.assert_array_equal(out.query_matrix.data, ref[1].data)
+    swapped = conditional_forward(Tensor(b), Tensor(a), kernel)
+    np.testing.assert_array_equal(swapped.support_matrix.data, out.query_matrix.data)
+    np.testing.assert_array_equal(swapped.query_matrix.data, out.support_matrix.data)

@@ -334,6 +334,27 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()
 
+    # a NaN passed every comparison: `train --learning-rate nan` wrote a
+    # checkpoint of NaN parameters (1 epoch) or aborted as a non-finite loss,
+    # exit 3 (2 epochs); an infinite margin made every hinge active forever
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "margin"])
+    def test_non_finite_rate_or_margin_rejected(self, field, value):
+        cfg = TrainConfig(loss=LossConfig(margin=value)) if field == "margin" \
+            else TrainConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            cfg.validate()
+
+    @pytest.mark.parametrize("flag", ["learning-rate", "weight-decay", "margin"])
+    def test_non_finite_rate_or_margin_exits_2(self, tmp_path, capsys, flag):
+        rc = main(["train", "--out", str(tmp_path), "--image-size", "16",
+                   "--feature-channels", "8", "--feature-side", "2", "--n-classes", "3",
+                   "--support-per-class", "4", "--query-per-class", "6", "--epochs", "1",
+                   "--batch-size", "4", "--batches-per-epoch", "1", f"--{flag}", "nan"])
+        assert rc == 2
+        assert flag.replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.txt").exists()
+
     def test_bad_schedule_exits_2_without_traceback(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
