@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from condrep import autodiff as ad
+from condrep import conditional
 from condrep.autodiff import Tensor, backward
 from condrep.conditional import (ConvKernel4D, attend, build_relation_tensor,
                                  conditional_forward, conditional_matrices, conv4d_oracle,
@@ -19,9 +20,35 @@ def delta_kernel(shape=(3, 3, 3, 3), bias=0.0) -> ConvKernel4D:
     return ConvKernel4D(weights=Tensor(w), bias=Tensor(np.float64(bias)))
 
 
+def attend_calls(monkeypatch, fs, fq):
+    """(query rows, view) of each cross-attention ``conditional_forward(fs, fq)``
+    makes, support side first; the view is the (..., 2T, C) pair view."""
+    calls = []
+
+    def spy(q, k, v):
+        assert k is v
+        calls.append((q.data, k.data))
+        return attend(q, k, v)
+
+    monkeypatch.setattr(conditional, "attend", spy)
+    conditional_forward(Tensor(fs), Tensor(fq), init_conv_kernel())
+    assert len(calls) == 2
+    return calls
+
+
 class TestPositionalEncoding:
     def test_position_zero_adds_sin0_cos0_pattern(self):
         np.testing.assert_array_equal(_sinusoid_table(1, 6)[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+
+    def test_encoding_is_purely_additive(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        fs, fq = rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 3, 8))
+        (q_s, view_s), (q_q, view_q) = attend_calls(monkeypatch, fs, fq)
+        rows_s, rows_q = fs.reshape(6, 8), fq.reshape(6, 8)
+        np.testing.assert_array_equal(q_s, rows_s + _sinusoid_table(6, 8))
+        np.testing.assert_array_equal(q_q, rows_q + _sinusoid_table(6, 8))
+        np.testing.assert_array_equal(view_s, np.concatenate([rows_s, rows_q]) + _sinusoid_table(12, 8))
+        np.testing.assert_array_equal(view_q, np.concatenate([rows_q, rows_s]) + _sinusoid_table(12, 8))
 
     def test_positions_are_pairwise_distinct(self):
         table = _sinusoid_table(512, 16)
@@ -38,6 +65,27 @@ class TestPositionalEncoding:
         f = Tensor(np.zeros((2, 2, 5)))
         with pytest.raises(ConfigError):
             conditional_forward(f, f, init_conv_kernel())
+
+
+class TestAggregate:
+    """The pair view ``concat(flat(self), flat(other)) + table(2T)`` each side attends against."""
+
+    def test_output_shape(self, monkeypatch):
+        fs = np.random.default_rng(0).normal(size=(2, 2, 4))
+        for _, view in attend_calls(monkeypatch, fs, fs):
+            assert view.shape == (8, 4)
+
+    def test_equal_inputs_have_identical_halves_before_encoding(self, monkeypatch):
+        f = np.random.default_rng(1).normal(size=(2, 2, 4))
+        table = _sinusoid_table(8, 4)
+        for _, view in attend_calls(monkeypatch, f, f):
+            np.testing.assert_array_equal(view[:4], f.reshape(4, 4) + table[:4])
+            np.testing.assert_array_equal(view[4:], f.reshape(4, 4) + table[4:])
+
+    def test_row_zero_is_first_cell_plus_pe0(self, monkeypatch):
+        f = np.random.default_rng(2).normal(size=(2, 2, 4))
+        (_, view_s), _ = attend_calls(monkeypatch, f, np.zeros((2, 2, 4)))
+        np.testing.assert_array_equal(view_s[0], f[0, 0, :] + _sinusoid_table(8, 4)[0])
 
 
 class TestCrossCorrelate:
