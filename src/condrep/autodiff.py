@@ -13,9 +13,12 @@ the forward left alive. A second walk that reaches a consumed tensor raises.
 Operations accept arbitrary leading batch dimensions where the math
 allows it (matmul, softmax, elementwise ops); layer_norm normalizes any one
 axis, and index_axis selects or gathers along any one axis. The backbone ops
-are channel-major instead: conv2d and avg_pool take (C, B, H, W), and the
-backbone normalizes axis 0 with layer_norm. The batched forms are exercised
-by the same finite-difference gradient suite as the plain ones.
+are channel-major instead and take (C, B, H, W): conv2d, and norm_relu_pool,
+which runs the rest of a block (layer_norm over axis 0, relu, average
+pooling) as one op over cache-sized chunks and keeps for backward only the
+normalized input, a per-position inverse deviation and a 1-byte relu mask.
+The batched forms are exercised by the same finite-difference gradient
+suite as the plain ones.
 
 Graph construction is single-writer: do not build or backward one graph
 from several threads. Reading a frozen parameter set (inference inside
@@ -36,7 +39,13 @@ from .exceptions import ContractError, DimensionError, StateError
 
 _grad_enabled = True
 
-NORM_EPS = 1e-5   # variance floor of layer_norm
+NORM_EPS = 1e-5   # variance floor of layer_norm and norm_relu_pool
+# norm_relu_pool's input bytes per chunk. On backbone block shapes, with one
+# BLAS thread on a core with 2 MB of L2, 2-4 MB chunks ran the op's forward
+# and backward fastest: 1 MB chunks cut each channel row into runs too short
+# to stream (a 64-channel 14x14 block took 25% longer), whole batches spill
+# every pass out of cache (a 32-channel 28x28 block, 20% longer)
+_CHUNK_BYTES = 2 << 20
 
 _M_TRIM_THRESHOLD = -1   # glibc <malloc.h>
 _M_MMAP_THRESHOLD = -3
@@ -335,37 +344,104 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
         return (g.reshape(cout, n) @ cols.T).reshape(kernel.shape)
 
     def vjp_x(g):
-        dcols = (w2.T @ g.reshape(cout, n)).reshape(cin, kh, kw, b, ho, wo)
-        dxp = np.zeros((cin, b, h + 2 * padding, w + 2 * padding))
+        # columns in (H', W', B) order and a (C_in, H, W, B) buffer: each
+        # shifted add below runs over W'*B contiguous entries, not W'
+        gt = g.reshape(cout, b, ho * wo).transpose(0, 2, 1).reshape(cout, n)
+        dcols = (w2.T @ gt).reshape(cin, kh, kw, ho, wo, b)
+        dxp = np.zeros((cin, h + 2 * padding, w + 2 * padding, b))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + ho, j:j + wo] += dcols[:, i, j]
-        return dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
+                dxp[:, i:i + ho, j:j + wo] += dcols[:, i, j]
+        return dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
     return _make(out.reshape(cout, b, ho, wo), [(x, vjp_x), (kernel, vjp_kernel)])
 
 
-def avg_pool(x, stride: int) -> Tensor:
-    """Average over non-overlapping stride x stride windows of (C,B,H,W):
-    column neighbours are added first, then row neighbours."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise DimensionError(f"avg_pool: expected (C,B,H,W), got {x.shape}")
-    h, w = x.shape[2:]
+def norm_relu_pool(x, gamma, beta, stride: int) -> Tensor:
+    """One backbone block after its conv, on channel-major (C,B,H,W) input:
+    ``layer_norm`` over axis 0, relu, then the average over non-overlapping
+    stride x stride windows (column neighbours added first, then row
+    neighbours); returns (C,B,H/stride,W/stride).
+
+    Every position gets the arithmetic of those three ops in a row. The
+    forward runs over chunks of whole images of about ``_CHUNK_BYTES``, so
+    each elementwise pass stays in cache, and keeps for backward only the
+    normalised input, the per-position inverse deviation and a 1-byte relu
+    mask, not the norm or relu outputs (Rota Bulo et al., *In-Place
+    Activated BatchNorm*, CVPR 2018). Without a graph to record it keeps
+    nothing. The vjps share one masked, upsampled gradient; the x-gradient
+    runs chunk by chunk, and gamma and beta reduce whole channel rows as
+    ``layer_norm`` does."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.ndim != 4 or 0 in (x.shape[0], x.shape[2], x.shape[3]):
+        raise DimensionError(f"norm_relu_pool: expected (C,B,H,W) with C, H, W >= 1, "
+                             f"got {x.shape}")
+    c, b, h, w = x.shape
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(f"norm_relu_pool: gamma/beta shapes {gamma.shape}/{beta.shape} "
+                             f"do not match {c} channels")
     if stride < 1 or h % stride or w % stride:
-        raise DimensionError(f"avg_pool: stride {stride} does not divide {h}x{w}")
-    n = stride * stride
-    cols = x.data[..., ::stride]
-    for j in range(1, stride):
-        cols = cols + x.data[..., j::stride]
-    rows = cols[:, :, ::stride]
-    for i in range(1, stride):
-        rows = rows + cols[:, :, i::stride]
+        raise DimensionError(f"norm_relu_pool: stride {stride} does not divide {h}x{w}")
+    s, hw = stride, h * w
+    ho, wo, n = h // s, w // s, s * s
+    # numpy reduces a lone column pairwise, not row by row as it does a wider
+    # block: 1x1 images therefore go in one chunk, so no bit depends on chunking
+    step = max(1, b) if hw == 1 else max(1, _CHUNK_BYTES // (8 * c * hw))
+    chunks = [(lo, min(b, lo + step)) for lo in range(0, b, step)]
+    keep = _grad_enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    if keep:
+        xhat, inv, mask = np.empty((c, b * hw)), np.empty(b * hw), np.empty((c, b * hw), bool)
+    x2, out = x.data.reshape(c, b * hw), np.empty((c, b, ho, wo))
+    for lo, hi in chunks:
+        cols = slice(lo * hw, hi * hw)
+        xc = x2[:, cols]
+        xh = np.subtract(xc, xc.mean(axis=0), out=xhat[:, cols] if keep else None)
+        iv = np.divide(1.0, np.sqrt(np.einsum("ij,ij->j", xh, xh) / c + NORM_EPS),
+                       out=inv[cols] if keep else None)
+        xh *= iv
+        y = gamma.data[:, None] * xh
+        y += beta.data[:, None]
+        if keep:
+            np.greater(y, 0.0, out=mask[:, cols])
+        np.maximum(y, 0.0, out=y)
+        y = y.reshape(c, hi - lo, h, w)
+        pooled = y[..., ::s]
+        for j in range(1, s):
+            pooled = pooled + y[..., j::s]
+        rows = pooled[:, :, ::s]
+        for i in range(1, s):
+            rows = rows + pooled[:, :, i::s]
+        np.divide(rows, n, out=out[:, lo:hi])
+    if not keep:
+        return _make(out, ())
 
-    def vjp(g):
-        return np.repeat(np.repeat(g * (1.0 / n), stride, axis=3), stride, axis=2)
+    shared = [None, None]   # (g, masked upsampled g as (C, B*H*W) rows)
 
-    return _make(rows / n, [(x, vjp)])
+    def rows_of(g):
+        # g / n repeated along W once, then broadcast over each window's s
+        # rows, so the masked product runs over whole image rows
+        if shared[0] is not g:
+            g_w = np.repeat(g * (1.0 / n), s, axis=3)
+            up = np.multiply(mask.reshape(c, b, ho, s, w), g_w[:, :, :, None, :])
+            shared[:] = g, up.reshape(c, b * hw)
+        return shared[1]
+
+    def vjp_x(g):
+        gy, dx = rows_of(g), np.empty((c, b * hw))
+        for lo, hi in chunks:
+            cols = slice(lo * hw, hi * hw)
+            d = np.multiply(gy[:, cols], gamma.data[:, None], out=dx[:, cols])
+            m2 = np.einsum("ij,ij->j", d, xhat[:, cols]) / c
+            d -= d.mean(axis=0)
+            d -= xhat[:, cols] * m2
+            d *= inv[cols]
+        return dx.reshape(x.shape)
+
+    return _make(out, [
+        (x, vjp_x),
+        (gamma, lambda g: np.einsum("ij,ij->i", rows_of(g), xhat)),
+        (beta, lambda g: rows_of(g).sum(axis=1)),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ pooling with the block's stride. The toy default turns a 32x32 input into
 a 4x4x32 map.
 
 The backbone runs channel-major: the (B, C, H, W) input is permuted once
-to (C, B, H, W), every conv, norm and pooling op takes and returns that
-layout, and the last block's output is permuted once to the batch of
-prototype maps the conditional learner reads, stored rows first as
-(B, H, W, C). The conv multiplies the kernel into each image's im2col
-columns with no transpose, the norm (``layer_norm`` over axis 0) reduces
-over whole contiguous channel rows, and no op mixes images, so a map's bits
-do not depend on the batch it was computed in. Kernels keep the
-(C_out, C_in, kh, kw) shape.
+to (C, B, H, W), each block's two ops take and return that layout, and the
+last block's output is permuted once to the batch of prototype maps the
+conditional learner reads, stored rows first as (B, H, W, C). The conv
+multiplies the kernel into each image's im2col columns with no transpose.
+``norm_relu_pool`` runs the norm over axis 0, the relu and the pooling as
+one op over chunks of whole images, and keeps for backward the normalized
+input, a per-position inverse deviation and a 1-byte relu mask, not the
+norm or relu outputs. No op mixes images, so a map's bits do not depend on
+the batch it was computed in. Kernels keep the (C_out, C_in, kh, kw) shape.
 """
 from __future__ import annotations
 
@@ -39,6 +40,9 @@ class BackboneConfig:
             raise ConfigError("backbone: at least one block is required")
         if self.feature_channels < 8:
             raise ConfigError(f"backbone: feature_channels must be >= 8, got {self.feature_channels}")
+        if self.feature_channels % 2:
+            raise ConfigError(f"backbone: feature_channels must be even for the conditional "
+                              f"learner's sinusoid encoding, got {self.feature_channels}")
         if self.feature_side < 2:
             raise ConfigError(f"backbone: feature_side must be >= 2, got {self.feature_side}")
         side = self.input_size
@@ -84,10 +88,7 @@ def extract_features(images, params: dict[str, Tensor], config: BackboneConfig) 
     x = ad.permute(x, (1, 0, 2, 3))
     for i, (cout, stride) in enumerate(config.blocks):
         x = ad.conv2d(x, params[f"block{i}.kernel"], padding=1)
-        x = ad.layer_norm(x, params[f"block{i}.gamma"], params[f"block{i}.beta"], axis=0)
-        x = ad.relu(x)
-        if stride > 1:
-            x = ad.avg_pool(x, stride)
+        x = ad.norm_relu_pool(x, params[f"block{i}.gamma"], params[f"block{i}.beta"], stride)
     return ad.permute(x, (1, 2, 3, 0))
 
 

@@ -55,9 +55,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _common_config(args)
+    model_cfg = cio.model_config_from(cfg)
+    model_cfg.validate()   # before the output directory is made
     out = _out_dir(args)
     dataset = _load_dataset(args, cfg)
-    model = Model.init(cio.model_config_from(cfg), seed=int(cfg["seed"]))
+    model = Model.init(model_cfg, seed=int(cfg["seed"]))
     train_cfg = cio.train_config_from(cfg)
     ckpt_path = out / "checkpoint.txt"
     every = int(cfg["checkpoint_every"])

@@ -180,23 +180,97 @@ class TestConv2d:
                       Tensor(np.ones((1, 1, 6, 6))), padding=1)
 
 
+def unfused_block(x, gamma, beta, stride, g):
+    """The block as three ops, in numpy: layer_norm over axis 0, np.maximum
+    and the strided pool adds, then the three ops' vjps in reverse (pool by
+    np.repeat, relu by its mask, layer_norm as it writes them). Returns the
+    output and the x, gamma and beta gradients for output gradient ``g``."""
+    c, n = x.shape[0], stride * stride
+    x2 = x.reshape(c, -1)
+    xhat = x2 - x2.mean(axis=0)
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->j", xhat, xhat) / c + ad.NORM_EPS)
+    xhat *= inv
+    y = gamma[:, None] * xhat
+    y += beta[:, None]
+    y = y.reshape(x.shape)
+    r = np.maximum(y, 0.0)
+    cols = r[..., ::stride]
+    for j in range(1, stride):
+        cols = cols + r[..., j::stride]
+    rows = cols[:, :, ::stride]
+    for i in range(1, stride):
+        rows = rows + cols[:, :, i::stride]
+    if stride > 1:
+        out = rows / n
+        g = np.repeat(np.repeat(g * (1.0 / n), stride, axis=3), stride, axis=2)
+    else:
+        out = r
+    gy = (g * (y > 0.0)).reshape(c, -1)
+    dx = gy * gamma[:, None]
+    m2 = np.einsum("ij,ij->j", dx, xhat) / c
+    dx -= dx.mean(axis=0)
+    dx -= xhat * m2
+    dx *= inv
+    return out, dx.reshape(x.shape), np.einsum("ij,ij->i", gy, xhat), gy.sum(axis=1)
+
+
 class TestAvgPool:
-    # images are channel-major: (C, B, H, W)
+    # the pooling stage of norm_relu_pool; images are channel-major (C, B, H, W)
     def test_matches_window_mean(self):
-        x = np.random.default_rng(3).normal(size=(3, 2, 4, 6))
-        out = ad.avg_pool(Tensor(x), 2)
-        ref = x.reshape(3, 2, 2, 2, 3, 2).mean(axis=(3, 5))
+        rng = np.random.default_rng(3)
+        x, gamma, beta = rng.normal(size=(3, 2, 4, 6)), rng.normal(size=3), rng.normal(size=3)
+        out = ad.norm_relu_pool(Tensor(x), Tensor(gamma), Tensor(beta), 2)
+        act = np.maximum(ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), axis=0).data, 0)
+        ref = act.reshape(3, 2, 2, 2, 3, 2).mean(axis=(3, 5))
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-15)
 
     def test_constant_input_is_fixed_point(self):
-        out = ad.avg_pool(Tensor(np.full((2, 1, 6, 6), 0.75)), 3)
-        np.testing.assert_array_equal(out.data, np.full((2, 1, 2, 2), 0.75))
+        # a constant image normalizes to 0 everywhere, so each channel is
+        # relu(beta) before pooling, and the pool keeps it exactly
+        beta = np.array([0.75, -0.5])
+        out = ad.norm_relu_pool(Tensor(np.full((2, 1, 6, 6), 0.75)), Tensor([3.0, 2.0]),
+                                Tensor(beta), 3)
+        np.testing.assert_array_equal(out.data[0], np.full((1, 2, 2), 0.75))
+        np.testing.assert_array_equal(out.data[1], np.zeros((1, 2, 2)))
 
     def test_indivisible_side_rejected(self):
-        with pytest.raises(DimensionError, match="avg_pool"):
-            ad.avg_pool(Tensor(np.zeros((2, 1, 5, 4))), 2)
-        with pytest.raises(DimensionError, match="avg_pool"):
-            ad.avg_pool(Tensor(np.zeros((2, 4, 4))), 2)
+        ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
+        with pytest.raises(DimensionError, match="norm_relu_pool"):
+            ad.norm_relu_pool(Tensor(np.zeros((2, 1, 5, 4))), ones, zeros, 2)
+        with pytest.raises(DimensionError, match="norm_relu_pool"):
+            ad.norm_relu_pool(Tensor(np.zeros((2, 4, 4))), ones, zeros, 2)
+        with pytest.raises(DimensionError, match="norm_relu_pool"):
+            ad.norm_relu_pool(Tensor(np.zeros((3, 1, 4, 4))), ones, zeros, 2)
+
+
+# (C, B, H, W), stride and chunk bytes: strides 1 to 3, chunks of one image and
+# of several that leave a shorter last chunk, the default constant over a
+# backbone-sized batch (64 images per chunk, then 16), and 1x1 images
+@pytest.mark.parametrize("shape,stride,chunk", [
+    ((4, 3, 5, 5), 1, 1), ((8, 5, 4, 4), 2, 2 * 8 * 8 * 16), ((3, 4, 6, 6), 3, 1),
+    ((16, 80, 16, 16), 2, None), ((8, 5, 1, 1), 1, 1), ((2, 7, 6, 4), 2, 3 * 8 * 2 * 24)])
+def test_norm_relu_pool_is_bit_identical_to_the_unfused_block(shape, stride, chunk,
+                                                               monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", chunk)
+    rng = np.random.default_rng(sum(shape) + stride)
+    c = shape[0]
+    x, gamma, beta = rng.normal(size=shape), rng.normal(size=c), rng.normal(size=c)
+    ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+    out = ad.norm_relu_pool(*ts, stride)
+    g = rng.normal(size=out.shape)
+    backward(ad.sum_along(ad.mul(out, g)))
+    for got, ref in zip([out.data] + [t.grad for t in ts], unfused_block(x, gamma, beta, stride, g)):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_norm_relu_pool_keeps_nothing_without_a_graph():
+    x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 4, 4)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(2), requires_grad=True), Tensor(np.zeros(2))
+    with ad.no_grad():
+        out = ad.norm_relu_pool(x, gamma, beta, 2)
+    assert not out.requires_grad and out._edges == ()
+    np.testing.assert_array_equal(out.data, ad.norm_relu_pool(x, gamma, beta, 2).data)
 
 
 class TestShapeOps:
@@ -542,16 +616,21 @@ def test_conv2d_gradients_match_oracle(seed, batch, padding):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_avg_pool_gradients_match_oracle(seed):
-    rng = np.random.default_rng(600 + seed)
-    stride = 2 + seed % 2
+    # norm_relu_pool, whose last stage is the average pool, at strides 1 to 3;
+    # a 1e-3 step moves some normalized entries across the relu's kink
+    rng, step = np.random.default_rng(600 + seed), 1e-5
+    stride = 1 + seed % 3
     x = _random_tensor(rng, (3, 2, 2 * stride, 3 * stride))
+    gamma, beta = _random_tensor(rng, (3,)), _random_tensor(rng, (3,))
 
-    def f(t):
-        out = ad.avg_pool(t, stride)
+    def loss(x, gamma, beta):
+        out = ad.norm_relu_pool(x, gamma, beta, stride)
         return ad.sum_along(ad.mul(out, out))
 
-    backward(f(x))
-    assert max_relative_error(x.grad, fd_gradient_oracle(f, x)) < FD_TOL
+    backward(loss(x, gamma, beta))
+    for leaf, f in ((x, lambda t: loss(t, gamma, beta)), (gamma, lambda t: loss(x, t, beta)),
+                    (beta, lambda t: loss(x, gamma, t))):
+        assert max_relative_error(leaf.grad, fd_gradient_oracle(f, leaf, step)) < FD_TOL
 
 
 @pytest.mark.parametrize("seed", range(5))

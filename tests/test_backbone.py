@@ -41,6 +41,12 @@ def test_inconsistent_spatial_arithmetic_rejected():
         BackboneConfig(feature_side=8).validate()
 
 
+def test_odd_feature_channels_rejected():
+    # the conditional learner's sinusoid encoding pairs channels
+    with pytest.raises(ConfigError, match="feature_channels"):
+        BackboneConfig(blocks=((8, 2), (16, 2), (33, 2)), feature_channels=33).validate()
+
+
 def test_zero_image_yields_finite_features():
     cfg = BackboneConfig()
     params = init_backbone(cfg, seed=1)
@@ -109,9 +115,9 @@ def test_gradients_reach_every_backbone_parameter():
 
 def test_graph_is_channel_major_between_two_permutes():
     # the backbone permutes its input to (C, B, H, W) once and its output to
-    # (B, H, W, C) once; a per-block transpose, a pooling mean or a second
-    # norm per block showing up means the layout regressed (each block's one
-    # norm is layer_norm over axis 0)
+    # (B, H, W, C) once, and each block is one conv2d and one norm_relu_pool;
+    # a per-block transpose, a pooling mean, or a separate norm, relu or pool
+    # showing up means the layout or the fused block regressed
     cfg = BackboneConfig()
     params = init_backbone(cfg, seed=0)
     img = Tensor(np.random.default_rng(5).uniform(size=(2, 1, 32, 32)), requires_grad=True)
@@ -125,8 +131,8 @@ def test_graph_is_channel_major_between_two_permutes():
         stack.extend(parent for parent, _ in node._edges)
     assert counts["permute"] == 2
     assert counts["max_pool2"] == 0 and counts["mean"] == 0
-    assert counts["conv2d"] == counts["layer_norm"] == counts["avg_pool"] == len(cfg.blocks)
-    assert sum(counts.values()) == 2 + 4 * len(cfg.blocks)
+    assert counts["conv2d"] == counts["norm_relu_pool"] == len(cfg.blocks)
+    assert sum(counts.values()) == 2 + 2 * len(cfg.blocks)
 
 
 def test_pooled_feature_shape_and_value():

@@ -451,6 +451,17 @@ class TestCli:
         assert rc == 2
         assert "feature_side" in capsys.readouterr().err
 
+    def test_odd_feature_channels_exits_2_before_making_the_output_directory(self, tmp_path,
+                                                                             capsys):
+        # it built the dataset and the model and failed only in the first
+        # conditional forward, after the output directory was made
+        rc = main(["train", "--out", str(tmp_path / "run"), *TINY_FLAGS,
+                   "--feature-channels", "9"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "feature_channels" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_non_finite_mix_exits_2_and_writes_no_pools(self, tmp_path, capsys):
         rc = main(["gen-data", "--out", str(tmp_path), *TINY_FLAGS, "--mix-camouflaged", "nan"])
         assert rc == 2

@@ -1,5 +1,5 @@
 """Property-based checks of the backbone ops (conv2d, layer_norm along any
-axis, avg_pool) and of index_axis: random shapes against nested-loop and
+axis, norm_relu_pool) and of index_axis: random shapes against nested-loop and
 numpy oracles, and their vjps against the finite-difference oracle. Random
 small graphs check that backward, which frees the graph as it walks it,
 still adds every path's gradient into the leaves. The conditional learner
@@ -8,8 +8,10 @@ on position rows is checked bit for bit against its grid-level composition.
 Examples are derandomized and few, so the suite runs the same cases in
 about a second every time.
 """
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condrep import autodiff as ad
@@ -38,6 +40,18 @@ def conv_oracle(x, k, padding):
                             for j in range(kw):
                                 out[o, n, r, q] += xp[c, n, r + i, q + j] * k[o, c, i, j]
     return out
+
+
+def conv_x_grad_oracle(g, k, x_shape, padding):
+    cin, b, h, w = x_shape
+    cout, _, kh, kw = k.shape
+    dxp = np.zeros((cin, b, h + 2 * padding, w + 2 * padding))
+    for o, n, r, q in np.ndindex(g.shape):
+        for c in range(cin):
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[c, n, r + i, q + j] += g[o, n, r, q] * k[o, c, i, j]
+    return dxp[:, :, padding:padding + h, padding:padding + w]
 
 
 def pool_oracle(x, stride):
@@ -76,12 +90,15 @@ def conv_cases(draw, max_side=6, max_batch=3):
 
 
 @st.composite
-def pool_cases(draw, max_cells=3):
+def pool_cases(draw, max_cells=3, max_batch=4):
+    # the chunk size makes norm_relu_pool split the batch into one-image
+    # chunks, into chunks of two with a shorter last one, or not at all
     stride = draw(st.integers(1, 3))
-    c, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    c, b = draw(st.integers(1, 3)), draw(st.integers(1, max_batch))
     h, w = (stride * draw(st.integers(1, max_cells)) for _ in range(2))
+    chunk = draw(st.sampled_from([1, 2 * 8 * c * h * w, 1 << 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return rng.normal(size=(c, b, h, w)), stride
+    return rng.normal(size=(c, b, h, w)), rng.normal(size=c), rng.normal(size=c), stride, chunk
 
 
 @st.composite
@@ -114,20 +131,35 @@ def _grad_error(f, x, step=1e-3):
     return max_relative_error(x.grad, fd_gradient_oracle(f, x, step))
 
 
+# several non-square images: the x-gradient orders its columns (H', W', B),
+# which a single or square image would not tell apart from (B, H', W')
+_WIDE_BATCH = tuple(np.random.default_rng(7).normal(size=s) for s in [(2, 3, 3, 4), (3, 2, 3, 3)])
+
+
 @ORACLE
 @given(conv_cases())
+@example((*_WIDE_BATCH, 1))
+@example((*_WIDE_BATCH, 0))
 def test_conv2d_matches_nested_loops(case):
     x, k, padding = case
-    out = ad.conv2d(Tensor(x), Tensor(k), padding=padding).data
-    np.testing.assert_allclose(out, conv_oracle(x, k, padding), rtol=1e-12, atol=1e-12)
+    t = Tensor(x, requires_grad=True)
+    out = ad.conv2d(t, Tensor(k), padding=padding)
+    np.testing.assert_allclose(out.data, conv_oracle(x, k, padding), rtol=1e-12, atol=1e-12)
+    g = np.random.default_rng(3).normal(size=out.shape)
+    backward(ad.sum_along(ad.mul(out, g)))
+    np.testing.assert_allclose(t.grad, conv_x_grad_oracle(g, k, x.shape, padding),
+                               rtol=1e-12, atol=1e-12)
 
 
 @ORACLE
 @given(pool_cases())
 def test_avg_pool_matches_nested_loops(case):
-    x, stride = case
-    np.testing.assert_allclose(ad.avg_pool(Tensor(x), stride).data, pool_oracle(x, stride),
-                               rtol=1e-13, atol=1e-14)
+    # norm_relu_pool against the norm oracle, relu and the pool oracle
+    x, gamma, beta, stride, chunk = case
+    with mock.patch.object(ad, "_CHUNK_BYTES", chunk):
+        out = ad.norm_relu_pool(Tensor(x), Tensor(gamma), Tensor(beta), stride).data
+    ref = pool_oracle(np.maximum(norm_oracle(x, gamma, beta), 0.0), stride)
+    np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
 
 
 @ORACLE
@@ -201,6 +233,7 @@ def test_int_index_equals_the_squeezed_one_element_gather(case):
 
 @GRADCHECK
 @given(conv_cases(max_side=4, max_batch=2))
+@example((*_WIDE_BATCH, 1))
 def test_conv2d_vjps_match_finite_differences(case):
     x, k, padding = case
     assert _grad_error(lambda t: _sq(ad.conv2d(t, Tensor(k), padding=padding)), x) < FD_TOL
@@ -208,10 +241,18 @@ def test_conv2d_vjps_match_finite_differences(case):
 
 
 @GRADCHECK
-@given(pool_cases(max_cells=2))
+@given(pool_cases(max_cells=2, max_batch=3))
 def test_avg_pool_vjp_matches_finite_differences(case):
-    x, stride = case
-    assert _grad_error(lambda t: _sq(ad.avg_pool(t, stride)), x) < FD_TOL
+    # norm_relu_pool's three vjps; the step is the norm's (see below), which
+    # also keeps the differences off the relu's kink
+    x, gamma, beta, stride, chunk = case
+    g, b, step = Tensor(gamma), Tensor(beta), 1e-5
+    with mock.patch.object(ad, "_CHUNK_BYTES", chunk):
+        assert _grad_error(lambda t: _sq(ad.norm_relu_pool(t, g, b, stride)), x, step) < FD_TOL
+        assert _grad_error(lambda t: _sq(ad.norm_relu_pool(Tensor(x), t, b, stride)), gamma,
+                           step) < FD_TOL
+        assert _grad_error(lambda t: _sq(ad.norm_relu_pool(Tensor(x), g, t, stride)), beta,
+                           step) < FD_TOL
 
 
 @GRADCHECK

@@ -370,11 +370,9 @@ class TestTrainLoop:
         assert not (tmp_path / "checkpoint.txt").exists()
 
 
-def test_backward_peak_stays_near_the_forward_live_memory():
-    # backward frees each node's activations, closures and gradient as its
-    # walk passes it; when it kept them all to the end, a default batch's
-    # backward peaked at 1.58x the memory the forward left alive (206 vs
-    # 131 MB); now 1.01x
+def default_batch_memory():
+    """Bytes a default-config batch's forward leaves alive, and the peak of its
+    backward, both above what was allocated before the forward."""
     model = Model.init(ModelConfig(), seed=0)
     batch = sample_pair_batch(build_dataset(DatasetConfig()), 80, np.random.default_rng(0),
                               augment="randaugment")
@@ -388,8 +386,27 @@ def test_backward_peak_stays_near_the_forward_live_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return live, peak
+
+
+def test_backward_peak_stays_near_the_forward_live_memory():
+    # backward frees each node's activations, closures and gradient as its
+    # walk passes it; when it kept them all to the end, a default batch's
+    # backward peaked at 1.58x the memory the forward left alive (206 vs
+    # 131 MB); now 1.01x
+    live, peak = default_batch_memory()
     assert live > 50e6, live
     assert peak <= 1.15 * live, (peak, live)
+
+
+def test_forward_keeps_no_block_norm_or_relu_output():
+    # each backbone block keeps its conv output, the normalized input, a
+    # per-position inverse deviation and a 1-byte relu mask for backward:
+    # 99.9 MB live on this batch (139 distinct images). Keeping the blocks'
+    # norm or relu outputs as well adds 15.9 MB each (the three ops apart
+    # kept both: 129.8 MB)
+    live, _peak = default_batch_memory()
+    assert live < 108e6, live
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
