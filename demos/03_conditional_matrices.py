@@ -20,8 +20,10 @@ query = apply_difficulty(generate_base_image(2, 9), "blurry_noisy", seed=9)
 fs = model.features(support.image[None])
 fq = model.features(query.image[None])
 out = conditional_forward(fs, fq, model.kernel)
-print("support conditional matrix:\n", np.round(out.support_matrix.data[0], 4))
-print("query conditional matrix:\n", np.round(out.query_matrix.data[0], 4))
+# each matrix comes back as a (W*H, 1) column over the map's position rows
+grid = fs.shape[1:3]
+print("support conditional matrix:\n", np.round(out.support_matrix.data[0].reshape(grid), 4))
+print("query conditional matrix:\n", np.round(out.query_matrix.data[0].reshape(grid), 4))
 
 swapped = conditional_forward(fq, fs, model.kernel)
 print("swap symmetry, bit-exact:",

@@ -11,12 +11,12 @@ freed once its vjps have run, so a backward pass holds little more than
 the forward left alive. A second walk that reaches a consumed tensor raises.
 
 Operations accept arbitrary leading batch dimensions where the math
-allows it (matmul, softmax, elementwise ops); layer_norm normalizes any one
-axis, and index_axis selects or gathers along any one axis. The backbone ops
-are channel-major instead and take (C, B, H, W): conv2d, and norm_relu_pool,
-which runs the rest of a block (layer_norm over axis 0, relu, average
-pooling) as one op over cache-sized chunks and keeps for backward only the
-normalized input, a per-position inverse deviation and a 1-byte relu mask.
+allows it (matmul, softmax, layer_norm of the last axis, elementwise ops),
+and index_axis selects or gathers along any one axis. The backbone ops are
+channel-major and take (C, B, H, W): conv2d, and norm_relu_pool, which runs
+the rest of a block (channel norm, relu, average pooling) as one op over
+cache-sized chunks, keeping only the normalized input, a per-position
+inverse deviation and a 1-byte relu mask for backward.
 The batched forms are exercised by the same finite-difference gradient
 suite as the plain ones.
 
@@ -257,52 +257,35 @@ def softmax_lastdim(x) -> Tensor:
     return _make(y, [(x, vjp)])
 
 
-def layer_norm(x, gamma, beta, axis: int = -1) -> Tensor:
-    """Normalize ``axis`` to zero mean / unit variance at every other index,
-    then scale and shift each entry along it by ``gamma`` and ``beta``.
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize every row of the last axis to zero mean / unit variance,
+    then scale and shift its entries by ``gamma`` and ``beta`` (Ba et al.,
+    *Layer Normalization*, arXiv 1607.06450).
 
-    The axis is moved to the front and the data laid out as a contiguous
-    (n, rest) array, a view for ``axis=0``. Every reduction adds the n rows
-    one after another, so the statistics at one index never depend on the
-    values at another, and an axis gives the same bits wherever it lies."""
+    Each statistic is a numpy reduction of one row, so a row's bits never
+    depend on the other rows of its batch."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if not -x.ndim <= axis < x.ndim or x.shape[axis] == 0:
-        raise DimensionError(f"layer_norm: axis {axis} empty or out of range for shape {x.shape}")
-    n = x.shape[axis]
-    if gamma.shape != (n,) or beta.shape != (n,):
-        raise DimensionError(
-            f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} do not match axis length {n}")
-
-    def rows(a):
-        return np.ascontiguousarray(np.moveaxis(a, axis, 0).reshape(n, -1))
-
-    moved_shape = np.moveaxis(x.data, axis, 0).shape
-    x2 = rows(x.data)
-    xhat = x2 - x2.mean(axis=0)
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->j", xhat, xhat) / n + NORM_EPS)
+    n = x.shape[-1] if x.ndim else 0
+    if n == 0 or gamma.shape != (n,) or beta.shape != (n,):
+        raise DimensionError(f"layer_norm: last axis of {x.shape} empty or not matched by "
+                             f"gamma/beta shapes {gamma.shape}/{beta.shape}")
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + NORM_EPS)
     xhat *= inv
-    out = gamma.data[:, None] * xhat
-    out += beta.data[:, None]
-
-    shared = [None, None]   # (g, rows(g)): one transposed copy for all three vjps
-
-    def rows_of(g):
-        if shared[0] is not g:
-            shared[:] = g, rows(g)
-        return shared[1]
+    out = gamma.data * xhat + beta.data
 
     def vjp_x(g):
-        dx = rows_of(g) * gamma.data[:, None]
-        m2 = np.einsum("ij,ij->j", dx, xhat) / n
-        dx -= dx.mean(axis=0)
+        dx = g * gamma.data
+        m2 = np.einsum("...i,...i->...", dx, xhat)[..., None] / n
+        dx -= dx.mean(axis=-1, keepdims=True)
         dx -= xhat * m2
         dx *= inv
-        return np.ascontiguousarray(np.moveaxis(dx.reshape(moved_shape), 0, axis))
+        return dx
 
-    return _make(np.moveaxis(out.reshape(moved_shape), 0, axis), [
+    return _make(out, [
         (x, vjp_x),
-        (gamma, lambda g: np.einsum("ij,ij->i", rows_of(g), xhat)),
-        (beta, lambda g: rows_of(g).sum(axis=1)),
+        (gamma, lambda g: np.einsum("ij,ij->j", g.reshape(-1, n), xhat.reshape(-1, n))),
+        (beta, lambda g: g.reshape(-1, n).sum(axis=0)),
     ])
 
 
@@ -359,19 +342,19 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
 
 def norm_relu_pool(x, gamma, beta, stride: int) -> Tensor:
     """One backbone block after its conv, on channel-major (C,B,H,W) input:
-    ``layer_norm`` over axis 0, relu, then the average over non-overlapping
-    stride x stride windows (column neighbours added first, then row
-    neighbours); returns (C,B,H/stride,W/stride).
+    each position's C channels normalized to zero mean / unit variance,
+    scaled by ``gamma`` and shifted by ``beta``, relu, then the average over
+    non-overlapping stride x stride windows (column neighbours added first,
+    then row neighbours); returns (C,B,H/stride,W/stride).
 
-    Every position gets the arithmetic of those three ops in a row. The
-    forward runs over chunks of whole images of about ``_CHUNK_BYTES``, so
+    Each statistic adds one position's C channel rows in turn. The forward
+    runs over chunks of whole images of about ``_CHUNK_BYTES``, so
     each elementwise pass stays in cache, and keeps for backward only the
     normalised input, the per-position inverse deviation and a 1-byte relu
     mask, not the norm or relu outputs (Rota Bulo et al., *In-Place
     Activated BatchNorm*, CVPR 2018). Without a graph to record it keeps
     nothing. The vjps share one masked, upsampled gradient; the x-gradient
-    runs chunk by chunk, and gamma and beta reduce whole channel rows as
-    ``layer_norm`` does."""
+    runs chunk by chunk, and gamma and beta reduce whole channel rows."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4 or 0 in (x.shape[0], x.shape[2], x.shape[3]):
         raise DimensionError(f"norm_relu_pool: expected (C,B,H,W) with C, H, W >= 1, "

@@ -1,7 +1,7 @@
 """Conditional learner on (..., W*H, C) position rows: each image attends
 against its pair view, then a bidirectional 4D convolution reduces the
 relation tensor ``rel[ws, hs, wq, hq, c] = s[ws, hs, c] * q[wq, hq, c]`` of
-the two attended maps.
+the two attended maps to one (..., W*H, 1) column per side.
 
 Each image's rows plus the first W*H rows of the 2*W*H sinusoid table are
 both its attending query and the first half of its self-first view
@@ -16,7 +16,7 @@ linear in rel, and rel is an outer product, so it factors exactly into
 ``pooled[c] = sum_{wq, hq} coef[wq, hq] * q[wq, hq, c]``; the query direction
 mirrors it. That costs O(W*H*C), not rel's O((W*H)^2 * C), so the model never
 builds rel: :func:`build_relation_tensor` and :func:`conv4d_oracle` keep the
-dense form as the tests' referee.
+dense form as the tests' referee, against :func:`conditional_matrices`.
 
 Symmetry contract: for any inputs a, b and any parameter values,
 ``conditional_forward(a, b).support_matrix`` is bit-identical to
@@ -25,9 +25,9 @@ make that hold exactly rather than only up to rounding:
 
 * each side attends against its own self-first view, so a given image's
   attention computation is the same float program in either role;
-* both directions are one helper, ``_directional_reduce(own, other)``,
-  called as ``(s, q)`` and as ``(q, s)`` with the same sliding weights, the
-  shared 4D kernel's centre cross-slice ``weights[:, :, M//2, N//2]``.
+* both directions are one helper on rows, ``_directional_reduce``, called as
+  ``(s, q)`` and as ``(q, s)`` with the same fold weights, built once from
+  the shared 4D kernel's centre cross-slice ``weights[:, :, M//2, N//2]``.
 """
 from __future__ import annotations
 
@@ -137,18 +137,27 @@ def _fold_matrix(grid: int, k: int) -> np.ndarray:
     return fold
 
 
-def _directional_reduce(own: Tensor, other: Tensor, kern: Tensor, bias: Tensor) -> Tensor:
-    """Conditional matrix on ``own``'s grid, with the sliding kernel slice
-    ``kern`` moving over ``other``'s: ``relu(own . pooled + bias)``."""
-    *_, wr, hr, c = other.shape
+def _fold_weights(kern: Tensor, w: int, h: int) -> Tensor:
+    """(1, W*H) fold weights ``F_W . K . F_H^T`` of a W x H grid under slice ``kern``."""
     k, l = kern.shape
-    coef = ad.matmul(ad.matmul(Tensor(_fold_matrix(wr, k)), kern),
-                     Tensor(_fold_matrix(hr, l).T))                     # (Wr, Hr)
-    pooled = ad.matmul(ad.reshape(coef, (1, wr * hr)),
-                       ad.reshape(other, other.shape[:-3] + (wr * hr, c)))   # (..., 1, C)
-    own_rows = ad.reshape(own, own.shape[:-3] + (own.shape[-3] * own.shape[-2], c))
-    summed = ad.matmul(own_rows, ad.reshape(pooled, pooled.shape[:-2] + (c, 1)))
-    return ad.relu(ad.add(ad.reshape(summed, own.shape[:-1]), bias))
+    coef = ad.matmul(ad.matmul(Tensor(_fold_matrix(w, k)), kern), Tensor(_fold_matrix(h, l).T))
+    return ad.reshape(coef, (1, w * h))
+
+
+def _directional_reduce(own: Tensor, other: Tensor, coef: Tensor, bias: Tensor) -> Tensor:
+    """(..., T, 1) column ``relu(own . pooled + bias)`` of ``own``'s (..., T, C) rows, with
+    ``pooled`` (..., 1, C) the (1, T') fold weights ``coef`` applied to ``other``'s rows."""
+    pooled = ad.matmul(coef, other)
+    return ad.relu(ad.add(ad.matmul(own, ad.reshape(pooled, pooled.shape[:-2] + (-1, 1))), bias))
+
+
+def _reduce_rows(s_rows, q_rows, s_grid, q_grid, kernel: ConvKernel4D) -> tuple[Tensor, Tensor]:
+    """Support and query columns of (..., W*H, C) rows on W x H grids; equal
+    grids share one set of fold weights."""
+    kern = kernel.sliding_slice()
+    coef = {grid: _fold_weights(kern, *grid) for grid in {q_grid, s_grid}}
+    return (_directional_reduce(s_rows, q_rows, coef[q_grid], kernel.bias),
+            _directional_reduce(q_rows, s_rows, coef[s_grid], kernel.bias))
 
 
 def conditional_matrices(s_corr, q_corr, kernel: ConvKernel4D) -> tuple[Tensor, Tensor]:
@@ -160,9 +169,9 @@ def conditional_matrices(s_corr, q_corr, kernel: ConvKernel4D) -> tuple[Tensor, 
             or s.shape[-1] != q.shape[-1]:
         raise DimensionError(f"conditional_matrices: expected (..., W, H, C) inputs with "
                              f"equal batch dims and channels, got {s.shape} and {q.shape}")
-    kern = kernel.sliding_slice()
-    return (_directional_reduce(s, q, kern, kernel.bias),
-            _directional_reduce(q, s, kern, kernel.bias))
+    rows = [ad.reshape(t, t.shape[:-3] + (-1, t.shape[-1])) for t in (s, q)]
+    columns = _reduce_rows(*rows, s.shape[-3:-1], q.shape[-3:-1], kernel)
+    return tuple(ad.reshape(col, t.shape[:-1]) for col, t in zip(columns, (s, q)))
 
 
 def build_relation_tensor(support_corr, query_corr) -> Tensor:
@@ -232,12 +241,13 @@ def conv4d_oracle(rel, kernel: ConvKernel4D, direction: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ConditionalOutput(NamedTuple):
-    support_matrix: Tensor   # (..., W, H)
-    query_matrix: Tensor     # (..., W, H)
+    support_matrix: Tensor   # (..., W*H, 1) column, one entry per position row
+    query_matrix: Tensor     # (..., W*H, 1)
 
 
 def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
-    """Full conditional learner for one (support, query) prototype pair."""
+    """Full conditional learner for one (support, query) pair of (..., W, H, C)
+    maps; each matrix comes back as a (..., W*H, 1) column of position rows."""
     fs, fq = ad.as_tensor(fs), ad.as_tensor(fq)
     if fs.ndim < 3 or fs.shape != fq.shape:
         raise DimensionError(f"conditional_forward: expected equal (..., W, H, C) prototype "
@@ -251,6 +261,5 @@ def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
     own_s, own_q = ad.add(rows_s, pe[:t]), ad.add(rows_q, pe[:t])
     view_s = ad.concat([own_s, ad.add(rows_q, pe[t:])], axis=-2)     # support's [self; other]
     view_q = ad.concat([own_q, ad.add(rows_s, pe[t:])], axis=-2)     # query's [self; other]
-    s_corr = ad.reshape(attend(own_s, view_s, view_s), fs.shape)
-    q_corr = ad.reshape(attend(own_q, view_q, view_q), fq.shape)
-    return ConditionalOutput(*conditional_matrices(s_corr, q_corr, kernel))
+    return ConditionalOutput(*_reduce_rows(attend(own_s, view_s, view_s),
+                                           attend(own_q, view_q, view_q), (w, h), (w, h), kernel))

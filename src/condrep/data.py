@@ -445,10 +445,13 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
             if mask.dtype != bool or mask.shape != (size, size):
                 raise DataError(f"load_pools: {f} holds a {mask.dtype} {mask.shape} mask; it "
                                 f"must be bool and ({size}, {size}), the image's side")
+            if (seed := arrays["seed"]).shape != () or seed.dtype.kind not in "iu":
+                raise DataError(f"load_pools: {f} holds a {seed.dtype} {seed.shape} seed; "
+                                f"it must be a single integer")
             (support if pool == "support" else query).append(SyntheticSample(
                 image=image, class_id=class_id, pool=pool,
                 transforms_applied=[] if tags == "clean" else tags.split("-"),
-                target_mask=mask, seed=int(arrays["seed"])))
+                target_mask=mask, seed=int(seed)))
     cfg = config or DatasetConfig(
         n_classes=len(class_dirs),
         support_per_class=max(1, len(support) // max(1, len(class_dirs))),

@@ -51,6 +51,10 @@ class ModelConfig:
         if bb.get("pool", "avg") != "avg":
             raise ConfigError(f"model: backbone key 'pool' = {bb['pool']!r} is not supported; "
                               f"the backbone only average-pools")
+        sizes = [bb[k] for k in ("input_size", "channels_in", "feature_channels", "feature_side")]
+        if any(type(v) is not int for v in sizes + [n for b in bb["blocks"] for n in b]
+               + list(d["kernel_shape"])):
+            raise TypeError("model: every size and shape entry must be an integer")
         return cls(
             backbone=BackboneConfig(
                 input_size=bb["input_size"],

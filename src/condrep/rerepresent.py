@@ -1,10 +1,11 @@
-"""Re-representation learner: fuse each conditional matrix with its prototype
-map, compress, self-attend, and pool to the final C-dimensional vector.
+"""Re-representation learner: fuse each conditional column with its
+prototype's position rows, compress, self-attend, and pool to the final
+C-dimensional vector. Every step works on (..., W*H, C) rows.
 
 Structures:
   siamese      one shared parameter set serves both sides (default)
   non_siamese  independent parameter sets fixed to the support / query sides
-  non_residual the conditional matrix alone (W x H x 1) is fed forward,
+  non_residual the (W*H, 1) conditional column alone is fed forward,
                without the prototype features
 """
 from __future__ import annotations
@@ -60,24 +61,23 @@ def _one_side(c: int, in_dim: int, rng) -> dict[str, Tensor]:
 
 
 def fuse_conditional(f, w) -> Tensor:
-    """Append the conditional matrix as one extra channel: (..., W, H, C+1)."""
+    """Append the (..., T, 1) conditional column to the (..., T, C) feature
+    rows as one extra channel: (..., T, C+1)."""
     f, w = ad.as_tensor(f), ad.as_tensor(w)
-    if f.ndim < 3 or f.shape[:-1] != w.shape:
-        raise DimensionError(f"fuse_conditional: spatial shapes differ, feature "
-                             f"{f.shape} vs matrix {w.shape}")
-    return ad.concat([f, ad.reshape(w, w.shape + (1,))], axis=-1)
+    if f.ndim < 2 or w.shape != f.shape[:-1] + (1,):
+        raise DimensionError(f"fuse_conditional: positions differ, feature rows "
+                             f"{f.shape} vs column {w.shape}")
+    return ad.concat([f, w], axis=-1)
 
 
 def mlp_compress(x, params: dict[str, Tensor]) -> Tensor:
-    """Per-position affine (C_in -> C) + relu, flattened to (..., W*H, C)."""
+    """Per-position affine (C_in -> C) + relu of (..., T, C_in) rows."""
     x = ad.as_tensor(x)
     weight, bias = params["compress.weight"], params["compress.bias"]
-    if x.ndim < 3 or x.shape[-1] != weight.shape[0]:
+    if x.ndim < 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"mlp_compress: input {x.shape} does not match weight "
                              f"{weight.shape}")
-    w, h = x.shape[-3], x.shape[-2]
-    flat = ad.reshape(x, x.shape[:-3] + (w * h, x.shape[-1]))
-    return ad.relu(ad.add(ad.matmul(flat, weight), bias))
+    return ad.relu(ad.add(ad.matmul(x, weight), bias))
 
 
 def self_attend(f_prime, params: dict[str, Tensor]) -> Tensor:
@@ -108,10 +108,10 @@ def finalize_vector(f_prime, f_hat, params: dict[str, Tensor]) -> Tensor:
     return ad.mean(y, axis=y.ndim - 2)
 
 
-def _represent_side(feature, matrix, params: dict[str, Tensor], residual: bool) -> Tensor:
-    fused = fuse_conditional(feature, matrix) if residual \
-        else ad.reshape(matrix, matrix.shape + (1,))
-    f_prime = mlp_compress(fused, params)
+def _represent_side(feature, column, params: dict[str, Tensor], residual: bool) -> Tensor:
+    x = fuse_conditional(ad.reshape(feature, column.shape[:-1] + feature.shape[-1:]), column) \
+        if residual else column
+    f_prime = mlp_compress(x, params)
     f_hat = self_attend(f_prime, params)
     return finalize_vector(f_prime, f_hat, params)
 

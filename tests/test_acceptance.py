@@ -109,8 +109,8 @@ def test_criterion_1_gradient_suite():
         x = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
         img = Tensor(rng.normal(size=(1, 1, 5, 5)))
         worst = max(worst, _grad_check(lambda t: sq(ad.conv2d(img, t, 1)), x))
-        x = Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
-        worst = max(worst, _grad_check(lambda t: sq(ad.layer_norm(t, gamma, beta, axis=0)), x))
+        x = Tensor(rng.normal(size=(4, 2, 2, 4)), requires_grad=True)
+        worst = max(worst, _grad_check(lambda t: sq(ad.norm_relu_pool(t, gamma, beta, 2)), x))
 
     # full composite: loss of the complete pair pipeline w.r.t. images and
     # params, with the kernel at a trained-like scale (the near-flat init is

@@ -103,32 +103,19 @@ class TestLayerNorm:
         with pytest.raises(DimensionError):
             ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
-    # axis=0 normalizes a channel-major (C, ...) tensor, as the backbone does
-    def test_axis0_constant_column_goes_to_zero(self):
-        out = ad.layer_norm(Tensor(np.full((3, 2), 4.0)), Tensor(np.ones(3)),
-                            Tensor(np.zeros(3)), axis=0)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
-
-    def test_axis0_matches_last_axis_of_the_transpose(self):
+    def test_rows_do_not_depend_on_their_batch(self):
+        # each statistic reduces one row, so a row normalizes to the same bits
+        # alone as in any batch
         rng = np.random.default_rng(4)
-        x, gamma, beta = rng.normal(size=(6, 2, 5)), rng.normal(size=6), rng.normal(size=6)
-        out = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), axis=0).data
-        ref = ad.layer_norm(Tensor(np.moveaxis(x, 0, -1)), Tensor(gamma), Tensor(beta)).data
-        np.testing.assert_array_equal(out, np.moveaxis(ref, -1, 0))
+        x, gamma, beta = rng.normal(size=(5, 7, 64)), rng.normal(size=64), rng.normal(size=64)
+        batch = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        for i, j in ((0, 0), (4, 6), (2, 3)):
+            alone = ad.layer_norm(Tensor(x[i, j]), Tensor(gamma), Tensor(beta)).data
+            np.testing.assert_array_equal(alone, batch[i, j])
 
-    def test_axis0_zero_gamma_broadcasts_beta(self):
-        beta = np.array([1.0, -2.0, 0.5])
-        out = ad.layer_norm(Tensor(np.random.default_rng(1).normal(size=(3, 4, 2))),
-                            Tensor(np.zeros(3)), Tensor(beta), axis=0)
-        np.testing.assert_array_equal(out.data, np.broadcast_to(beta[:, None, None], (3, 4, 2)))
-
-    def test_axis0_bad_shapes_rejected(self):
+    def test_gamma_beta_of_wrong_length_rejected(self):
         with pytest.raises(DimensionError, match="layer_norm"):
-            ad.layer_norm(Tensor(np.zeros((0, 2))), Tensor(np.ones(0)), Tensor(np.zeros(0)), axis=0)
-        with pytest.raises(DimensionError, match="layer_norm"):
-            ad.layer_norm(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), axis=0)
-        with pytest.raises(DimensionError, match="layer_norm"):
-            ad.layer_norm(Tensor(np.zeros((3, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3)), axis=2)
+            ad.layer_norm(Tensor(np.zeros((3, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
 class TestRelu:
@@ -220,7 +207,8 @@ class TestAvgPool:
         rng = np.random.default_rng(3)
         x, gamma, beta = rng.normal(size=(3, 2, 4, 6)), rng.normal(size=3), rng.normal(size=3)
         out = ad.norm_relu_pool(Tensor(x), Tensor(gamma), Tensor(beta), 2)
-        act = np.maximum(ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), axis=0).data, 0)
+        normed = ad.layer_norm(Tensor(np.moveaxis(x, 0, -1)), Tensor(gamma), Tensor(beta)).data
+        act = np.maximum(np.moveaxis(normed, -1, 0), 0)
         ref = act.reshape(3, 2, 2, 2, 3, 2).mean(axis=(3, 5))
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-15)
 
@@ -562,32 +550,36 @@ def test_batched_matmul_gradients_match_oracle(seed):
     assert max_relative_error(y.grad, fd) < FD_TOL
 
 
-# the last axis of a (3, 4) array (the head's norm), and axis 0 of a channel-major
-# (4, 2, 3) array (the backbone's)
-@pytest.mark.parametrize("axis,shape,seed", [
-    *(pytest.param(-1, (3, 4), 300 + s, id=str(s)) for s in range(5)),
-    *(pytest.param(0, (4, 2, 3), 500 + s, id=f"axis0-{s}") for s in range(5))])
-def test_layer_norm_gradients_match_oracle(axis, shape, seed):
+# the head's norm on (3, 4) rows, and on a batch of rows made by permuting the
+# feature axis 0 of a channel-major (4, 2, 3) array last; its gradient flows
+# back through the permute
+@pytest.mark.parametrize("moved,seed", [
+    *(pytest.param(False, 300 + s, id=str(s)) for s in range(5)),
+    *(pytest.param(True, 500 + s, id=f"axis0-{s}") for s in range(5))])
+def test_layer_norm_gradients_match_oracle(moved, seed):
     rng = np.random.default_rng(seed)
     gamma = Tensor(rng.normal(size=4), requires_grad=True)
     beta = Tensor(rng.normal(size=4), requires_grad=True)
-    x = _random_tensor(rng, shape)
+    x = _random_tensor(rng, (4, 2, 3) if moved else (3, 4))
+
+    def norm(t, g, b):
+        return ad.layer_norm(ad.permute(t, (1, 2, 0)) if moved else t, g, b)
 
     def f_x(t):
-        out = ad.layer_norm(t, gamma, beta, axis=axis)
+        out = norm(t, gamma, beta)
         return ad.sum_along(ad.mul(out, out))
 
     backward(f_x(x))
     assert max_relative_error(x.grad, fd_gradient_oracle(f_x, x)) < FD_TOL
 
     def f_gamma(t):
-        out = ad.layer_norm(x, t, beta, axis=axis)
+        out = norm(x, t, beta)
         return ad.sum_along(ad.mul(out, out))
 
     assert max_relative_error(gamma.grad, fd_gradient_oracle(f_gamma, gamma)) < FD_TOL
 
     def f_beta(t):
-        out = ad.layer_norm(x, gamma, t, axis=axis)
+        out = norm(x, gamma, t)
         return ad.sum_along(ad.mul(out, out))
 
     assert max_relative_error(beta.grad, fd_gradient_oracle(f_beta, beta)) < FD_TOL

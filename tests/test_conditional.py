@@ -229,12 +229,25 @@ class TestConditionalForward:
         with pytest.raises(DimensionError):
             conditional_forward(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((2, 2, 6))), kernel)
 
-    def test_output_spatial_shapes(self, kernel):
+    def test_output_spatial_shapes(self, kernel, monkeypatch):
+        # each matrix comes back as a (W*H, 1) column in the map's row order:
+        # reshaped to its grid, it is conditional_matrices of the attended maps
         rng = np.random.default_rng(11)
         fs, fq = Tensor(rng.normal(size=(3, 3, 4))), Tensor(rng.normal(size=(3, 3, 4)))
+        attended = []
+
+        def spy(q, k, v):
+            out = attend(q, k, v)
+            attended.append(Tensor(out.data.reshape(3, 3, 4)))
+            return out
+
+        monkeypatch.setattr(conditional, "attend", spy)
         out = conditional_forward(fs, fq, kernel)
-        assert out.support_matrix.shape == (3, 3)
-        assert out.query_matrix.shape == (3, 3)
+        assert out.support_matrix.shape == (9, 1)
+        assert out.query_matrix.shape == (9, 1)
+        support, query = conditional_matrices(*attended, kernel)
+        np.testing.assert_array_equal(out.support_matrix.data.reshape(3, 3), support.data)
+        np.testing.assert_array_equal(out.query_matrix.data.reshape(3, 3), query.data)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_swap_symmetry_is_bit_exact(self, kernel, seed):

@@ -286,6 +286,16 @@ class TestExportImport:
         loaded = load_pools(tmp_path)
         assert {s.target_mask.shape for s in loaded.support + loaded.query} == {(16, 16)}
 
+    # a pair exited 1 with a TypeError, 1.5 loaded as seed 1, and "x" and NaN
+    # raised errors that did not name the file
+    @pytest.mark.parametrize("seed", [np.array([1, 2]), np.float64(1.5), np.array("x"),
+                                      np.float64(np.nan), np.array([7])],
+                             ids=["pair", "float", "str", "nan", "one_element"])
+    def test_seed_not_a_single_integer_rejected(self, tmp_path, seed):
+        last = self._rewrite_last_file(tmp_path, seed=seed)
+        with pytest.raises(DataError, match=f"{last.name}.*must be a single integer"):
+            load_pools(tmp_path)
+
     def test_non_numeric_image_rejected(self, tmp_path):
         last = self._rewrite_last_file(tmp_path, image=np.full((1, 32, 32), "x"))
         with pytest.raises(DataError, match=last.name):

@@ -418,6 +418,28 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "error: checkpoint:" in proc.stderr
 
+    # each exited 1 with a TypeError traceback from building the model, after
+    # the checkpoint was parsed
+    @pytest.mark.parametrize("key,value", [
+        ("input_size", "16"), ("blocks", [["a", 2], [8, 2], [8, 2]]),
+        ("kernel_shape", [3, "3", 3, 3]), ("feature_side", None), ("feature_channels", 8.0)],
+        ids=["str_input_size", "str_block_width", "str_in_kernel_shape", "null_feature_side",
+             "float_feature_channels"])
+    def test_header_value_of_wrong_type_exits_2_without_traceback(self, tmp_path, capsys,
+                                                                  key, value):
+        path, lines = saved_checkpoint(tmp_path)
+        header = json.loads(lines[1][len("header "):])
+        config = header["model_config"]
+        (config if key == "kernel_shape" else config["backbone"])[key] = value
+        lines[1] = "header " + json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--out", str(tmp_path / "run"), "--checkpoint", str(path),
+                   *TINY_FLAGS])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "error: checkpoint:" in err and "header line" in err
+
     def test_zero_episodes_exits_2_without_traceback_or_report(self, tmp_path):
         # it exited 0 with a report of mean 0.0 over 0 episodes and a
         # header-only accuracy.csv that `plot` then refused
@@ -482,10 +504,12 @@ class TestCli:
         assert "error: load_pools:" in proc.stderr
 
     @pytest.mark.parametrize("defect", ["no_image_key", "nan_image", "float_mask",
-                                        "out_of_range"])
+                                        "out_of_range", "seed_pair", "float_seed",
+                                        "str_seed", "nan_seed"])
     def test_bad_pool_image_exits_2_without_traceback(self, tmp_path, defect):
         # unchecked, a missing key exits 1 with a KeyError traceback, and an
-        # all-NaN pool, a float mask or a 0-255 integer pool exits 0
+        # all-NaN pool, a float mask or a 0-255 integer pool exits 0; a seed
+        # pair exited 1 with a TypeError, and a 1.5 seed loaded as 1
         path, _lines = saved_checkpoint(tmp_path)
         ds = build_dataset(DatasetConfig(seed=0, n_classes=3, image_size=16,
                                          support_per_class=4, query_per_class=6))
@@ -499,6 +523,10 @@ class TestCli:
                 arrays["image"] = np.full_like(arrays["image"], np.nan)
             elif defect == "out_of_range":
                 arrays["image"] = np.round(arrays["image"] * 255).astype(np.uint8)
+            elif "seed" in defect:
+                arrays["seed"] = {"seed_pair": np.array([1, 2]), "float_seed": np.float64(1.5),
+                                  "str_seed": np.array("x"),
+                                  "nan_seed": np.float64(np.nan)}[defect]
             else:
                 arrays["mask"] = arrays["mask"].astype(np.float64)
             np.savez(f, **arrays)

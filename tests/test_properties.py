@@ -1,8 +1,8 @@
-"""Property-based checks of the backbone ops (conv2d, layer_norm along any
-axis, norm_relu_pool) and of index_axis: random shapes against nested-loop and
-numpy oracles, and their vjps against the finite-difference oracle. Random
-small graphs check that backward, which frees the graph as it walks it,
-still adds every path's gradient into the leaves. The conditional learner
+"""Property-based checks of the backbone ops (conv2d, norm_relu_pool), of
+the head's last-axis layer_norm and of index_axis: random shapes against
+nested-loop and numpy oracles, and their vjps against the finite-difference
+oracle. Random small graphs check that backward, which frees the graph as it
+walks it, still adds every path's gradient into the leaves. The conditional learner
 on position rows is checked bit for bit against its grid-level composition.
 
 Examples are derandomized and few, so the suite runs the same cases in
@@ -104,11 +104,10 @@ def pool_cases(draw, max_cells=3, max_batch=4):
 @st.composite
 def norm_cases(draw, max_side=4, scales=(1e-3, 1.0, 50.0)):
     shape = tuple(draw(st.lists(st.integers(1, max_side), min_size=1, max_size=4)))
-    axis = draw(st.integers(0, len(shape) - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from(scales))
-    n = shape[axis]
-    return rng.normal(scale=scale, size=shape), rng.normal(size=n), rng.normal(size=n), axis
+    n = shape[-1]
+    return rng.normal(scale=scale, size=shape), rng.normal(size=n), rng.normal(size=n)
 
 
 @st.composite
@@ -165,31 +164,10 @@ def test_avg_pool_matches_nested_loops(case):
 @ORACLE
 @given(norm_cases())
 def test_layer_norm_matches_nested_loops(case):
-    x, gamma, beta, axis = case
-    out = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), axis=axis).data
-    ref = np.moveaxis(norm_oracle(np.moveaxis(x, axis, 0), gamma, beta), 0, axis)
+    x, gamma, beta = case
+    out = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+    ref = np.moveaxis(norm_oracle(np.moveaxis(x, -1, 0), gamma, beta), 0, -1)
     np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
-
-
-def _norm_and_grads(x, gamma, beta, axis, weights):
-    ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-    out = ad.layer_norm(*ts, axis=axis)
-    backward(ad.sum_along(ad.mul(out, weights)))
-    return [out.data] + [t.grad for t in ts]
-
-
-@ORACLE
-@given(norm_cases())
-def test_layer_norm_is_bit_identical_to_the_last_axis_of_the_moved_array(case):
-    x, gamma, beta, axis = case
-    weights = np.random.default_rng(0).normal(size=x.shape)
-    out, dx, dgamma, dbeta = _norm_and_grads(x, gamma, beta, axis, weights)
-    moved = _norm_and_grads(np.moveaxis(x, axis, -1), gamma, beta, -1,
-                            np.moveaxis(weights, axis, -1))
-    np.testing.assert_array_equal(out, np.moveaxis(moved[0], -1, axis))
-    np.testing.assert_array_equal(dx, np.moveaxis(moved[1], -1, axis))
-    np.testing.assert_array_equal(dgamma, moved[2])
-    np.testing.assert_array_equal(dbeta, moved[3])
 
 
 @ORACLE
@@ -261,13 +239,11 @@ def test_layer_norm_vjps_match_finite_differences(case):
     # where a length-2 axis holds two entries ~1e-2 apart, a 1e-3 step measures
     # the central difference's truncation, not the vjp; 1e-5 lies well below
     # sqrt(eps) ~ 3e-3, the narrowest scale on which the norm bends
-    x, gamma, beta, axis = case
+    x, gamma, beta = case
     g, b, step = Tensor(gamma), Tensor(beta), 1e-5
-    assert _grad_error(lambda t: _sq(ad.layer_norm(t, g, b, axis=axis)), x, step) < FD_TOL
-    assert _grad_error(lambda t: _sq(ad.layer_norm(Tensor(x), t, b, axis=axis)), gamma,
-                       step) < FD_TOL
-    assert _grad_error(lambda t: _sq(ad.layer_norm(Tensor(x), g, t, axis=axis)), beta,
-                       step) < FD_TOL
+    assert _grad_error(lambda t: _sq(ad.layer_norm(t, g, b)), x, step) < FD_TOL
+    assert _grad_error(lambda t: _sq(ad.layer_norm(Tensor(x), t, b)), gamma, step) < FD_TOL
+    assert _grad_error(lambda t: _sq(ad.layer_norm(Tensor(x), g, t)), beta, step) < FD_TOL
 
 
 @GRADCHECK
@@ -346,8 +322,8 @@ def test_conditional_forward_equals_the_grid_level_composition(case):
     out = conditional_forward(Tensor(a), Tensor(b), kernel)
     ref = conditional_matrices(Tensor(_grid_level_corr(a, b)), Tensor(_grid_level_corr(b, a)),
                                kernel)
-    np.testing.assert_array_equal(out.support_matrix.data, ref[0].data)
-    np.testing.assert_array_equal(out.query_matrix.data, ref[1].data)
+    np.testing.assert_array_equal(out.support_matrix.data.reshape(ref[0].shape), ref[0].data)
+    np.testing.assert_array_equal(out.query_matrix.data.reshape(ref[1].shape), ref[1].data)
     swapped = conditional_forward(Tensor(b), Tensor(a), kernel)
     np.testing.assert_array_equal(swapped.support_matrix.data, out.query_matrix.data)
     np.testing.assert_array_equal(swapped.query_matrix.data, out.support_matrix.data)

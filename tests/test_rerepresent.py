@@ -1,14 +1,20 @@
 """Re-representation learner: fusion, compression, self-attention, pooling,
-and the three structure variants."""
+the three structure variants, and the pair head's batch invariance and
+recorded graph."""
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from condrep import autodiff as ad
-from condrep.autodiff import Tensor, backward
+from condrep import io as cio
+from condrep.autodiff import Tensor, backward, no_grad
 from condrep.exceptions import ConfigError, DimensionError
 from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.model import Model, ModelConfig
 from condrep.backbone import BackboneConfig
+from condrep.conditional import conditional_forward
 from condrep.rerepresent import (finalize_vector, fuse_conditional, init_rerep_params,
                                  mlp_compress, re_represent_pair, self_attend)
 
@@ -31,24 +37,27 @@ def tiny_model(structure="siamese", seed=0):
 
 
 class TestFuse:
+    # feature rows (..., T, C) and the conditional column (..., T, 1)
     def test_zero_matrix_keeps_feature_channels(self):
-        f = np.random.default_rng(0).normal(size=(2, 2, C))
-        fused = fuse_conditional(Tensor(f), Tensor(np.zeros((2, 2))))
+        f = np.random.default_rng(0).normal(size=(4, C))
+        fused = fuse_conditional(Tensor(f), Tensor(np.zeros((4, 1))))
         np.testing.assert_array_equal(fused.data[..., :C], f)
-        np.testing.assert_array_equal(fused.data[..., C], np.zeros((2, 2)))
+        np.testing.assert_array_equal(fused.data[..., C], np.zeros(4))
 
     def test_shape(self):
-        fused = fuse_conditional(Tensor(np.zeros((4, 4, 32))), Tensor(np.zeros((4, 4))))
-        assert fused.shape == (4, 4, 33)
+        fused = fuse_conditional(Tensor(np.zeros((16, 32))), Tensor(np.zeros((16, 1))))
+        assert fused.shape == (16, 33)
 
     def test_round_trip_slice(self):
-        w = np.random.default_rng(1).normal(size=(3, 3))
-        fused = fuse_conditional(Tensor(np.zeros((3, 3, C))), Tensor(w))
-        np.testing.assert_array_equal(fused.data[..., C], w)
+        w = np.random.default_rng(1).normal(size=(9, 1))
+        fused = fuse_conditional(Tensor(np.zeros((9, C))), Tensor(w))
+        np.testing.assert_array_equal(fused.data[..., C:], w)
 
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            fuse_conditional(Tensor(np.zeros((2, 2, C))), Tensor(np.zeros((3, 3))))
+            fuse_conditional(Tensor(np.zeros((4, C))), Tensor(np.zeros((9, 1))))
+        with pytest.raises(DimensionError):
+            fuse_conditional(Tensor(np.zeros((4, C))), Tensor(np.zeros((4, 2))))
 
 
 class TestMlpCompress:
@@ -56,29 +65,29 @@ class TestMlpCompress:
         params = dict(params)
         params["compress.weight"] = Tensor(np.vstack([np.eye(C), np.zeros((1, C))]))
         params["compress.bias"] = Tensor(np.zeros(C))
-        f = np.abs(np.random.default_rng(2).normal(size=(2, 2, C)))
-        fused = fuse_conditional(Tensor(f), Tensor(np.zeros((2, 2))))
+        f = np.abs(np.random.default_rng(2).normal(size=(4, C)))
+        fused = fuse_conditional(Tensor(f), Tensor(np.zeros((4, 1))))
         out = mlp_compress(fused, params)
-        np.testing.assert_array_equal(out.data, f.reshape(4, C))
+        np.testing.assert_array_equal(out.data, f)
 
     def test_zero_params_give_zero_output(self, params):
         params = dict(params)
         params["compress.weight"] = Tensor(np.zeros((C + 1, C)))
         params["compress.bias"] = Tensor(np.zeros(C))
-        out = mlp_compress(Tensor(np.random.default_rng(3).normal(size=(2, 2, C + 1))), params)
+        out = mlp_compress(Tensor(np.random.default_rng(3).normal(size=(4, C + 1))), params)
         np.testing.assert_array_equal(out.data, np.zeros((4, C)))
 
     def test_matches_per_position_oracle(self, params):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 2, C + 1))
+        x = rng.normal(size=(4, C + 1))
         out = mlp_compress(Tensor(x), params)
         w, b = params["compress.weight"].data, params["compress.bias"].data
-        expected = np.maximum(x.reshape(4, C + 1) @ w + b, 0.0)
+        expected = np.maximum(x @ w + b, 0.0)
         np.testing.assert_allclose(out.data, expected, atol=1e-9)
 
     def test_param_shape_mismatch_rejected(self, params):
         with pytest.raises(DimensionError):
-            mlp_compress(Tensor(np.zeros((2, 2, C + 2))), params)
+            mlp_compress(Tensor(np.zeros((4, C + 2))), params)
 
 
 class TestSelfAttend:
@@ -249,3 +258,63 @@ class TestRepresentPair:
 
         fd = fd_gradient_oracle(f, target)
         assert max_relative_error(analytic, fd) < 1e-4, param_name
+
+
+# the shipped default (32 px, 4x4x32), the 7x7x64 grid at 28 px, and the
+# 16 px test model
+HEAD_CONFIGS = {"32px": {}, "28px-7x7x64": {"image_size": "28", "feature_side": "7",
+                                            "feature_channels": "64"},
+                "16px": {"image_size": "16", "feature_channels": "8", "feature_side": "2"}}
+
+
+@pytest.mark.parametrize("structure", ["siamese", "non_siamese", "non_residual"])
+@pytest.mark.parametrize("config", HEAD_CONFIGS)
+def test_pairs_do_not_depend_on_their_batch(config, structure):
+    # every contraction of the head runs per pair and every norm per row, so a
+    # pair's vectors are the same bits alone, in any sub-batch and in any order
+    cfg = cio.model_config_from(dict(cio.DEFAULT_CONFIG, structure=structure,
+                                     **HEAD_CONFIGS[config]))
+    model = Model.init(cfg, seed=3)
+    k = model.kernel.weights.data
+    k[:, :, 1, 1] = np.random.default_rng(1).normal(0, 0.05, size=k.shape[:2])
+    side, c = cfg.backbone.feature_side, cfg.channels
+    rng = np.random.default_rng(2)
+    fs, fq = (rng.normal(size=(40, side, side, c)) for _ in range(2))
+    with no_grad():
+        full = [f.data for f in re_represent_pair(Tensor(fs), Tensor(fq), model)]
+        for rows in ([0], [39], list(range(5, 12)), [30, 2, 17], list(range(39, 14, -1))):
+            part = re_represent_pair(Tensor(fs[rows]), Tensor(fq[rows]), model)
+            for got, want in zip(part, full):
+                np.testing.assert_array_equal(got.data, want[rows])
+
+
+def recorded_ops(monkeypatch, fn, *args):
+    """Counter of the autodiff ops that record a graph node while ``fn(*args)``
+    runs, by the name of the op function that made each node."""
+    made, real = Counter(), ad._make
+
+    def spy(out_data, edges):
+        out = real(out_data, edges)
+        if out._edges:
+            made[sys._getframe(1).f_code.co_name] += 1
+        return out
+
+    monkeypatch.setattr(ad, "_make", spy)
+    fn(*args)
+    return made
+
+
+@pytest.mark.parametrize("structure,nodes,reshapes", [
+    ("siamese", 73, 7), ("non_siamese", 73, 7), ("non_residual", 69, 5)])
+def test_pair_head_graph(monkeypatch, structure, nodes, reshapes):
+    # the conditional learner records 33 nodes, 5 of them reshapes (each
+    # side's rows, the fold weights, and each direction's pooled column);
+    # each side then reshapes its map to rows once, unless non_residual,
+    # which feeds the conditional column straight into the compression
+    model = tiny_model(structure)
+    rng = np.random.default_rng(18)
+    fs, fq = (Tensor(rng.normal(size=(3, 2, 2, 8)), requires_grad=True) for _ in range(2))
+    cond = recorded_ops(monkeypatch, conditional_forward, fs, fq, model.kernel)
+    assert sum(cond.values()) == 33 and cond["reshape"] == 5, cond
+    head = recorded_ops(monkeypatch, re_represent_pair, fs, fq, model)
+    assert sum(head.values()) == nodes and head["reshape"] == reshapes, head
