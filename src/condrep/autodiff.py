@@ -13,10 +13,12 @@ the forward left alive. A second walk that reaches a consumed tensor raises.
 Operations accept arbitrary leading batch dimensions where the math
 allows it (matmul, softmax, layer_norm of the last axis, elementwise ops),
 and index_axis selects or gathers along any one axis. The backbone ops are
-channel-major and take (C, B, H, W): conv2d, and norm_relu_pool, which runs
-the rest of a block (channel norm, relu, average pooling) as one op over
-cache-sized chunks, keeping only the normalized input, a per-position
-inverse deviation and a 1-byte relu mask for backward.
+channel-major and take (C, B, H, W): conv2d, which builds its im2col
+columns over cache-sized chunks of images and rebuilds them for the kernel
+gradient rather than keep them, and norm_relu_pool, which runs the rest of
+a block (channel norm, relu, average pooling) as one op over cache-sized
+chunks, keeping only the normalized input, a per-position inverse
+deviation and a 1-byte relu mask for backward.
 The batched forms are exercised by the same finite-difference gradient
 suite as the plain ones.
 
@@ -40,11 +42,14 @@ from .exceptions import ContractError, DimensionError, StateError
 _grad_enabled = True
 
 NORM_EPS = 1e-5   # variance floor of layer_norm and norm_relu_pool
-# norm_relu_pool's input bytes per chunk. On backbone block shapes, with one
-# BLAS thread on a core with 2 MB of L2, 2-4 MB chunks ran the op's forward
-# and backward fastest: 1 MB chunks cut each channel row into runs too short
-# to stream (a 64-channel 14x14 block took 25% longer), whole batches spill
-# every pass out of cache (a 32-channel 28x28 block, 20% longer)
+# norm_relu_pool's input bytes per chunk, and conv2d's im2col column bytes
+# per chunk. On backbone block shapes, with one BLAS thread on a core with
+# 2 MB of L2, 2-4 MB chunks ran norm_relu_pool's forward and backward
+# fastest: 1 MB chunks cut each channel row into runs too short to stream (a
+# 64-channel 14x14 block took 25% longer), whole batches spill every pass
+# out of cache (a 32-channel 28x28 block, 20% longer). conv2d's forward on
+# 2 MB column chunks took 44 ms on a 32->64-channel 14x14 block of 136
+# images, against 57 ms for one whole-batch matrix
 _CHUNK_BYTES = 2 << 20
 
 _M_TRIM_THRESHOLD = -1   # glibc <malloc.h>
@@ -297,10 +302,16 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
     """Stride-1 cross-correlation of channel-major (C_in,B,H,W) images with a
     (C_out,C_in,kh,kw) kernel; returns (C_out,B,H',W').
 
-    The (C_in*kh*kw, B*H'*W') im2col matrix is multiplied by the flattened
-    kernel one image at a time, straight into the output: every image's
-    gemm has the same shape whatever the batch, so no output bit depends on
-    the other images in it. The kernel gradient reuses that matrix."""
+    The forward builds the (C_in*kh*kw, H'*W') im2col columns of a chunk
+    of whole images at a time, about ``_CHUNK_BYTES`` of them, so each copy
+    stays in cache, and multiplies the flattened kernel into each image's
+    columns straight into the output: every image's gemm has the same shape
+    whatever the batch or chunk, so no output bit depends on the other
+    images. No column matrix outlives the call: the kernel gradient
+    rebuilds the batch's (C_in*kh*kw, B*H'*W') matrix from the input and
+    drops it after its one gemm, trading one im2col in backward for the
+    memory (Chen et al., *Training Deep Nets with Sublinear Memory Cost*,
+    arXiv 1604.06174)."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(f"conv2d: expected images (C,B,H,W) and kernel "
@@ -313,18 +324,27 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv2d: kernel {kh}x{kw} larger than padded input "
                              f"{h + 2 * padding}x{w + 2 * padding}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
     ho, wo = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
     k, n = cin * kh * kw, b * ho * wo
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(k, n)   # (C_in,kh,kw,B,H',W')
+
+    def im2col(lo, hi):
+        # (C_in*kh*kw, (hi-lo)*H'*W') columns of images lo..hi, (C_in,kh,kw,B,H',W')
+        xs = x.data[:, lo:hi]
+        xp = np.pad(xs, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+            if padding else xs
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        return windows.transpose(0, 4, 5, 1, 2, 3).reshape(k, (hi - lo) * ho * wo)
+
     w2 = kernel.data.reshape(cout, k)
     out = np.empty((cout, b, ho * wo))
-    np.matmul(w2, cols.reshape(k, b, ho * wo).transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    step = max(1, _CHUNK_BYTES // max(1, 8 * k * ho * wo))
+    for lo in range(0, b, step):
+        hi = min(b, lo + step)
+        cols = im2col(lo, hi).reshape(k, hi - lo, ho * wo)
+        np.matmul(w2, cols.transpose(1, 0, 2), out=out[:, lo:hi].transpose(1, 0, 2))
 
     def vjp_kernel(g):
-        return (g.reshape(cout, n) @ cols.T).reshape(kernel.shape)
+        return (g.reshape(cout, n) @ im2col(0, b).T).reshape(kernel.shape)
 
     def vjp_x(g):
         # columns in (H', W', B) order and a (C_in, H, W, B) buffer: each

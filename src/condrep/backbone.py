@@ -9,7 +9,9 @@ The backbone runs channel-major: the (B, C, H, W) input is permuted once
 to (C, B, H, W), each block's two ops take and return that layout, and the
 last block's output is permuted once to the batch of prototype maps the
 conditional learner reads, stored rows first as (B, H, W, C). The conv
-multiplies the kernel into each image's im2col columns with no transpose.
+multiplies the kernel into each image's im2col columns with no transpose,
+building them a cache-sized chunk of images at a time; it keeps no column
+matrix for backward, and its kernel gradient rebuilds the matrix instead.
 ``norm_relu_pool`` runs the norm over axis 0, the relu and the pooling as
 one op over chunks of whole images, and keeps for backward the normalized
 input, a per-position inverse deviation and a 1-byte relu mask, not the
@@ -46,7 +48,12 @@ class BackboneConfig:
         if self.feature_side < 2:
             raise ConfigError(f"backbone: feature_side must be >= 2, got {self.feature_side}")
         side = self.input_size
-        for i, (out_ch, stride) in enumerate(self.blocks):
+        for i, block in enumerate(self.blocks):
+            if not isinstance(block, (tuple, list)) or len(block) != 2 \
+                    or any(type(n) is not int for n in block):
+                raise ConfigError(f"backbone.blocks[{i}] must be a pair of ints "
+                                  f"(out_channels, pool stride), got {block!r}")
+            out_ch, stride = block
             if out_ch < 1 or stride < 1:
                 raise ConfigError(f"backbone: block {i} has invalid (channels, stride) "
                                   f"({out_ch}, {stride})")

@@ -1,6 +1,7 @@
 """Tensor ops, backward, and optimizer against hand values and the
 finite-difference oracle."""
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -160,6 +161,23 @@ class TestConv2d:
         for i in range(7):
             alone = ad.conv2d(Tensor(x[:, i:i + 1]), k, padding=1).data
             assert np.array_equal(alone[:, 0], batch[:, i]), i
+
+    def test_keeps_no_column_matrix(self):
+        # the forward builds its im2col columns a chunk of images at a time and
+        # the kernel vjp rebuilds them, so the graph keeps the output, not the
+        # (72, 4096) matrix of this batch (2.4 MB)
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(8, 16, 16, 16)), requires_grad=True)
+        k = Tensor(rng.normal(size=(16, 8, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.conv2d(x, k, padding=1)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert live < out.data.nbytes + 72 * 4096 * 8 // 4, live
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError, match="larger than padded input"):

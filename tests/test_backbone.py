@@ -34,6 +34,12 @@ def test_zero_blocks_rejected():
         BackboneConfig(blocks=()).validate()
 
 
+@pytest.mark.parametrize("block", [(8,), (8, 2, 1), 8, (8.0, 2)])
+def test_block_not_a_pair_of_ints_rejected(block):
+    with pytest.raises(ConfigError, match=r"backbone\.blocks\[1\]"):
+        BackboneConfig(blocks=((8, 2), block, (32, 2))).validate()
+
+
 def test_inconsistent_spatial_arithmetic_rejected():
     with pytest.raises(ConfigError):
         BackboneConfig(input_size=30, blocks=((8, 2), (16, 2), (32, 2))).validate()

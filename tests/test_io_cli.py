@@ -440,6 +440,22 @@ class TestCli:
         assert "Traceback" not in err
         assert "error: checkpoint:" in err and "header line" in err
 
+    # each exited 2 with "not enough values to unpack" (or "too many values"),
+    # naming neither the key nor the block
+    @pytest.mark.parametrize("block", [[8], [8, 2, 1]], ids=["one_entry", "three_entries"])
+    def test_header_block_not_a_pair_exits_2_naming_the_key(self, tmp_path, capsys, block):
+        path, lines = saved_checkpoint(tmp_path)
+        header = json.loads(lines[1][len("header "):])
+        header["model_config"]["backbone"]["blocks"][1] = block
+        lines[1] = "header " + json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--out", str(tmp_path / "run"), "--checkpoint", str(path),
+                   *TINY_FLAGS])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "backbone.blocks[1]" in err
+
     def test_zero_episodes_exits_2_without_traceback_or_report(self, tmp_path):
         # it exited 0 with a report of mean 0.0 over 0 episodes and a
         # header-only accuracy.csv that `plot` then refused

@@ -80,13 +80,18 @@ def norm_oracle(x, gamma, beta, eps=1e-5):
 
 @st.composite
 def conv_cases(draw, max_side=6, max_batch=3):
+    # the chunk size makes conv2d build its columns one image at a time, two
+    # at a time with a shorter last chunk, or for the whole batch at once
     padding = draw(st.integers(0, 1))
     kh, kw = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 3]))
     h = draw(st.integers(max(1, kh - 2 * padding), max_side))
     w = draw(st.integers(max(1, kw - 2 * padding), max_side))
     b, cin, cout = (draw(st.integers(1, n)) for n in (max_batch, 3, 3))
+    ho, wo = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    chunk = draw(st.sampled_from([1, 2 * 8 * cin * kh * kw * ho * wo, 1 << 20]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return rng.normal(size=(cin, b, h, w)), rng.normal(size=(cout, cin, kh, kw)), padding
+    return (rng.normal(size=(cin, b, h, w)), rng.normal(size=(cout, cin, kh, kw)), padding,
+            chunk)
 
 
 @st.composite
@@ -131,23 +136,35 @@ def _grad_error(f, x, step=1e-3):
 
 
 # several non-square images: the x-gradient orders its columns (H', W', B),
-# which a single or square image would not tell apart from (B, H', W')
+# which a single or square image would not tell apart from (B, H', W'); the
+# chunk sizes cut the 3 images into one-image chunks and into 2 + 1
 _WIDE_BATCH = tuple(np.random.default_rng(7).normal(size=s) for s in [(2, 3, 3, 4), (3, 2, 3, 3)])
+
+
+def _conv_and_vjps(x, k, padding, g, chunk):
+    tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with mock.patch.object(ad, "_CHUNK_BYTES", chunk):
+        out = ad.conv2d(tx, tk, padding=padding)
+        backward(ad.sum_along(ad.mul(out, g)))
+    return out.data, tx.grad, tk.grad
 
 
 @ORACLE
 @given(conv_cases())
-@example((*_WIDE_BATCH, 1))
-@example((*_WIDE_BATCH, 0))
+@example((*_WIDE_BATCH, 1, 1))
+@example((*_WIDE_BATCH, 0, 2 * 8 * 18 * 1 * 2))
 def test_conv2d_matches_nested_loops(case):
-    x, k, padding = case
-    t = Tensor(x, requires_grad=True)
-    out = ad.conv2d(t, Tensor(k), padding=padding)
-    np.testing.assert_allclose(out.data, conv_oracle(x, k, padding), rtol=1e-12, atol=1e-12)
-    g = np.random.default_rng(3).normal(size=out.shape)
-    backward(ad.sum_along(ad.mul(out, g)))
-    np.testing.assert_allclose(t.grad, conv_x_grad_oracle(g, k, x.shape, padding),
+    # at the drawn chunk size: within the oracles, and bit-equal to the
+    # output and vjps at the shipped chunk size
+    x, k, padding, chunk = case
+    ref = conv_oracle(x, k, padding)
+    g = np.random.default_rng(3).normal(size=ref.shape)
+    out, dx, dk = got = _conv_and_vjps(x, k, padding, g, chunk)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dx, conv_x_grad_oracle(g, k, x.shape, padding),
                                rtol=1e-12, atol=1e-12)
+    for a, b in zip(got, _conv_and_vjps(x, k, padding, g, ad._CHUNK_BYTES)):
+        np.testing.assert_array_equal(a, b)
 
 
 @ORACLE
@@ -211,11 +228,12 @@ def test_int_index_equals_the_squeezed_one_element_gather(case):
 
 @GRADCHECK
 @given(conv_cases(max_side=4, max_batch=2))
-@example((*_WIDE_BATCH, 1))
+@example((*_WIDE_BATCH, 1, 1))
 def test_conv2d_vjps_match_finite_differences(case):
-    x, k, padding = case
-    assert _grad_error(lambda t: _sq(ad.conv2d(t, Tensor(k), padding=padding)), x) < FD_TOL
-    assert _grad_error(lambda t: _sq(ad.conv2d(Tensor(x), t, padding=padding)), k) < FD_TOL
+    x, k, padding, chunk = case
+    with mock.patch.object(ad, "_CHUNK_BYTES", chunk):
+        assert _grad_error(lambda t: _sq(ad.conv2d(t, Tensor(k), padding=padding)), x) < FD_TOL
+        assert _grad_error(lambda t: _sq(ad.conv2d(Tensor(x), t, padding=padding)), k) < FD_TOL
 
 
 @GRADCHECK
