@@ -1,14 +1,32 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records, on its output, the list of (parent, vjp) edges
-needed to route the output gradient back to its inputs. That implicit
-per-node record *is* the computation record: the set of nodes reachable
-from a loss, visited in reverse topological order, replays the forward
-pass backwards exactly once. :func:`backward` fills ``grad`` on the leaves
-(parameters and ``requires_grad`` inputs) only, and consumes the graph as
-it walks it: each op output's gradient, closures and saved activations are
+The graph is kept apart from the data. Every operation made under grad
+mode gives its output :class:`Tensor`, which owns the array, a small
+:class:`_Node` that records the (parent, vjp) edges needed to route the
+output gradient back to its inputs, plus its gradient slot, a consumed
+flag and its shape; an edge points at the parent's node, or at the parent
+itself if it is a leaf. The set of nodes reachable from a loss, visited in
+reverse topological order, replays the forward pass backwards exactly once.
+No node and no vjp holds a Tensor, so an intermediate's array lives only
+as long as the caller holds its tensor or a vjp reads it (the saved-tensor
+discipline of Paszke et al., *PyTorch*, arXiv 1912.01703). Each vjp keeps
+arrays and shapes only:
+
+* add, sub, reshape, permute, concat, mean, sum_along and index_axis keep
+  shapes;
+* mul and matmul keep the other operand's array, on each edge to a parent
+  that needs a gradient only; relu keeps a 1-byte mask; sqrt and softmax
+  keep their output, log its input, layer_norm the normalized rows,
+  their inverse deviations and gamma's array;
+* conv2d keeps its input array for the kernel gradient and the flattened
+  kernel for the input gradient; norm_relu_pool keeps shapes and the
+  arrays named below, so no conv output outlives the forward.
+
+:func:`backward` fills ``grad`` on the leaves (parameters and
+``requires_grad`` inputs) and on the loss only, and consumes the graph as
+it walks it: each node's gradient, closures and the arrays they kept are
 freed once its vjps have run, so a backward pass holds little more than
-the forward left alive. A second walk that reaches a consumed tensor raises.
+the forward left alive. A second walk that reaches a consumed node raises.
 
 Operations accept arbitrary leading batch dimensions where the math
 allows it (matmul, softmax, layer_norm of the last axis, elementwise ops),
@@ -101,10 +119,13 @@ class Tensor:
     """n-dimensional float64 array with optional gradient tracking.
 
     ``data`` is always a contiguous float64 ndarray; on a leaf, ``grad`` is
-    filled by :func:`backward` and has the same shape as ``data``.
+    filled by :func:`backward` and has the same shape as ``data``. An op
+    output made under grad mode carries its graph :class:`_Node` in
+    ``_node``; ``_edges`` and ``_consumed`` read (and ``_edges`` sets) that
+    node's fields, and read ``()`` and False on a leaf.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_edges", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -113,8 +134,19 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._edges = ()
-        self._consumed = False
+        self._node = None
+
+    @property
+    def _edges(self):
+        return self._node._edges if self._node is not None else ()
+
+    @_edges.setter
+    def _edges(self, edges):
+        self._node._edges = edges
+
+    @property
+    def _consumed(self):
+        return self._node is not None and self._node._consumed
 
     @property
     def shape(self):
@@ -135,18 +167,38 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """The graph record of one op output: its (parent, vjp) edges, the
+    gradient :func:`backward` accumulates for it, whether a walk consumed it,
+    and the output's shape. It holds no data, so the output's array lives
+    only as long as the caller's :class:`Tensor` or a vjp that reads it. A
+    parent is the node of an op output, or the leaf tensor itself."""
+
+    __slots__ = ("_edges", "grad", "_consumed", "shape")
+
+    def __init__(self, edges, shape):
+        self._edges, self.grad, self._consumed, self.shape = edges, None, False, shape
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(*tensors) -> bool:
+    """Whether an op on ``tensors`` records a graph node."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
 def _make(out_data, edges) -> Tensor:
-    """Wrap op output, recording only edges to grad-requiring parents."""
+    """Wrap op output; under grad mode, give it a node of the edges to
+    grad-requiring parents, each edge pointing at the parent's node (or at
+    the parent itself if it is a leaf)."""
     out = Tensor(out_data)
     if _grad_enabled:
-        kept = tuple((p, vjp) for p, vjp in edges if p.requires_grad)
+        kept = tuple((p._node or p, vjp) for p, vjp in edges if p.requires_grad)
         if kept:
             out.requires_grad = True
-            out._edges = kept
+            out._node = _Node(kept, out.data.shape)
     return out
 
 
@@ -173,9 +225,10 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    sa, sb = a.shape, b.shape
     return _make(out, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(g, sb)),
     ])
 
 
@@ -185,9 +238,10 @@ def sub(a, b) -> Tensor:
         out = a.data - b.data
     except ValueError:
         raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
+    sa, sb = a.shape, b.shape
     return _make(out, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(-g, b.shape)),
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(-g, sb)),
     ])
 
 
@@ -197,17 +251,21 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    # each vjp reads the other operand's array; _make drops the vjps of
+    # parents that need no gradient, and with them the arrays they read
+    da, db, sa, sb = a.data, b.data, a.shape, b.shape
     return _make(out, [
-        (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.shape)),
+        (a, lambda g: _unbroadcast(g * db, sa)),
+        (b, lambda g: _unbroadcast(g * da, sb)),
     ])
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.data, 0.0)
-    # subgradient at exactly 0 is 0
-    return _make(out, [(x, lambda g: g * (x.data > 0.0))])
+    # subgradient at exactly 0 is 0; backward keeps the 1-byte mask, not x
+    mask = x.data > 0.0 if _records(x) else None
+    return _make(out, [(x, lambda g: g * mask)])
 
 
 def sqrt(x) -> Tensor:
@@ -221,8 +279,8 @@ def sqrt(x) -> Tensor:
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    out = np.log(x.data)
-    return _make(out, [(x, lambda g: g / x.data)])
+    xd = x.data
+    return _make(np.log(xd), [(x, lambda g: g / xd)])
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +294,14 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
+    da, db, sa, sb = a.data, b.data, a.shape, b.shape
+    out = da @ db
 
     def vjp_a(g):
-        return _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
+        return _unbroadcast(g @ db.swapaxes(-1, -2), sa)
 
     def vjp_b(g):
-        return _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+        return _unbroadcast(da.swapaxes(-1, -2) @ g, sb)
 
     return _make(out, [(a, vjp_a), (b, vjp_b)])
 
@@ -277,10 +336,11 @@ def layer_norm(x, gamma, beta) -> Tensor:
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / n + NORM_EPS)
     xhat *= inv
-    out = gamma.data * xhat + beta.data
+    gd = gamma.data
+    out = gd * xhat + beta.data
 
     def vjp_x(g):
-        dx = g * gamma.data
+        dx = g * gd
         m2 = np.einsum("...i,...i->...", dx, xhat)[..., None] / n
         dx -= dx.mean(axis=-1, keepdims=True)
         dx -= xhat * m2
@@ -327,9 +387,11 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
     ho, wo = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
     k, n = cin * kh * kw, b * ho * wo
 
+    xd = x.data
+
     def im2col(lo, hi):
         # (C_in*kh*kw, (hi-lo)*H'*W') columns of images lo..hi, (C_in,kh,kw,B,H',W')
-        xs = x.data[:, lo:hi]
+        xs = xd[:, lo:hi]
         xp = np.pad(xs, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
             if padding else xs
         windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -344,7 +406,7 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
         np.matmul(w2, cols.transpose(1, 0, 2), out=out[:, lo:hi].transpose(1, 0, 2))
 
     def vjp_kernel(g):
-        return (g.reshape(cout, n) @ im2col(0, b).T).reshape(kernel.shape)
+        return (g.reshape(cout, n) @ im2col(0, b).T).reshape(cout, cin, kh, kw)
 
     def vjp_x(g):
         # columns in (H', W', B) order and a (C_in, H, W, B) buffer: each
@@ -391,9 +453,10 @@ def norm_relu_pool(x, gamma, beta, stride: int) -> Tensor:
     # block: 1x1 images therefore go in one chunk, so no bit depends on chunking
     step = max(1, b) if hw == 1 else max(1, _CHUNK_BYTES // (8 * c * hw))
     chunks = [(lo, min(b, lo + step)) for lo in range(0, b, step)]
-    keep = _grad_enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    keep = _records(x, gamma, beta)
     if keep:
         xhat, inv, mask = np.empty((c, b * hw)), np.empty(b * hw), np.empty((c, b * hw), bool)
+    gd = gamma.data
     x2, out = x.data.reshape(c, b * hw), np.empty((c, b, ho, wo))
     for lo, hi in chunks:
         cols = slice(lo * hw, hi * hw)
@@ -402,7 +465,7 @@ def norm_relu_pool(x, gamma, beta, stride: int) -> Tensor:
         iv = np.divide(1.0, np.sqrt(np.einsum("ij,ij->j", xh, xh) / c + NORM_EPS),
                        out=inv[cols] if keep else None)
         xh *= iv
-        y = gamma.data[:, None] * xh
+        y = gd[:, None] * xh
         y += beta.data[:, None]
         if keep:
             np.greater(y, 0.0, out=mask[:, cols])
@@ -433,12 +496,12 @@ def norm_relu_pool(x, gamma, beta, stride: int) -> Tensor:
         gy, dx = rows_of(g), np.empty((c, b * hw))
         for lo, hi in chunks:
             cols = slice(lo * hw, hi * hw)
-            d = np.multiply(gy[:, cols], gamma.data[:, None], out=dx[:, cols])
+            d = np.multiply(gy[:, cols], gd[:, None], out=dx[:, cols])
             m2 = np.einsum("ij,ij->j", d, xhat[:, cols]) / c
             d -= d.mean(axis=0)
             d -= xhat[:, cols] * m2
             d *= inv[cols]
-        return dx.reshape(x.shape)
+        return dx.reshape(c, b, h, w)
 
     return _make(out, [
         (x, vjp_x),
@@ -457,7 +520,8 @@ def reshape(x, shape) -> Tensor:
         out = x.data.reshape(shape)
     except ValueError:
         raise DimensionError(f"reshape: cannot view shape {x.shape} as {tuple(shape)}")
-    return _make(out, [(x, lambda g: g.reshape(x.shape))])
+    in_shape = x.shape
+    return _make(out, [(x, lambda g: g.reshape(in_shape))])
 
 
 def permute(x, axes) -> Tensor:
@@ -507,12 +571,12 @@ def mean(x, axis=None) -> Tensor:
     axes = _norm_axes(axis, x.ndim)
     if any(a >= x.ndim for a in axes):
         raise DimensionError(f"mean: axis {axis} out of range for shape {x.shape}")
-    out = x.data.mean(axis=axes)
-    n = int(np.prod([x.shape[a] for a in axes])) if axes else 1
-    keep_shape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
+    out, shape = x.data.mean(axis=axes), x.shape
+    n = int(np.prod([shape[a] for a in axes])) if axes else 1
+    keep_shape = tuple(1 if i in axes else s for i, s in enumerate(shape))
 
     def vjp(g):
-        return np.broadcast_to(g.reshape(keep_shape), x.shape) * (1.0 / n)
+        return np.broadcast_to(g.reshape(keep_shape), shape) * (1.0 / n)
 
     return _make(out, [(x, vjp)])
 
@@ -522,11 +586,11 @@ def sum_along(x, axis=None) -> Tensor:
     axes = _norm_axes(axis, x.ndim)
     if any(a >= x.ndim for a in axes):
         raise DimensionError(f"sum_along: axis {axis} out of range for shape {x.shape}")
-    out = x.data.sum(axis=axes)
-    keep_shape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
+    out, shape = x.data.sum(axis=axes), x.shape
+    keep_shape = tuple(1 if i in axes else s for i, s in enumerate(shape))
 
     def vjp(g):
-        return np.broadcast_to(g.reshape(keep_shape), x.shape).copy()
+        return np.broadcast_to(g.reshape(keep_shape), shape).copy()
 
     return _make(out, [(x, vjp)])
 
@@ -548,9 +612,11 @@ def index_axis(x, axis: int, index) -> Tensor:
     if not valid:
         raise DimensionError(f"index_axis: (axis={axis}, index={index}) invalid for shape {x.shape}")
 
+    shape = x.shape
+
     def vjp(g):
-        z = np.zeros_like(x.data)
-        kept = x.shape[:axis] + (len(rows),) + x.shape[axis + 1:]
+        z = np.zeros(shape)
+        kept = shape[:axis] + (len(rows),) + shape[axis + 1:]
         zs, gs = np.moveaxis(z, axis, 0), np.moveaxis(g.reshape(kept), axis, 0)
         for i, row in enumerate(rows):   # ~10x faster than np.add.at on (80, 7, 7, 64)
             zs[row] += gs[i]
@@ -566,21 +632,26 @@ def index_axis(x, axis: int, index) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Fill ``grad`` on the leaves reachable from the scalar ``loss``.
 
-    Leaves are the tensors no op made (parameters and ``requires_grad``
-    inputs); they keep their gradients. The graph is consumed on the way:
-    each op output drops its edges and, except ``loss``, its gradient once
-    its vjps have been taken, so its saved activations and closures are
+    The walk runs over graph nodes, not tensors: an op output's node holds
+    its edges, its gradient and its shape, while its array lives on the
+    :class:`Tensor` the op returned and is gone once the caller dropped that
+    tensor, unless a vjp reads it. Leaves are the tensors no op made
+    (parameters and ``requires_grad`` inputs); they are their own graph
+    vertices and keep their gradients, and so does ``loss``. The graph is
+    consumed on the way: each node drops its edges and its gradient once
+    its vjps have been taken, so the arrays and closures they kept are
     freed as soon as the walk no longer needs them. A later walk that
-    reaches a consumed tensor raises ``StateError``."""
+    reaches a consumed node raises ``StateError``."""
     if not isinstance(loss, Tensor):
         raise ContractError("backward: loss must be a Tensor")
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
+    root = loss._node or loss
 
     # iterative topological sort (graphs can exceed the recursion limit)
     topo = []
     state = {}  # id -> 0 visiting, 1 done
-    stack = [loss]
+    stack = [root]
     while stack:
         node = stack[-1]
         nid = id(node)
@@ -603,7 +674,7 @@ def backward(loss: Tensor) -> None:
     # first contribution can be shared with a sibling: the second allocates a
     # sum, only a sum allocated here is added into in place, and leaves copy.
     # ``owned`` holds ids of unprocessed nodes only, each still alive in topo.
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = root.grad = np.ones_like(loss.data)
     owned = set()
     while topo:
         node = topo.pop()
@@ -611,10 +682,7 @@ def backward(loss: Tensor) -> None:
         edges, g = node._edges, node.grad
         if not edges:
             continue
-        node._edges = ()
-        node._consumed = True
-        if node is not loss:
-            node.grad = None
+        node._edges, node._consumed, node.grad = (), True, None
         for parent, vjp in edges:
             contrib = vjp(g)
             if parent.grad is None:

@@ -15,8 +15,10 @@ matrix for backward, and its kernel gradient rebuilds the matrix instead.
 ``norm_relu_pool`` runs the norm over axis 0, the relu and the pooling as
 one op over chunks of whole images, and keeps for backward the normalized
 input, a per-position inverse deviation and a 1-byte relu mask, not the
-norm or relu outputs. No op mixes images, so a map's bits do not depend on
-the batch it was computed in. Kernels keep the (C_out, C_in, kh, kw) shape.
+norm or relu outputs, nor the conv output it normalizes: that array dies
+with the forward, since the autodiff graph keeps nodes, not tensors. No
+op mixes images, so a map's bits do not depend on the batch it was
+computed in. Kernels keep the (C_out, C_in, kh, kw) shape.
 """
 from __future__ import annotations
 

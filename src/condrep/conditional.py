@@ -243,11 +243,15 @@ def conv4d_oracle(rel, kernel: ConvKernel4D, direction: str) -> np.ndarray:
 class ConditionalOutput(NamedTuple):
     support_matrix: Tensor   # (..., W*H, 1) column, one entry per position row
     query_matrix: Tensor     # (..., W*H, 1)
+    support_rows: Tensor     # (..., W*H, C) rows of the support map, as the learner read them
+    query_rows: Tensor       # (..., W*H, C)
 
 
 def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
     """Full conditional learner for one (support, query) pair of (..., W, H, C)
-    maps; each matrix comes back as a (..., W*H, 1) column of position rows."""
+    maps; each matrix comes back as a (..., W*H, 1) column of position rows,
+    next to the (..., W*H, C) rows of its map that the re-representation
+    head fuses it with."""
     fs, fq = ad.as_tensor(fs), ad.as_tensor(fq)
     if fs.ndim < 3 or fs.shape != fq.shape:
         raise DimensionError(f"conditional_forward: expected equal (..., W, H, C) prototype "
@@ -262,4 +266,5 @@ def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
     view_s = ad.concat([own_s, ad.add(rows_q, pe[t:])], axis=-2)     # support's [self; other]
     view_q = ad.concat([own_q, ad.add(rows_s, pe[t:])], axis=-2)     # query's [self; other]
     return ConditionalOutput(*_reduce_rows(attend(own_s, view_s, view_s),
-                                           attend(own_q, view_q, view_q), (w, h), (w, h), kernel))
+                                           attend(own_q, view_q, view_q), (w, h), (w, h), kernel),
+                             rows_s, rows_q)

@@ -108,9 +108,8 @@ def finalize_vector(f_prime, f_hat, params: dict[str, Tensor]) -> Tensor:
     return ad.mean(y, axis=y.ndim - 2)
 
 
-def _represent_side(feature, column, params: dict[str, Tensor], residual: bool) -> Tensor:
-    x = fuse_conditional(ad.reshape(feature, column.shape[:-1] + feature.shape[-1:]), column) \
-        if residual else column
+def _represent_side(rows, column, params: dict[str, Tensor], residual: bool) -> Tensor:
+    x = fuse_conditional(rows, column) if residual else column
     f_prime = mlp_compress(x, params)
     f_hat = self_attend(f_prime, params)
     return finalize_vector(f_prime, f_hat, params)
@@ -131,6 +130,6 @@ def re_represent_pair(fs, fq, model):
                   if k.startswith("query.")}
     else:
         side_s = side_q = model.rerep
-    f_s = _represent_side(fs, cond.support_matrix, side_s, residual)
-    f_q = _represent_side(fq, cond.query_matrix, side_q, residual)
+    f_s = _represent_side(cond.support_rows, cond.support_matrix, side_s, residual)
+    f_q = _represent_side(cond.query_rows, cond.query_matrix, side_q, residual)
     return f_s, f_q

@@ -127,7 +127,7 @@ def test_graph_is_channel_major_between_two_permutes():
     cfg = BackboneConfig()
     params = init_backbone(cfg, seed=0)
     img = Tensor(np.random.default_rng(5).uniform(size=(2, 1, 32, 32)), requires_grad=True)
-    counts, seen, stack = Counter(), set(), [extract_features(img, params, cfg)]
+    counts, seen, stack = Counter(), set(), [extract_features(img, params, cfg)._node]
     while stack:
         node = stack.pop()
         if id(node) in seen or not node._edges:

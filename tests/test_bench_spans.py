@@ -67,3 +67,12 @@ def test_episode_counts_its_pairs(traced):
 def test_every_listed_op_is_seen(traced):
     seen = {s.name for s in traced[0] if s.kind == "op"}
     assert set(spans.AUTODIFF_OPS) <= seen, set(spans.AUTODIFF_OPS) - seen
+
+
+def test_train_step_times_a_vjp_for_every_op_it_traced(traced):
+    # the tracer wraps each traced op's edges by assigning to ``out._edges``;
+    # an op whose vjps it could not reach would show no backward time
+    train = traced[0][:traced[1]]
+    ops = {s.name for s in train if s.kind == "op"}
+    vjps = {s.name for s in train if s.kind == "vjp"}
+    assert ops == vjps, ops ^ vjps

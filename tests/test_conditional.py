@@ -1,6 +1,8 @@
 """Conditional learner: positional table, attention, relation tensor, and
 the factored bidirectional 4D convolution against its nested-loop oracle on
 the dense relation tensor."""
+import math
+
 import numpy as np
 import pytest
 
@@ -313,12 +315,13 @@ class TestConditionalForward:
         fq = Tensor(rng.normal(size=(pairs, w, w, c)), requires_grad=True)
         out = conditional_forward(fs, fq, init_conv_kernel((3, 3, 3, 3), seed=3))
         relation_size = pairs * (w * w) ** 2 * c
-        seen, stack = set(), [out.support_matrix, out.query_matrix]
+        # graph nodes hold no data, so each op output is judged by its node's shape
+        seen, stack = set(), [out.support_matrix._node, out.query_matrix._node]
         while stack:
             node = stack.pop()
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            assert node.ndim < 5 and node.size < relation_size, node.shape
+            assert len(node.shape) < 5 and math.prod(node.shape) < relation_size, node.shape
             stack.extend(parent for parent, _vjp in node._edges)
         assert len(seen) > 10

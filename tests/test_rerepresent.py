@@ -305,12 +305,13 @@ def recorded_ops(monkeypatch, fn, *args):
 
 
 @pytest.mark.parametrize("structure,nodes,reshapes", [
-    ("siamese", 73, 7), ("non_siamese", 73, 7), ("non_residual", 69, 5)])
+    ("siamese", 71, 5), ("non_siamese", 71, 5), ("non_residual", 69, 5)])
 def test_pair_head_graph(monkeypatch, structure, nodes, reshapes):
     # the conditional learner records 33 nodes, 5 of them reshapes (each
     # side's rows, the fold weights, and each direction's pooled column);
-    # each side then reshapes its map to rows once, unless non_residual,
-    # which feeds the conditional column straight into the compression
+    # each side fuses its column with the rows the learner built, so the
+    # head reshapes no map a second time; non_residual feeds the column
+    # straight into the compression
     model = tiny_model(structure)
     rng = np.random.default_rng(18)
     fs, fq = (Tensor(rng.normal(size=(3, 2, 2, 8)), requires_grad=True) for _ in range(2))

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -28,14 +29,40 @@ from condrep.training import (LossConfig, TrainConfig, batch_loss, contrastive_l
 
 
 def intermediates(loss):
-    """Every tensor an op made on the way to ``loss``, ``loss`` excluded."""
+    """The graph node of every tensor an op made on the way to ``loss``,
+    ``loss`` excluded."""
     seen, stack = {}, [p for p, _ in loss._edges]
     while stack:
-        t = stack.pop()
-        if t._edges and id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(p for p, _ in t._edges)
+        node = stack.pop()
+        if node._edges and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(p for p, _ in node._edges)
     return list(seen.values())
+
+
+def holds_tensor(obj, seen=None) -> bool:
+    """Whether ``obj`` is a Tensor or reaches one through the cells and
+    defaults of a function, or the items of a list, tuple or dict."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return True
+    if isinstance(obj, types.FunctionType):
+        inner = list(obj.__defaults__ or ()) + list((obj.__kwdefaults__ or {}).values())
+        for cell in obj.__closure__ or ():
+            try:
+                inner.append(cell.cell_contents)
+            except ValueError:   # a cell not yet bound
+                pass
+    elif isinstance(obj, (list, tuple)):
+        inner = list(obj)
+    elif isinstance(obj, dict):
+        inner = list(obj.values())
+    else:
+        return False
+    return any(holds_tensor(o, seen) for o in inner)
 
 
 def tiny_dataset(seed=0, n_classes=3):
@@ -302,21 +329,33 @@ class TestTrainLoop:
     def test_each_batch_graph_is_freed_before_the_next_is_built(self, monkeypatch):
         # a graph kept across batches holds all its activations and gradients
         # while the next batch's forward runs (two default epochs peaked at
-        # 363 MB instead of 246 MB)
-        activations, real_batch_loss = [], training.batch_loss
+        # 363 MB instead of 246 MB). Graph nodes hold no data, so the check
+        # watches the arrays of every op output the forward made (the loss's
+        # aside, which the loop still holds) and every vjp on the graph
+        made, watched = [], []
+        real_make, real_batch_loss = ad._make, training.batch_loss
+
+        def spy(out_data, edges):
+            out = real_make(out_data, edges)
+            made.append(out.data)
+            return out
 
         def tracked_batch_loss(model, batch, cfg):
-            assert all(ref() is None for ref in activations), "an earlier batch's graph is alive"
+            assert all(ref() is None for ref in watched), "an earlier batch's graph is alive"
             loss = real_batch_loss(model, batch, cfg)
-            activations.extend(weakref.ref(t.data) for t in intermediates(loss))
+            watched.extend(weakref.ref(a) for a in made if a is not loss.data)
+            watched.extend(weakref.ref(vjp) for node in intermediates(loss)
+                           for _, vjp in node._edges)
+            made.clear()
             return loss
+        monkeypatch.setattr(ad, "_make", spy)
         monkeypatch.setattr(training, "batch_loss", tracked_batch_loss)
         model = tiny_model()
         train_epoch(tiny_dataset(), model, AdamW(model.parameters()),
                     TrainConfig(epochs=1, batch_size=4, batches_per_epoch=3),
                     np.random.default_rng(0))
-        assert all(ref() is None for ref in activations)
-        assert len(activations) > 3 * 20
+        assert all(ref() is None for ref in watched)
+        assert len(watched) > 3 * 40
 
     def test_lr_schedule_drops_every_20_epochs(self):
         cfg = TrainConfig()
@@ -393,20 +432,55 @@ def test_backward_peak_stays_near_the_forward_live_memory():
     # backward frees each node's activations, closures and gradient as its
     # walk passes it; when it kept them all to the end, a default batch's
     # backward peaked at 1.58x the memory the forward left alive (206 vs
-    # 131 MB); now 1.02x (61.4 vs 60.1 MB). The conv keeps no im2col matrix
-    # between forward and backward; keeping it read 99.9 MB live
+    # 131 MB); now 1.04x (35.8 vs 34.5 MB). The conv keeps no im2col matrix
+    # between forward and backward (keeping it read 99.9 MB live), and the
+    # graph keeps only the arrays its vjps read (keeping every op output's
+    # array until backward read 60.1 MB live)
     live, peak = default_batch_memory()
-    assert 50e6 < live < 75e6, live
+    assert 25e6 < live < 45e6, live
     assert peak <= 1.15 * live, (peak, live)
 
 
 def test_forward_keeps_no_block_norm_or_relu_output():
-    # each backbone block keeps its conv output, the normalized input, a
-    # per-position inverse deviation and a 1-byte relu mask for backward:
-    # 60.1 MB live on this batch (139 distinct images). Keeping the blocks'
-    # norm or relu outputs as well adds 15.9 MB each
+    # each backbone block keeps the normalized input, a per-position inverse
+    # deviation and a 1-byte relu mask for backward, and the next block's
+    # conv keeps its input: 34.5 MB live on this batch (139 distinct
+    # images). Keeping the blocks' norm or relu outputs as well adds 15.9 MB
+    # each, and keeping their conv outputs 15.4 MB
     live, _peak = default_batch_memory()
-    assert live < 68e6, live
+    assert live < 42e6, live
+
+
+@pytest.mark.parametrize("variant", ["standard", "literal"])
+def test_no_vjp_holds_a_tensor(variant):
+    # a vjp that captures a Tensor, even only to read its shape, keeps the
+    # tensor's array alive until backward; every vjp keeps arrays and shapes
+    model = Model.init(ModelConfig(), seed=0)
+    batch = sample_pair_batch(build_dataset(DatasetConfig()), 8, np.random.default_rng(0))
+    loss = batch_loss(model, batch, LossConfig(variant=variant))
+    vjps = [vjp for node in [loss._node] + intermediates(loss) for _, vjp in node._edges]
+    assert len(vjps) > 100
+    assert not [vjp.__qualname__ for vjp in vjps if holds_tensor(vjp)]
+
+
+def test_block_conv_outputs_are_freed_before_backward(monkeypatch):
+    # norm_relu_pool keeps the normalized input, not the conv output it
+    # normalizes, and the graph holds nodes, not tensors, so each block's
+    # conv output dies with the forward
+    outputs, real_conv2d = [], ad.conv2d
+
+    def conv2d(*args, **kwargs):
+        out = real_conv2d(*args, **kwargs)
+        outputs.extend(weakref.ref(a) for a in (out.data, out.data.base) if a is not None)
+        return out
+    monkeypatch.setattr(ad, "conv2d", conv2d)
+    model = Model.init(ModelConfig(), seed=0)
+    batch = sample_pair_batch(build_dataset(DatasetConfig()), 8, np.random.default_rng(0))
+    loss = batch_loss(model, batch, LossConfig())
+    assert len(outputs) == 2 * 2 * len(model.config.backbone.blocks)   # support, query
+    assert all(ref() is None for ref in outputs)
+    backward(loss)
+    assert all(p.grad is not None for p in model.parameters().values())
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
