@@ -35,13 +35,14 @@ def _out_dir(args) -> Path:
 
 def _common_config(args) -> dict[str, str]:
     overrides = {k: getattr(args, k.replace("-", "_"), None) for k in cio.DEFAULT_CONFIG}
-    return cio.resolve_config(args.config, overrides)
+    cfg = cio.resolve_config(args.config, overrides)
+    cio.dataset_config_from(cfg).validate()   # before any output directory is made
+    return cfg
 
 
 def _load_dataset(args, cfg):
-    if getattr(args, "data", None):
-        return load_pools(args.data, cio.dataset_config_from(cfg))
-    return build_dataset(cio.dataset_config_from(cfg))
+    config = cio.dataset_config_from(cfg)
+    return load_pools(args.data, config) if getattr(args, "data", None) else build_dataset(config)
 
 
 def cmd_gen_data(args) -> int:
@@ -55,12 +56,12 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _common_config(args)
-    model_cfg = cio.model_config_from(cfg)
-    model_cfg.validate()   # before the output directory is made
+    model_cfg, train_cfg = cio.model_config_from(cfg), cio.train_config_from(cfg)
+    model_cfg.validate()   # both before the output directory is made
+    train_cfg.validate()
     out = _out_dir(args)
     dataset = _load_dataset(args, cfg)
     model = Model.init(model_cfg, seed=int(cfg["seed"]))
-    train_cfg = cio.train_config_from(cfg)
     ckpt_path = out / "checkpoint.txt"
     every = int(cfg["checkpoint_every"])
     meta = {"seed": int(cfg["seed"]), "config_hash": cio.config_hash(cfg)}
@@ -84,10 +85,9 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     dataset = _load_dataset(args, cfg)
     model, _meta = cio.model_from_checkpoint(args.checkpoint)
-    expected = cio.model_config_from(cfg)
-    if model.config.backbone.input_size != expected.backbone.input_size:
+    if model.config.backbone.input_size != int(cfg["image_size"]):
         raise DimensionError(f"eval: checkpoint expects {model.config.backbone.input_size}"
-                             f"-pixel images, config says {expected.backbone.input_size}")
+                             f"-pixel images, config says {cfg['image_size']}")
     strategies = [s.strip() for s in cfg["strategies"].split(",") if s.strip()]
     baseline_model = None
     if args.with_baseline:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -384,7 +385,6 @@ def augment_query_image(image: np.ndarray, mode: str, rng) -> np.ndarray:
 
 def export_pools(dataset: SyntheticDataset, out_dir) -> int:
     """Write each sample as class_<id>/<pool>_<idx>__<tags>.npz (image + mask)."""
-    from pathlib import Path
     out_dir = Path(out_dir)
     count = 0
     for pool_name, samples in (("support", dataset.support), ("query", dataset.query)):
@@ -403,14 +403,13 @@ def export_pools(dataset: SyntheticDataset, out_dir) -> int:
 
 def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
     """Read a directory written by :func:`export_pools` (or laid out the same way)."""
-    from pathlib import Path
     in_dir = Path(in_dir)
     class_dirs = sorted(in_dir.glob("class_*"))
     if not class_dirs:
         raise DataError(f"load_pools: no class_* directories under {in_dir}")
     support: list[SyntheticSample] = []
     query: list[SyntheticSample] = []
-    size = None
+    size = config.image_size if config else None   # else the first file's side
     for cdir in class_dirs:
         try:
             class_id = int(cdir.name.split("_", 1)[1])
@@ -437,7 +436,8 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
             if image.shape != (1, size, size) or image.dtype.kind not in "fiu" \
                     or not np.all(np.isfinite(image)):
                 raise DataError(f"load_pools: {f} holds a {image.dtype} {image.shape} image; each "
-                                f"must be finite, (1, S, S), S as in the first file ({size})")
+                                f"must be finite and (1, S, S) with S = {size}: the config's "
+                                f"image_size if one is given, else the first file's side")
             if np.any((image < 0) | (image > 1)):
                 raise DataError(f"load_pools: {f} holds image values in [{image.min()}, "
                                 f"{image.max()}]; they must lie in [0, 1], the generator's range")

@@ -9,12 +9,13 @@ information between queries because every per-pair computation is
 independent of the other pairs in the batch.
 
 Nothing is computed twice. At K=1 each class prototype is its one support,
-so ``proto_dist`` is ``pair_dist``. Each episode makes one backbone call per
-model, and :func:`run_evaluation_suite` keeps, for that call only, a memo
-per model from image bytes to backbone map. No bit of a map depends on the
-rest of its batch, at any image size (the backbone's conv runs one gemm of
-the same shape per image, and its norm and pooling reduce each position on
-its own), so memoised maps equal fresh ones and inductive purity holds.
+so ``proto_dist`` is ``pair_dist``. The three classifier strategies share one
+logistic fit per episode. Each episode makes one backbone call per model,
+and :func:`run_evaluation_suite` keeps, for that call only, a memo per model
+from image bytes to backbone map. No bit of a map depends on the rest of its
+batch, at any image size (the backbone's conv runs one gemm of the same shape
+per image, and its norm and pooling reduce each position on its own), so
+memoised maps equal fresh ones and inductive purity holds.
 """
 from __future__ import annotations
 
@@ -127,11 +128,13 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray, n_classes: int,
 # can be tested on constructed embeddings)
 # ---------------------------------------------------------------------------
 
-def strategy_predictions(strategy: str, *, n_way: int, k_shot: int,
+def strategy_predictions(strategies, *, n_way: int, k_shot: int,
                          pair_dist: np.ndarray, proto_dist: np.ndarray,
                          support_vectors: np.ndarray, query_vectors: np.ndarray,
-                         pooled_queries: np.ndarray) -> np.ndarray:
-    """Decision rule of one inference strategy.
+                         pooled_queries: np.ndarray) -> dict[str, np.ndarray]:
+    """``{strategy: predictions}`` for each requested strategy; an unknown or
+    repeated name raises ConfigError. The classifier strategies score their
+    targets against one logistic fit, made only if one of them is requested.
 
     pair_dist       (NQ, N*K) squared distances of each query's re-represented
                     pairs, support axis in class-major order
@@ -142,26 +145,32 @@ def strategy_predictions(strategy: str, *, n_way: int, k_shot: int,
 
     Ties break toward the lowest class index (argmax keeps the first max).
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"classify_query: unknown strategy '{strategy}'")
+    for i, s in enumerate(strategies):
+        if s not in STRATEGIES or s in strategies[:i]:
+            raise ConfigError(f"strategy_predictions: strategy '{s}' is "
+                              + ("requested twice" if s in STRATEGIES else "unknown"))
     nq = pair_dist.shape[0]
-    if strategy == "individual_similarity":
-        scores = -pair_dist.reshape(nq, n_way, k_shot).sum(axis=2)
-        return scores.argmax(axis=1)
-    if strategy == "class_similarity":
-        return (-proto_dist).argmax(axis=1)
-    support_labels = np.repeat(np.arange(n_way), k_shot)
-    w, b = _fit_logistic(support_vectors, support_labels, n_way, epochs=100, lr=0.1)
-    if strategy == "classifier":
-        target = query_vectors.mean(axis=1)
-    elif strategy == "raw_query":
-        target = pooled_queries
-    else:  # weighted_query
-        class_weights = _softmax(-proto_dist)                       # (NQ, N)
-        class_means = query_vectors.reshape(nq, n_way, k_shot, -1).mean(axis=2)
-        target = (class_weights[:, :, None] * class_means).sum(axis=1)
-    logits = (target[:, None, :] @ w)[:, 0, :] + b[:, 0, :]
-    return logits.argmax(axis=1)
+    fit, preds = None, {}
+    for s in strategies:
+        if s == "individual_similarity":
+            scores = -pair_dist.reshape(nq, n_way, k_shot).sum(axis=2)
+        elif s == "class_similarity":
+            scores = -proto_dist
+        else:
+            if fit is None:
+                fit = _fit_logistic(support_vectors, np.repeat(np.arange(n_way), k_shot),
+                                    n_way, epochs=100, lr=0.1)
+            if s == "classifier":
+                target = query_vectors.mean(axis=1)
+            elif s == "raw_query":
+                target = pooled_queries
+            else:  # weighted_query
+                class_weights = _softmax(-proto_dist)                       # (NQ, N)
+                class_means = query_vectors.reshape(nq, n_way, k_shot, -1).mean(axis=2)
+                target = (class_weights[:, :, None] * class_means).sum(axis=1)
+            scores = (target[:, None, :] @ fit[0])[:, 0, :] + fit[1][:, 0, :]
+        preds[s] = scores.argmax(axis=1)
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +240,9 @@ def classify_query(task: EpisodeTask, model: Model, strategy: str,
     in :func:`episode_features`."""
     if strategy == BASELINE:
         return (-_baseline_distances(task, model, memo)).argmax(axis=1)
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"classify_query: unknown strategy '{strategy}'")
     feats = features or episode_features(task, model, memo)
-    return strategy_predictions(
-        strategy, n_way=task.n_way, k_shot=task.k_shot,
-        pair_dist=feats["pair_dist"], proto_dist=feats["proto_dist"],
-        support_vectors=feats["support_vectors"], query_vectors=feats["query_vectors"],
-        pooled_queries=feats["pooled_queries"])
+    return strategy_predictions([strategy], n_way=task.n_way, k_shot=task.k_shot,
+                                **feats)[strategy]
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +262,6 @@ def run_evaluation_suite(dataset: SyntheticDataset, model: Model, *, n_way: int 
         if value < 1:
             raise ConfigError(f"run_evaluation_suite: {name} must be >= 1, got {value}")
     strategies = list(strategies)
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigError(f"run_evaluation_suite: unknown strategy '{s}'")
     accs: dict[str, list[float]] = {s: [] for s in strategies}
     if baseline_model is not None:
         accs[BASELINE] = []
@@ -270,13 +271,12 @@ def run_evaluation_suite(dataset: SyntheticDataset, model: Model, *, n_way: int 
     for ep in range(n_episodes):
         rng = np.random.default_rng(np.random.SeedSequence([0x657, seed, ep]))
         task = sample_episode(dataset, n_way, k_shot, q_per_class, rng)
-        feats = episode_features(task, model, memo) if strategies else None
-        for s in strategies:
-            preds = classify_query(task, model, s, features=feats)
-            accs[s].append(float(np.mean(preds == task.query_labels)))
+        preds = strategy_predictions(strategies, n_way=n_way, k_shot=k_shot,
+                                     **episode_features(task, model, memo)) if strategies else {}
         if baseline_model is not None:
-            preds = classify_query(task, baseline_model, BASELINE, memo=baseline_memo)
-            accs[BASELINE].append(float(np.mean(preds == task.query_labels)))
+            preds[BASELINE] = classify_query(task, baseline_model, BASELINE, memo=baseline_memo)
+        for s, p in preds.items():
+            accs[s].append(float(np.mean(p == task.query_labels)))
     cfg = {"n_way": n_way, "k_shot": k_shot, "q_per_class": q_per_class,
            "n_episodes": n_episodes, "seed": seed, "structure": model.structure}
     return {s: EvalReport.from_accuracies(s, a, cfg) for s, a in accs.items()}

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
+from .evaluate import EvalReport
 from .exceptions import ConfigError
 from .io import read_accuracy_csv, read_loss_csv
 
@@ -54,25 +53,24 @@ def loss_curve_svg(loss_csv, out_path) -> None:
 
 def accuracy_bars_svg(accuracy_csv, out_path) -> None:
     """One bar per strategy column; height is mean accuracy on a fixed [0, 1]
-    scale (mean * PLOT_H pixels), whiskers are the 95% confidence interval."""
+    scale (mean * PLOT_H pixels), whiskers are the 95% confidence interval,
+    both as :meth:`EvalReport.from_accuracies` computes them."""
     columns = read_accuracy_csv(accuracy_csv)
     names = sorted(columns)
     elements = _axes()
     slot = PLOT_W / len(names)
     base_y = MARGIN_TOP + PLOT_H
     for i, name in enumerate(names):
-        accs = np.asarray(columns[name])
-        mean = float(accs.mean())
-        ci = float(1.96 * accs.std(ddof=1) / np.sqrt(len(accs))) if len(accs) > 1 else 0.0
-        height = mean * PLOT_H
+        report = EvalReport.from_accuracies(name, columns[name])
+        height = report.mean * PLOT_H
         bar_w = slot * 0.6
         x = MARGIN_LEFT + slot * i + slot * 0.2
         y = base_y - height
         cx = x + bar_w / 2
         elements.append(f'<rect x="{x!r}" y="{y!r}" width="{bar_w!r}" height="{height!r}" '
-                        f'fill="steelblue" data-strategy="{name}" data-mean="{mean!r}" '
-                        f'data-ci95="{ci!r}"/>')
-        whisk = ci * PLOT_H
+                        f'fill="steelblue" data-strategy="{name}" data-mean="{report.mean!r}" '
+                        f'data-ci95="{report.ci95!r}"/>')
+        whisk = report.ci95 * PLOT_H
         elements.append(f'<line x1="{cx!r}" y1="{y - whisk!r}" x2="{cx!r}" y2="{y + whisk!r}" '
                         f'stroke="black"/>')
         elements.append(f'<line x1="{cx - 5!r}" y1="{y - whisk!r}" x2="{cx + 5!r}" '

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .data import SyntheticDataset, augment_query_image
+from .data import AUGMENT_MODES, SyntheticDataset, augment_query_image
 from .exceptions import (ConfigError, ContractError, DataError, DimensionError,
                          NonFiniteLossError)
 from .model import Model
@@ -62,6 +62,8 @@ class TrainConfig:
         if not 0.0 < self.lr_drop_factor <= 1.0:
             raise ConfigError(f"train: lr_drop_factor must lie in (0, 1], "
                               f"got {self.lr_drop_factor}")
+        if self.augment not in AUGMENT_MODES:
+            raise ConfigError(f"train: unknown augment mode '{self.augment}'")
         self.loss.validate()
 
     def resolved_batches(self, dataset: SyntheticDataset) -> int:

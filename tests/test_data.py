@@ -279,6 +279,18 @@ class TestExportImport:
         with pytest.raises(DataError, match=f"{last.name}.*{re.escape(str(mask.shape))} mask"):
             load_pools(tmp_path)
 
+    def test_pool_side_other_than_config_image_size_rejected(self, tmp_path):
+        # the pools loaded, and training failed at its first batch in the
+        # backbone, naming neither the directory nor image_size
+        ds = build_dataset(DatasetConfig(seed=7, n_classes=2, image_size=16,
+                                         support_per_class=1, query_per_class=1))
+        export_pools(ds, tmp_path)
+        with pytest.raises(DataError, match=re.escape(str(tmp_path)) +
+                           r".*\(1, 16, 16\) image.*S = 32: the config's image_size"):
+            load_pools(tmp_path, DatasetConfig(n_classes=2, image_size=32))
+        loaded = load_pools(tmp_path, DatasetConfig(n_classes=2, image_size=16))
+        assert len(loaded.support) == 2 and loaded.config.image_size == 16
+
     def test_mask_follows_its_own_image_side(self, tmp_path):
         ds = build_dataset(DatasetConfig(seed=7, n_classes=2, image_size=16,
                                          support_per_class=1, query_per_class=1))

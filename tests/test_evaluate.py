@@ -97,28 +97,48 @@ class TestStrategyRules:
         proto_dist = np.stack([((centers - query_vectors[i, 0]) ** 2).sum(axis=-1)
                                for i in range(4)])
         pooled = query_vectors[:, 0, :]
-        for strategy in ("individual_similarity", "class_similarity", "classifier",
-                         "raw_query", "weighted_query"):
-            preds = strategy_predictions(strategy, n_way=n_way, k_shot=k,
-                                         pair_dist=pair_dist, proto_dist=proto_dist,
-                                         support_vectors=support_vectors,
-                                         query_vectors=query_vectors,
-                                         pooled_queries=pooled)
+        strategies = ["individual_similarity", "class_similarity", "classifier",
+                      "raw_query", "weighted_query"]
+        predictions = strategy_predictions(strategies, n_way=n_way, k_shot=k,
+                                           pair_dist=pair_dist, proto_dist=proto_dist,
+                                           support_vectors=support_vectors,
+                                           query_vectors=query_vectors,
+                                           pooled_queries=pooled)
+        assert list(predictions) == strategies
+        for strategy, preds in predictions.items():
             np.testing.assert_array_equal(preds, true, err_msg=strategy)
 
     def test_ties_break_to_lowest_class_index(self):
         pair_dist = np.array([[1.0, 1.0]])
-        preds = strategy_predictions("individual_similarity", n_way=2, k_shot=1,
+        preds = strategy_predictions(["individual_similarity"], n_way=2, k_shot=1,
                                      pair_dist=pair_dist, proto_dist=pair_dist,
                                      support_vectors=np.zeros((1, 2, 3)),
                                      query_vectors=np.zeros((1, 2, 3)),
                                      pooled_queries=np.zeros((1, 3)))
-        assert preds[0] == 0
+        assert preds["individual_similarity"][0] == 0
 
     def test_unknown_strategy_rejected(self, dataset, model):
         task = sample_episode(dataset, 2, 1, 2, seed=0)
         with pytest.raises(ConfigError):
             classify_query(task, model, "transductive")
+
+    def test_repeated_strategy_rejected_by_name(self, dataset, model):
+        feats = episode_features(sample_episode(dataset, 2, 1, 2, seed=0), model)
+        with pytest.raises(ConfigError, match="'raw_query' is requested twice"):
+            strategy_predictions(["raw_query", "classifier", "raw_query"], n_way=2, k_shot=1,
+                                 **feats)
+
+    @pytest.mark.parametrize("k_shot", [1, 2])
+    def test_all_strategies_at_once_equal_each_alone(self, dataset, model, k_shot):
+        for seed in range(3):
+            task = sample_episode(dataset, 3, k_shot, 4, seed=seed)
+            feats = episode_features(task, model)
+            together = strategy_predictions(STRATEGIES, n_way=3, k_shot=k_shot, **feats)
+            assert list(together) == list(STRATEGIES)
+            for s in STRATEGIES:
+                alone = strategy_predictions([s], n_way=3, k_shot=k_shot, **feats)
+                assert set(alone) == {s}
+                assert alone[s].tobytes() == together[s].tobytes(), (s, seed)
 
 
 class TestClassifyQuery:
@@ -186,6 +206,20 @@ class TestNoRepeatedWork:
         assert feats["proto_dist"].shape == (6, 3)
         if k_shot > 1:
             assert calls[1] == 6 * 3
+
+    @pytest.mark.parametrize("strategies,fits", [
+        (STRATEGIES, 1), (["classifier", "raw_query"], 1),
+        (["individual_similarity", "class_similarity"], 0)])
+    def test_one_logistic_fit_per_episode(self, dataset, model, monkeypatch, strategies, fits):
+        calls = []
+        fit = evaluate._fit_logistic
+        monkeypatch.setattr(evaluate, "_fit_logistic",
+                            lambda *a, **kw: calls.append(a[0].shape) or fit(*a, **kw))
+        reports = run_evaluation_suite(dataset, model, n_way=3, k_shot=1, q_per_class=2,
+                                       n_episodes=4, strategies=strategies, seed=3,
+                                       baseline_model=model)
+        assert len(calls) == 4 * fits
+        assert {len(r.per_episode_accuracy) for r in reports.values()} == {4}
 
     @pytest.mark.parametrize("k_shot", [1, 2])
     def test_suite_memo_matches_fresh_episodes(self, dataset, model, monkeypatch, k_shot):
@@ -257,6 +291,17 @@ class TestRunEvaluation:
         with pytest.raises(ConfigError):
             run_evaluation_suite(dataset, model, n_way=2, k_shot=1, q_per_class=2,
                                  n_episodes=1, strategies=["oracle"], seed=0)
+
+    # accs was keyed by name but appended once per list entry: without a
+    # baseline a 3-episode run reported 6 episodes, with one it raised an
+    # IndexError in write_accuracy_csv
+    @pytest.mark.parametrize("with_baseline", [False, True])
+    def test_repeated_strategy_rejected(self, dataset, model, with_baseline):
+        with pytest.raises(ConfigError, match="'weighted_query' is requested twice"):
+            run_evaluation_suite(dataset, model, n_way=2, k_shot=1, q_per_class=2,
+                                 n_episodes=3, seed=0,
+                                 strategies=["weighted_query", "weighted_query"],
+                                 baseline_model=model if with_baseline else None)
 
     # 0 episodes reported a mean of 0.0 over nothing; a 0-way, 0-shot or
     # 0-query episode died in np.stack with a message naming no argument

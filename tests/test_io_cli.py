@@ -481,6 +481,60 @@ class TestCli:
         assert not (tmp_path / "run" / "report.json").exists()
         assert not (tmp_path / "run" / "accuracy.csv").exists()
 
+    def test_repeated_strategy_exits_2_without_traceback_or_accuracy_csv(self, tmp_path):
+        # it exited 1 with an IndexError traceback from write_accuracy_csv
+        path, _lines = saved_checkpoint(tmp_path)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-m", "condrep.cli", "eval", "--out",
+                               str(tmp_path / "run"), "--checkpoint", str(path),
+                               "--n-way", "2", "--q-per-class", "2", "--episodes", "3",
+                               "--strategies", "weighted_query,weighted_query",
+                               "--with-baseline", *TINY_FLAGS],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "strategy 'weighted_query' is requested twice" in proc.stderr
+        assert not (tmp_path / "run" / "accuracy.csv").exists()
+        assert not (tmp_path / "run" / "report.json").exists()
+
+    # each exited 2 but left the output directory behind: the dataset and
+    # train configs were checked only after it was made (augment only at
+    # the first batch)
+    @pytest.mark.parametrize("command,flag,value,key", [
+        ("train", "--augment", "foo", "augment"),
+        ("train", "--mix-small", "nan", "transform_mix"),
+        ("train", "--loss-variant", "foo", "variant"),
+        ("train", "--margin", "-1", "margin"),
+        ("gen-data", "--mix-small", "nan", "transform_mix"),
+        ("eval", "--mix-small", "nan", "transform_mix"),
+        ("export-embeddings", "--blur-fraction", "2", "blur_fraction")])
+    def test_invalid_config_exits_2_before_making_the_output_directory(
+            self, tmp_path, capsys, command, flag, value, key):
+        extra = ["--checkpoint", str(tmp_path / "none.txt")] \
+            if command in ("eval", "export-embeddings") else []
+        rc = main([command, "--out", str(tmp_path / "run"), *TINY_FLAGS, *extra, flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_reads_the_grid_from_the_checkpoint(self, tmp_path, capsys):
+        # eval built a model config from the grid keys only to read its image
+        # size, so a 28-pixel checkpoint failed with "cannot reach
+        # feature_side 4" unless the unused --feature-side 7 was passed too
+        cfg = ModelConfig(backbone=BackboneConfig(input_size=28, blocks=((8, 2), (8, 2)),
+                                                  feature_channels=8, feature_side=7))
+        cio.save_checkpoint(tmp_path / "ckpt.txt", Model.init(cfg, seed=0))
+        flags = ["--checkpoint", str(tmp_path / "ckpt.txt"), "--n-classes", "3",
+                 "--support-per-class", "2", "--query-per-class", "2", "--n-way", "2",
+                 "--q-per-class", "2", "--episodes", "1"]
+        rc = main(["eval", "--out", str(tmp_path / "run"), "--image-size", "28", *flags])
+        assert rc == 0, capsys.readouterr().err
+        rc = main(["eval", "--out", str(tmp_path / "run"), "--image-size", "32", *flags])
+        assert rc == 2
+        assert "checkpoint expects 28-pixel images, config says 32" in capsys.readouterr().err
+
     # 0 divided by zero and a side above the image overflowed in
     # model_config_from; both exited 1 with a traceback
     @pytest.mark.parametrize("side", ["0", "64"])

@@ -384,6 +384,11 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match=field):
             cfg.validate()
 
+    def test_unknown_augment_rejected(self):
+        # it passed validation and failed only in the first sample_pair_batch
+        with pytest.raises(ConfigError, match="augment mode 'cutmix'"):
+            TrainConfig(augment="cutmix").validate()
+
     @pytest.mark.parametrize("flag", ["learning-rate", "weight-decay", "margin"])
     def test_non_finite_rate_or_margin_exits_2(self, tmp_path, capsys, flag):
         rc = main(["train", "--out", str(tmp_path), "--image-size", "16",
