@@ -15,9 +15,13 @@ arrays and shapes only:
 * add, sub, reshape, permute, concat, mean, sum_along and index_axis keep
   shapes;
 * mul and matmul keep the other operand's array, on each edge to a parent
-  that needs a gradient only; relu keeps a 1-byte mask; sqrt and softmax
-  keep their output, log its input, layer_norm the normalized rows,
-  their inverse deviations and gamma's array;
+  that needs a gradient only; matmul with ``transpose_b`` keeps ``b``
+  itself and rebuilds the transient ``b^T`` copy its a-gradient multiplies
+  by, so attention whose keys are its values keeps those rows once; relu
+  keeps a 1-byte mask; sqrt and softmax keep their output (softmax builds
+  it in the one array that held the shift and its exponential), log its
+  input, layer_norm the normalized rows, their inverse deviations and
+  gamma's array;
 * conv2d keeps its input array for the kernel gradient and the flattened
   kernel for the input gradient; norm_relu_pool keeps shapes and the
   arrays named below, so no conv output outlives the forward.
@@ -287,33 +291,44 @@ def log(x) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; either operand may carry leading batch dimensions."""
+def matmul(a, b, *, transpose_b: bool = False) -> Tensor:
+    """Matrix product ``a @ b``, or ``a @ b^T`` with ``transpose_b``; either
+    operand may carry leading batch dimensions.
+
+    With ``transpose_b`` the vjps keep ``b``'s own array, not a transposed
+    copy, and each product runs on a transient contiguous copy of ``b^T``,
+    so the bits equal ``matmul(a, permute(b, ...))``'s: numpy's gemm on the
+    strided view gives other bits (at (80, 16, 32) rows, for one)."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-1 if transpose_b else -2]:
+        raise DimensionError(f"matmul: inner dimensions disagree for shapes {a.shape} and "
+                             f"{b.shape}{' (b transposed)' if transpose_b else ''}")
     da, db, sa, sb = a.data, b.data, a.shape, b.shape
-    out = da @ db
+
+    def rhs():
+        return np.ascontiguousarray(db.swapaxes(-1, -2)) if transpose_b else db
 
     def vjp_a(g):
-        return _unbroadcast(g @ db.swapaxes(-1, -2), sa)
+        return _unbroadcast(g @ rhs().swapaxes(-1, -2), sa)
 
     def vjp_b(g):
-        return _unbroadcast(da.swapaxes(-1, -2) @ g, sb)
+        gb = da.swapaxes(-1, -2) @ g
+        return _unbroadcast(gb.swapaxes(-1, -2) if transpose_b else gb, sb)
 
-    return _make(out, [(a, vjp_a), (b, vjp_b)])
+    return _make(da @ rhs(), [(a, vjp_a), (b, vjp_b)])
 
 
 def softmax_lastdim(x) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction."""
+    """Softmax over the last axis, computed with max-subtraction in one
+    array: the shift, its exponential and the normalized output share it."""
     x = as_tensor(x)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise DimensionError(f"softmax_lastdim: empty last dimension in shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         return y * (g - (g * y).sum(axis=-1, keepdims=True))

@@ -80,14 +80,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checkpoint_model(args, cfg) -> Model:
+    """The ``--checkpoint`` model, whose image size must be the config's
+    ``image_size``; call it before any output directory is made."""
+    model, _meta = cio.model_from_checkpoint(args.checkpoint)
+    size = model.config.backbone.input_size
+    if size != int(cfg["image_size"]):
+        raise DimensionError(f"{args.command}: checkpoint expects {size}-pixel images, config "
+                             f"says {cfg['image_size']}; set image_size to {size} for "
+                             f"{args.checkpoint}")
+    return model
+
+
 def cmd_eval(args) -> int:
     cfg = _common_config(args)
+    model = _checkpoint_model(args, cfg)
     out = _out_dir(args)
     dataset = _load_dataset(args, cfg)
-    model, _meta = cio.model_from_checkpoint(args.checkpoint)
-    if model.config.backbone.input_size != int(cfg["image_size"]):
-        raise DimensionError(f"eval: checkpoint expects {model.config.backbone.input_size}"
-                             f"-pixel images, config says {cfg['image_size']}")
     strategies = [s.strip() for s in cfg["strategies"].split(",") if s.strip()]
     baseline_model = None
     if args.with_baseline:
@@ -107,9 +116,9 @@ def cmd_eval(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     cfg = _common_config(args)
+    model = _checkpoint_model(args, cfg)
     out = _out_dir(args)
     dataset = _load_dataset(args, cfg)
-    model, _meta = cio.model_from_checkpoint(args.checkpoint)
     pool = dataset.support if args.pool == "support" else dataset.query
     if not pool:
         raise DataError(f"export-embeddings: pool '{args.pool}' is empty")
@@ -128,6 +137,8 @@ def cmd_export_embeddings(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if not (args.loss_csv or args.accuracy_csv):
+        raise ConfigError("plot: pass --loss-csv and/or --accuracy-csv")
     out = _out_dir(args)
     wrote = []
     if args.loss_csv:
@@ -138,8 +149,6 @@ def cmd_plot(args) -> int:
         path = out / "accuracy.svg"
         accuracy_bars_svg(args.accuracy_csv, path)
         wrote.append(path)
-    if not wrote:
-        raise ConfigError("plot: pass --loss-csv and/or --accuracy-csv")
     for p in wrote:
         print(f"wrote {p}")
     return 0

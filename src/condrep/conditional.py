@@ -60,11 +60,11 @@ def _sinusoid_table(length: int, channels: int) -> np.ndarray:
 
 def attend(q, k, v) -> Tensor:
     """Scaled dot-product attention ``softmax(q . k^T / sqrt(C)) . v`` of
-    (..., Tq, C) query rows against (..., Tk, C) key and value rows."""
+    (..., Tq, C) query rows against (..., Tk, C) key and value rows. The
+    score product reads ``k`` transposed, so when ``k`` is ``v`` the graph
+    keeps their rows once."""
     k = ad.as_tensor(k)
-    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    # no local holds the transposed copy, so under no_grad it is freed before the softmax
-    scores = ad.mul(ad.matmul(q, ad.permute(k, swap)), k.shape[-1] ** -0.5)
+    scores = ad.mul(ad.matmul(q, k, transpose_b=True), k.shape[-1] ** -0.5)
     return ad.matmul(ad.softmax_lastdim(scores), v)
 
 

@@ -47,6 +47,31 @@ class TestMatmul:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 4\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(3, 4\).*transposed"):
+            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), transpose_b=True)
+
+    # attention's score shapes (queries, keys): at these, numpy's product with a
+    # strided b^T view gives other bits than with a contiguous copy of it
+    @pytest.mark.parametrize("sa,sb", [((80, 16, 32), (80, 32, 32)),
+                                       ((80, 16, 32), (80, 16, 32)),
+                                       ((375, 16, 32), (375, 32, 32)),
+                                       ((80, 4, 32), (80, 8, 32))])
+    def test_transpose_b_is_bit_identical_to_a_permuted_operand(self, sa, sb):
+        rng = np.random.default_rng(61)
+        a0, b0 = rng.normal(size=sa), rng.normal(size=sb)
+        g = Tensor(rng.normal(size=sa[:-1] + sb[-2:-1]))
+        swap = (0, 2, 1)
+        outs, grads = [], []
+        for transposed in (False, True):
+            a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+            out = ad.matmul(a, b, transpose_b=True) if transposed \
+                else ad.matmul(a, ad.permute(b, swap))
+            backward(ad.sum_along(ad.mul(out, g)))
+            outs.append(out.data)
+            grads.append((a.grad, b.grad))
+        assert np.array_equal(outs[0], outs[1])
+        for want, got in zip(*grads):
+            assert np.array_equal(want, got)
 
 
 class TestSoftmax:
@@ -74,6 +99,19 @@ class TestSoftmax:
     def test_empty_last_dim(self):
         with pytest.raises(DimensionError):
             ad.softmax_lastdim(Tensor(np.zeros((2, 0))))
+
+    def test_forward_peak_is_one_output_array(self):
+        # the shift, its exponential and the quotient share one array, so the
+        # forward's peak is its output plus two (64, 64, 1) row statistics
+        x = Tensor(np.random.default_rng(4).normal(size=(64, 64, 64)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = ad.softmax_lastdim(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < y.data.nbytes + y.data.nbytes // 8, peak
 
 
 class TestLayerNorm:
@@ -566,6 +604,23 @@ def test_batched_matmul_gradients_match_oracle(seed):
     backward(g(y))
     fd = fd_gradient_oracle(g, y)
     assert max_relative_error(y.grad, fd) < FD_TOL
+
+
+# a @ b^T: plain, batched, and with a 2-D b shared by (broadcast over) a batch
+@pytest.mark.parametrize("sa,sb", [((3, 4), (5, 4)), ((3, 2, 4), (3, 5, 4)),
+                                   ((3, 2, 4), (5, 4))])
+@pytest.mark.parametrize("seed", range(3))
+def test_transpose_b_matmul_gradients_match_oracle(sa, sb, seed):
+    rng = np.random.default_rng(250 + seed)
+    a, b = _random_tensor(rng, sa), _random_tensor(rng, sb)
+
+    def f(x, y):
+        out = ad.matmul(x, y, transpose_b=True)
+        return ad.sum_along(ad.mul(out, out))
+
+    backward(f(a, b))
+    for leaf, fn in ((a, lambda t: f(t, Tensor(b.data))), (b, lambda t: f(Tensor(a.data), t))):
+        assert max_relative_error(leaf.grad, fd_gradient_oracle(fn, leaf)) < FD_TOL
 
 
 # the head's norm on (3, 4) rows, and on a batch of rows made by permuting the

@@ -2,6 +2,7 @@
 the factored bidirectional 4D convolution against its nested-loop oracle on
 the dense relation tensor."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,23 @@ class TestCrossCorrelate:
         fm = Tensor(np.zeros((4, 5)))
         with pytest.raises(DimensionError):
             attend(Tensor(np.zeros((4, 3))), fm, fm)
+
+    def test_graph_keeps_the_shared_rows_once(self):
+        # the score product reads the keys transposed, so the graph keeps no
+        # (..., C, Tk) copy of the view: beside the view itself it keeps the
+        # attention weights and the output, nothing of the view's size
+        rng = np.random.default_rng(5)
+        q = Tensor(rng.normal(size=(16, 16, 32)), requires_grad=True)
+        view = Tensor(rng.normal(size=(16, 32, 32)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = attend(q, view, view)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        weights = 16 * 16 * 32 * 8
+        assert live < weights + out.data.nbytes + view.data.nbytes // 2, live
 
 
 class TestRelationTensor:

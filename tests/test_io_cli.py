@@ -535,6 +535,28 @@ class TestCli:
         assert rc == 2
         assert "checkpoint expects 28-pixel images, config says 32" in capsys.readouterr().err
 
+    # eval compared the sizes only after making the output directory and
+    # building the dataset; export-embeddings never compared them and failed
+    # in the backbone, naming neither the checkpoint nor image_size
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_checkpoint_of_another_image_size_exits_2_before_making_the_output_directory(
+            self, tmp_path, capsys, command):
+        ckpt = tmp_path / "ckpt16.txt"
+        cio.save_checkpoint(ckpt, tiny_model())
+        rc = main([command, "--out", str(tmp_path / "run"), "--checkpoint", str(ckpt),
+                   *TINY_FLAGS, "--image-size", "32"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "image_size" in err and str(ckpt) in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_plot_without_a_csv_exits_2_before_making_the_output_directory(self, tmp_path,
+                                                                            capsys):
+        rc = main(["plot", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "--loss-csv and/or --accuracy-csv" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     # 0 divided by zero and a side above the image overflowed in
     # model_config_from; both exited 1 with a traceback
     @pytest.mark.parametrize("side", ["0", "64"])

@@ -305,17 +305,19 @@ def recorded_ops(monkeypatch, fn, *args):
 
 
 @pytest.mark.parametrize("structure,nodes,reshapes", [
-    ("siamese", 71, 5), ("non_siamese", 71, 5), ("non_residual", 69, 5)])
+    ("siamese", 67, 5), ("non_siamese", 67, 5), ("non_residual", 65, 5)])
 def test_pair_head_graph(monkeypatch, structure, nodes, reshapes):
-    # the conditional learner records 33 nodes, 5 of them reshapes (each
+    # the conditional learner records 31 nodes, 5 of them reshapes (each
     # side's rows, the fold weights, and each direction's pooled column);
     # each side fuses its column with the rows the learner built, so the
     # head reshapes no map a second time; non_residual feeds the column
-    # straight into the compression
+    # straight into the compression. No attention permutes its keys: the
+    # score product reads them transposed
     model = tiny_model(structure)
     rng = np.random.default_rng(18)
     fs, fq = (Tensor(rng.normal(size=(3, 2, 2, 8)), requires_grad=True) for _ in range(2))
     cond = recorded_ops(monkeypatch, conditional_forward, fs, fq, model.kernel)
-    assert sum(cond.values()) == 33 and cond["reshape"] == 5, cond
+    assert sum(cond.values()) == 31 and cond["reshape"] == 5, cond
     head = recorded_ops(monkeypatch, re_represent_pair, fs, fq, model)
     assert sum(head.values()) == nodes and head["reshape"] == reshapes, head
+    assert head["permute"] == 0, head
