@@ -15,15 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, io as cio
-from .autodiff import Tensor, no_grad
-from .backbone import pooled_feature
 from .data import build_dataset, export_pools, load_pools
 from .exceptions import (ConfigError, ContractError, DataError, DimensionError,
                          NonFiniteLossError, StateError)
 from .model import Model
 from .plots import accuracy_bars_svg, loss_curve_svg
-from .rerepresent import re_represent_pair
-from .training import _distinct_features, train
+from .training import train
 
 
 def _out_dir(args) -> Path:
@@ -122,14 +119,14 @@ def cmd_export_embeddings(args) -> int:
     pool = dataset.support if args.pool == "support" else dataset.query
     if not pool:
         raise DataError(f"export-embeddings: pool '{args.pool}' is empty")
-    refs = {c: samples[0] for c, samples in dataset.by_class("support").items()}
-    images = np.stack([refs[s.class_id].image for s in pool] + [s.image for s in pool])
-    with no_grad():
-        ref_maps, smp_maps = np.split(_distinct_features(model, images).data, 2)
-        _fs, fq = re_represent_pair(Tensor(ref_maps), Tensor(smp_maps), model)
-        base = pooled_feature(Tensor(smp_maps))
+    refs = {c: samples[0].image for c, samples in dataset.by_class("support").items()}
+    slot = {c: i for i, c in enumerate(refs)}
+    maps = evaluate._maps(np.stack([*refs.values(), *(s.image for s in pool)]), model)
+    ref_maps, smp_maps = np.split(maps, [len(refs)])
+    _fs, fq = evaluate._pair_vectors(model, ref_maps, np.array([slot[s.class_id] for s in pool]),
+                                     smp_maps, np.arange(len(pool)))
     rows = [(s.sample_id, s.class_id, s.pool, rep, b)
-            for s, rep, b in zip(pool, fq.data, base.data)]
+            for s, rep, b in zip(pool, fq, smp_maps.mean(axis=(1, 2)))]
     path = out / f"embeddings_{args.pool}.csv"
     cio.write_embeddings_csv(path, rows, channels=model.config.channels)
     print(f"wrote {len(rows)} rows to {path}")

@@ -3,19 +3,26 @@ strategies (three of them fit an online linear classifier on the
 re-represented supports), and evaluation reports.
 
 Inference is inductive: every query is classified from its own pairings
-with the supports only. The implementation batches all (query, support)
-pairs of an episode through the pair pipeline for speed, which cannot mix
-information between queries because every per-pair computation is
-independent of the other pairs in the batch.
+with the supports only. An episode's (query, support) pairs run through the
+pair pipeline in fixed-size groups, and the images that need a backbone map
+in fixed-size groups too. A group holds at most ``_GROUP_BYTES`` (1.5 MB)
+in its widest array, an image's first conv output or a pair's two gathered
+maps: 24 images or 192 pairs at the default 32 px and 4x4x32 grid. So an
+episode's transient memory is one group's, whatever N, K and Q are; only
+the (N*Q, N*K, C) vectors the strategies read grow with them. The
+features of a default 5-way 5-shot episode peak at 10.9 MB (92.6 MB in
+one batch), in a pair group's cross-attention (tracemalloc). Grouping
+cannot mix information between queries, nor change a bit, because every
+per-pair computation is independent of the other pairs in its group.
 
 Nothing is computed twice. At K=1 each class prototype is its one support,
 so ``proto_dist`` is ``pair_dist``. The three classifier strategies share one
-logistic fit per episode. Each episode makes one backbone call per model,
-and :func:`run_evaluation_suite` keeps, for that call only, a memo per model
-from image bytes to backbone map. No bit of a map depends on the rest of its
-batch, at any image size (the backbone's conv runs one gemm of the same shape
-per image, and its norm and pooling reduce each position on its own), so
-memoised maps equal fresh ones and inductive purity holds.
+logistic fit per episode. :func:`run_evaluation_suite` keeps, for that call
+only, a memo per model from image bytes to backbone map, so each distinct
+image is mapped once. No bit of a map depends on the rest of its batch, at
+any image size (the backbone's conv runs one gemm of the same shape per
+image, and its norm and pooling reduce each position on its own), so
+memoised and grouped maps equal fresh ones and inductive purity holds.
 """
 from __future__ import annotations
 
@@ -177,23 +184,53 @@ def strategy_predictions(strategies, *, n_way: int, k_shot: int,
 # episode-level classification
 # ---------------------------------------------------------------------------
 
-def _pair_vectors(model: Model, own: np.ndarray, other: np.ndarray):
+# Bytes one group of images or pairs may fill in its widest array: an image's
+# first conv output in the backbone, a pair's two gathered maps in the head.
+# A group's transient memory is a few times this; see the module docstring.
+_GROUP_BYTES = 3 << 19   # 1.5 MB
+
+
+def _groups(n: int, row_bytes: int) -> list[slice]:
+    """Slices over ``n`` rows of ``_GROUP_BYTES // row_bytes`` rows each (at
+    least one), the last one ragged."""
+    step = max(1, _GROUP_BYTES // row_bytes)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _pair_vectors(model: Model, own: np.ndarray, own_idx: np.ndarray,
+                  other: np.ndarray, other_idx: np.ndarray):
+    """Re-represented (P, C) vectors of the pairs ``(own[own_idx[p]],
+    other[other_idx[p]])``, gathered and run through the head a group of
+    pairs at a time."""
+    f_own, f_other = [], []
     with no_grad():
-        f_own, f_other = re_represent_pair(Tensor(own), Tensor(other), model)
-    return f_own.data, f_other.data
+        for g in _groups(len(own_idx), own[0].nbytes + other[0].nbytes):
+            a, b = re_represent_pair(Tensor(own[own_idx[g]]), Tensor(other[other_idx[g]]), model)
+            f_own.append(a.data)
+            f_other.append(b.data)
+    return np.concatenate(f_own), np.concatenate(f_other)
+
+
+def _maps(images: np.ndarray, model: Model, memo: dict | None = None) -> np.ndarray:
+    """Backbone maps (B, W, H, C) of ``images``. The distinct images that
+    ``memo`` (image bytes -> map) lacks are mapped a group at a time and
+    added to it."""
+    memo = {} if memo is None else memo
+    keys = [im.tobytes() for im in images]
+    new = {k: im for k, im in zip(keys, images) if k not in memo}
+    new_keys, new_images = list(new), list(new.values())
+    row_bytes = images[0, 0].nbytes * model.config.backbone.blocks[0][0]
+    with no_grad():
+        for g in _groups(len(new_keys), row_bytes):
+            memo.update(zip(new_keys[g], model.features(np.stack(new_images[g])).data))
+    return np.stack([memo[k] for k in keys])
 
 
 def _episode_maps(task: EpisodeTask, model: Model, memo: dict | None = None):
-    """Backbone maps (B, W, H, C) of the supports and of the queries, from one
-    forward over the images that ``memo`` (image bytes -> map) lacks."""
-    memo = {} if memo is None else memo
+    """Backbone maps (B, W, H, C) of the supports and of the queries; ``memo``
+    is as in :func:`_maps`."""
     images = np.concatenate([task.support_images, task.query_images])
-    keys = [im.tobytes() for im in images]
-    new = {k: im for k, im in zip(keys, images) if k not in memo}
-    if new:
-        with no_grad():
-            memo.update(zip(new, model.features(np.stack(list(new.values()))).data))
-    return np.split(np.stack([memo[k] for k in keys]), [len(task.support_images)])
+    return np.split(_maps(images, model, memo), [len(task.support_images)])
 
 
 def _baseline_distances(task: EpisodeTask, model: Model, memo: dict | None = None) -> np.ndarray:
@@ -211,9 +248,8 @@ def episode_features(task: EpisodeTask, model: Model, memo: dict | None = None) 
     nq = len(task.query_images)
     sup_maps, qry_maps = _episode_maps(task, model, memo)
 
-    s_idx = np.tile(np.arange(nk), nq)
-    q_idx = np.repeat(np.arange(nq), nk)
-    sup_vec, qry_vec = _pair_vectors(model, sup_maps[s_idx], qry_maps[q_idx])
+    sup_vec, qry_vec = _pair_vectors(model, sup_maps, np.tile(np.arange(nk), nq),
+                                     qry_maps, np.repeat(np.arange(nq), nk))
     c = sup_vec.shape[-1]
     support_vectors = sup_vec.reshape(nq, nk, c)
     query_vectors = qry_vec.reshape(nq, nk, c)
@@ -223,9 +259,8 @@ def episode_features(task: EpisodeTask, model: Model, memo: dict | None = None) 
         proto_dist = pair_dist
     else:
         protos = sup_maps.reshape(task.n_way, task.k_shot, *sup_maps.shape[1:]).mean(axis=1)
-        p_idx = np.tile(np.arange(task.n_way), nq)
-        pq_idx = np.repeat(np.arange(nq), task.n_way)
-        proto_vec, proto_qvec = _pair_vectors(model, protos[p_idx], qry_maps[pq_idx])
+        proto_vec, proto_qvec = _pair_vectors(model, protos, np.tile(np.arange(task.n_way), nq),
+                                              qry_maps, np.repeat(np.arange(nq), task.n_way))
         proto_dist = ((proto_vec - proto_qvec) ** 2).sum(axis=-1).reshape(nq, task.n_way)
     return {
         "pair_dist": pair_dist, "proto_dist": proto_dist,

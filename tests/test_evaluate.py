@@ -1,4 +1,6 @@
 """Episode sampling, inference strategies, the online classifier they fit, and reports."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,9 +188,9 @@ class TestNoRepeatedWork:
             sup_maps, qry_maps = evaluate._episode_maps(task, model)
             nq = len(task.query_images)
             protos = sup_maps.reshape(task.n_way, 1, *sup_maps.shape[1:]).mean(axis=1)
-            p_idx = np.tile(np.arange(task.n_way), nq)
-            pq_idx = np.repeat(np.arange(nq), task.n_way)
-            proto_vec, proto_qvec = evaluate._pair_vectors(model, protos[p_idx], qry_maps[pq_idx])
+            proto_vec, proto_qvec = evaluate._pair_vectors(
+                model, protos, np.tile(np.arange(task.n_way), nq),
+                qry_maps, np.repeat(np.arange(nq), task.n_way))
             proto_dist = ((proto_vec - proto_qvec) ** 2).sum(axis=-1).reshape(nq, task.n_way)
             assert np.array_equal(proto_dist, feats["pair_dist"]), seed
 
@@ -198,8 +200,9 @@ class TestNoRepeatedWork:
         calls = []
         pair_vectors = evaluate._pair_vectors
         monkeypatch.setattr(evaluate, "_pair_vectors",
-                            lambda m, own, other: calls.append(len(own)) or
-                            pair_vectors(m, own, other))
+                            lambda m, own, own_idx, other, other_idx:
+                            calls.append(len(own_idx)) or
+                            pair_vectors(m, own, own_idx, other, other_idx))
         task = sample_episode(dataset, 3, k_shot, 2, seed=8)
         feats = episode_features(task, model)
         assert len(calls) == passes
@@ -247,6 +250,66 @@ class TestNoRepeatedWork:
             assert set(single) == set(STRATEGIES) | {BASELINE}
             for s, report in single.items():
                 assert report.per_episode_accuracy == [suite[s].per_episode_accuracy[i]], (s, i)
+
+
+class TestGroups:
+    @pytest.mark.parametrize("k_shot", [1, 2])
+    def test_groups_change_no_bit(self, dataset, monkeypatch, k_shot):
+        # 16 px images and a 4x4x16 grid: an image fills 16 KB of first conv
+        # output and a pair gathers two 2 KB maps, so the budget below makes
+        # groups of 4 images and of 16 pairs
+        cfg = ModelConfig(backbone=BackboneConfig(input_size=16, blocks=((8, 2), (16, 2)),
+                                                  feature_channels=16, feature_side=4))
+        model, baseline = Model.init(cfg, seed=0), Model.init(cfg, seed=1)
+        task = sample_episode(dataset, 3, k_shot, 5, seed=2)
+        kwargs = dict(n_way=3, k_shot=k_shot, q_per_class=5, n_episodes=3, seed=6,
+                      strategies=STRATEGIES, baseline_model=baseline)
+        images, pairs = [], []   # the batch of every backbone and pair-head call
+        features, pair_head = Model.features, evaluate.re_represent_pair
+        monkeypatch.setattr(Model, "features",
+                            lambda m, x: images.append(len(x)) or features(m, x))
+        monkeypatch.setattr(evaluate, "re_represent_pair",
+                            lambda a, b, m: pairs.append(len(a.data)) or pair_head(a, b, m))
+        runs = []
+        for budget in (evaluate._GROUP_BYTES, 4 * 16 * 16 * 8 * 8):
+            monkeypatch.setattr(evaluate, "_GROUP_BYTES", budget)
+            feats = episode_features(task, model)
+            runs.append((feats, images[:], pairs[:],
+                         run_evaluation_suite(dataset, model, **kwargs)))
+            images.clear()
+            pairs.clear()
+        (whole, whole_images, whole_pairs, whole_reports), (grouped, images, pairs, reports) = runs
+        n_images = 3 * (k_shot + 5)
+        passes = [15 * 3 * k_shot] + ([15 * 3] if k_shot > 1 else [])
+        assert whole_images == [n_images] and whole_pairs == passes
+        # several groups, the last one ragged
+        assert images == [4] * (n_images // 4) + [n_images % 4] and n_images % 4
+        assert pairs == sum(([16] * (n // 16) + [n % 16] for n in passes), [])
+        assert all(n % 16 for n in passes)
+        assert list(grouped) == list(whole)
+        for name, value in whole.items():
+            assert grouped[name].shape == value.shape
+            assert grouped[name].tobytes() == value.tobytes(), name
+        assert set(reports) == set(STRATEGIES) | {BASELINE}
+        for s, report in whole_reports.items():
+            assert reports[s].per_episode_accuracy == report.per_episode_accuracy, s
+
+    def test_five_shot_episode_peaks_in_one_group(self):
+        # a default 5-way 5-shot episode has 1,875 pairs and 100 images; in
+        # one batch each, episode_features peaked at 92.6 MB (tracemalloc). In
+        # groups of 192 pairs and 24 images it peaks at 10.9 MB, inside one
+        # pair group's cross-attention; the bound leaves ~40% above that
+        task = sample_episode(build_dataset(DatasetConfig()), 5, 5, 15, seed=0)
+        model = Model.init(ModelConfig(), seed=0)
+        episode_features(task, model)   # warm the sinusoid and fold-weight caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            episode_features(task, model)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6, peak
 
 
 class TestEvalReport:

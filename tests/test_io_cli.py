@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condrep import io as cio
-from condrep.autodiff import no_grad
+from condrep import evaluate, io as cio, training
+from condrep.autodiff import Tensor, no_grad
 from condrep.backbone import BackboneConfig, pooled_feature
 from condrep.cli import main
 from condrep.data import DatasetConfig, build_dataset, export_pools
@@ -387,6 +387,34 @@ class TestCli:
                 # measured within 4.4e-13 relative; bit-equal at 32 px)
                 np.testing.assert_allclose(np.array(values, dtype=float), expected,
                                            rtol=1e-10, atol=1e-13)
+
+    @pytest.mark.parametrize("pool", ["query", "support"])
+    def test_grouped_export_is_byte_identical_to_one_batch(self, tmp_path, monkeypatch, pool):
+        ckpt = tmp_path / "checkpoint.txt"
+        cio.save_checkpoint(ckpt, tiny_model(seed=3), {"seed": 3})
+        ds = build_dataset(DatasetConfig(seed=0, n_classes=3, image_size=16,
+                                         support_per_class=4, query_per_class=6))
+        samples = ds.query if pool == "query" else ds.support
+        refs = {c: group[0] for c, group in ds.by_class("support").items()}
+        images = np.stack([refs[s.class_id].image for s in samples] + [s.image for s in samples])
+        model, _meta = cio.model_from_checkpoint(ckpt)
+        with no_grad():   # every image and every row in one batch
+            ref_maps, smp_maps = np.split(training._distinct_features(model, images).data, 2)
+            _fs, fq = re_represent_pair(Tensor(ref_maps), Tensor(smp_maps), model)
+            base = pooled_feature(Tensor(smp_maps))
+        expected = tmp_path / "expected.csv"
+        cio.write_embeddings_csv(expected, [(s.sample_id, s.class_id, s.pool, rep, b)
+                                            for s, rep, b in zip(samples, fq.data, base.data)],
+                                 channels=8)
+        # 16 KB of first conv output per 16 px image and two 256-byte maps per
+        # pair: groups of 1 image and 5 pairs, then of 4 images and 128 pairs
+        for budget in (5 * 512, 4 * 16 * 16 * 8 * 8):
+            monkeypatch.setattr(evaluate, "_GROUP_BYTES", budget)
+            rc = main(["export-embeddings", "--out", str(tmp_path / str(budget)), *TINY_FLAGS,
+                       "--checkpoint", str(ckpt), "--pool", pool])
+            assert rc == 0
+            written = (tmp_path / str(budget) / f"embeddings_{pool}.csv").read_bytes()
+            assert written == expected.read_bytes(), budget
 
     def test_plot_command(self, tmp_path):
         csv = tmp_path / "loss.csv"

@@ -304,15 +304,16 @@ def recorded_ops(monkeypatch, fn, *args):
     return made
 
 
-@pytest.mark.parametrize("structure,nodes,reshapes", [
-    ("siamese", 67, 5), ("non_siamese", 67, 5), ("non_residual", 65, 5)])
-def test_pair_head_graph(monkeypatch, structure, nodes, reshapes):
+@pytest.mark.parametrize("structure", ["siamese", "non_siamese", "non_residual"])
+def test_pair_head_graph(monkeypatch, structure):
     # the conditional learner records 31 nodes, 5 of them reshapes (each
     # side's rows, the fold weights, and each direction's pooled column);
     # each side fuses its column with the rows the learner built, so the
     # head reshapes no map a second time; non_residual feeds the column
     # straight into the compression. No attention permutes its keys: the
     # score product reads them transposed
+    nodes, reshapes = {"siamese": (67, 5), "non_siamese": (67, 5),
+                       "non_residual": (65, 5)}[structure]
     model = tiny_model(structure)
     rng = np.random.default_rng(18)
     fs, fq = (Tensor(rng.normal(size=(3, 2, 2, 8)), requires_grad=True) for _ in range(2))
