@@ -36,11 +36,12 @@ Operations accept arbitrary leading batch dimensions where the math
 allows it (matmul, softmax, layer_norm of the last axis, elementwise ops),
 and index_axis selects or gathers along any one axis. The backbone ops are
 channel-major and take (C, B, H, W): conv2d, which builds its im2col
-columns over cache-sized chunks of images and rebuilds them for the kernel
-gradient rather than keep them, and norm_relu_pool, which runs the rest of
-a block (channel norm, relu, average pooling) as one op over cache-sized
-chunks, keeping only the normalized input, a per-position inverse
-deviation and a 1-byte relu mask for backward.
+columns over cache-sized chunks of images, one copy of the unpadded input
+per kernel tap with zeros where the tap reads padding, and rebuilds them
+for the kernel gradient rather than keep them, and norm_relu_pool, which
+runs the rest of a block (channel norm, relu, average pooling) as one op
+over cache-sized chunks, keeping only the normalized input, a per-position
+inverse deviation and a 1-byte relu mask for backward.
 The batched forms are exercised by the same finite-difference gradient
 suite as the plain ones.
 
@@ -379,14 +380,18 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
 
     The forward builds the (C_in*kh*kw, H'*W') im2col columns of a chunk
     of whole images at a time, about ``_CHUNK_BYTES`` of them, so each copy
-    stays in cache, and multiplies the flattened kernel into each image's
-    columns straight into the output: every image's gemm has the same shape
-    whatever the batch or chunk, so no output bit depends on the other
-    images. No column matrix outlives the call: the kernel gradient
-    rebuilds the batch's (C_in*kh*kw, B*H'*W') matrix from the input and
-    drops it after its one gemm, trading one im2col in backward for the
-    memory (Chen et al., *Training Deep Nets with Sublinear Memory Cost*,
-    arXiv 1604.06174)."""
+    stays in cache. im2col is data movement only (Chellapilla et al., *High
+    Performance Convolutional Neural Networks for Document Processing*,
+    2006): each kernel tap copies its window of the unpadded input into its
+    rows of the column buffer and writes 0 in the border strips where it
+    would read padding, so no padded copy of the input is made. The
+    flattened kernel is multiplied into each image's columns straight into
+    the output: every image's gemm has the same shape whatever the batch or
+    chunk, so no output bit depends on the other images. No column matrix
+    outlives the call: the kernel gradient rebuilds the batch's
+    (C_in*kh*kw, B*H'*W') matrix from the input and drops it after its one
+    gemm, trading one im2col in backward for the memory (Chen et al.,
+    *Training Deep Nets with Sublinear Memory Cost*, arXiv 1604.06174)."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(f"conv2d: expected images (C,B,H,W) and kernel "
@@ -404,13 +409,32 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
 
     xd = x.data
 
+    def span(t, size, out_size):
+        # output rows (or columns) [lo, hi) whose tap t reads the input, not padding
+        lo = min(max(0, padding - t), out_size)
+        return lo, max(lo, min(out_size, size + padding - t))
+
     def im2col(lo, hi):
-        # (C_in*kh*kw, (hi-lo)*H'*W') columns of images lo..hi, (C_in,kh,kw,B,H',W')
-        xs = xd[:, lo:hi]
-        xp = np.pad(xs, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-            if padding else xs
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        return windows.transpose(0, 4, 5, 1, 2, 3).reshape(k, (hi - lo) * ho * wo)
+        # (C_in*kh*kw, (hi-lo)*H'*W') columns of images lo..hi, (C_in,kh,kw,B,H',W'):
+        # each tap copies its window of the unpadded input and zeroes the
+        # border strips where it would read padding
+        xs, cols = xd[:, lo:hi], np.empty((cin, kh, kw, hi - lo, ho, wo))
+        for i in range(kh):
+            r0, r1 = span(i, h, ho)
+            for j in range(kw):
+                c0, c1 = span(j, w, wo)
+                tap = cols[:, i, j]
+                tap[:, :, r0:r1, c0:c1] = xs[:, :, r0 + i - padding:r1 + i - padding,
+                                             c0 + j - padding:c1 + j - padding]
+                if r0:
+                    tap[:, :, :r0] = 0.0
+                if r1 < ho:
+                    tap[:, :, r1:] = 0.0
+                if c0:
+                    tap[:, :, r0:r1, :c0] = 0.0
+                if c1 < wo:
+                    tap[:, :, r0:r1, c1:] = 0.0
+        return cols.reshape(k, (hi - lo) * ho * wo)
 
     w2 = kernel.data.reshape(cout, k)
     out = np.empty((cout, b, ho * wo))
@@ -480,7 +504,7 @@ def norm_relu_pool(x, gamma, beta, stride: int) -> Tensor:
         iv = np.divide(1.0, np.sqrt(np.einsum("ij,ij->j", xh, xh) / c + NORM_EPS),
                        out=inv[cols] if keep else None)
         xh *= iv
-        y = gd[:, None] * xh
+        y = np.multiply(gd[:, None], xh, out=None if keep else xh)   # xhat is kept
         y += beta.data[:, None]
         if keep:
             np.greater(y, 0.0, out=mask[:, cols])
@@ -489,10 +513,10 @@ def norm_relu_pool(x, gamma, beta, stride: int) -> Tensor:
         pooled = y[..., ::s]
         for j in range(1, s):
             pooled = pooled + y[..., j::s]
-        rows = pooled[:, :, ::s]
+        rows, o = pooled[:, :, ::s], out[:, lo:hi]
         for i in range(1, s):
-            rows = rows + pooled[:, :, i::s]
-        np.divide(rows, n, out=out[:, lo:hi])
+            rows = np.add(rows, pooled[:, :, i::s], out=o)
+        np.divide(rows, n, out=o)
     if not keep:
         return _make(out, ())
 

@@ -92,7 +92,6 @@ def _checkpoint_model(args, cfg) -> Model:
 def cmd_eval(args) -> int:
     cfg = _common_config(args)
     model = _checkpoint_model(args, cfg)
-    out = _out_dir(args)
     dataset = _load_dataset(args, cfg)
     strategies = [s.strip() for s in cfg["strategies"].split(",") if s.strip()]
     baseline_model = None
@@ -103,6 +102,7 @@ def cmd_eval(args) -> int:
         dataset, model, n_way=int(cfg["n_way"]), k_shot=int(cfg["k_shot"]),
         q_per_class=int(cfg["q_per_class"]), n_episodes=int(cfg["episodes"]),
         strategies=strategies, seed=int(cfg["seed"]), baseline_model=baseline_model)
+    out = _out_dir(args)
     cio.write_accuracy_csv(out / "accuracy.csv", reports)
     cio.write_report_json(out / "report.json", reports, run_config=cfg)
     for name in sorted(reports):
@@ -114,7 +114,6 @@ def cmd_eval(args) -> int:
 def cmd_export_embeddings(args) -> int:
     cfg = _common_config(args)
     model = _checkpoint_model(args, cfg)
-    out = _out_dir(args)
     dataset = _load_dataset(args, cfg)
     pool = dataset.support if args.pool == "support" else dataset.query
     if not pool:
@@ -127,7 +126,7 @@ def cmd_export_embeddings(args) -> int:
                                      smp_maps, np.arange(len(pool)))
     rows = [(s.sample_id, s.class_id, s.pool, rep, b)
             for s, rep, b in zip(pool, fq, smp_maps.mean(axis=(1, 2)))]
-    path = out / f"embeddings_{args.pool}.csv"
+    path = _out_dir(args) / f"embeddings_{args.pool}.csv"
     cio.write_embeddings_csv(path, rows, channels=model.config.channels)
     print(f"wrote {len(rows)} rows to {path}")
     return 0

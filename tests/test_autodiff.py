@@ -173,6 +173,30 @@ class TestRelu:
             assert x.grad[0] == expected
 
 
+def padded_window_conv(x, kernel, padding, g):
+    """Referee for conv2d: im2col by np.pad and sliding_window_view over the
+    whole batch, then the op's per-image gemm and its two vjps. Returns the
+    output and the x and kernel gradients for output gradient ``g``."""
+    cin, b, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    ho, wo = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    k, n = cin * kh * kw, b * ho * wo
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(k, n)
+    w2 = kernel.reshape(cout, k)
+    out = np.matmul(w2, cols.reshape(k, b, ho * wo).transpose(1, 0, 2)).transpose(1, 0, 2)
+    dk = (g.reshape(cout, n) @ cols.T).reshape(kernel.shape)
+    gt = g.reshape(cout, b, ho * wo).transpose(0, 2, 1).reshape(cout, n)
+    dcols = (w2.T @ gt).reshape(cin, kh, kw, ho, wo, b)
+    dxp = np.zeros((cin, h + 2 * padding, w + 2 * padding, b))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + ho, j:j + wo] += dcols[:, i, j]
+    dx = dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+    return out.reshape(cout, b, ho, wo), dx, dk
+
+
 class TestConv2d:
     # images are channel-major: (C, B, H, W)
     def test_identity_kernel(self):
@@ -216,6 +240,28 @@ class TestConv2d:
             tracemalloc.stop()
         assert out.requires_grad
         assert live < out.data.nbytes + 72 * 4096 * 8 // 4, live
+
+    # (C_in, B, H, W), (C_out, kh, kw), padding and chunk bytes: padding 0 and
+    # 1, kh != kw, one image, chunks that leave a shorter last one, and the
+    # default constant over a backbone-sized batch
+    @pytest.mark.parametrize("shape,kernel,padding,chunk", [
+        ((3, 4, 6, 7), (5, 3, 3), 0, None), ((3, 4, 6, 7), (5, 3, 3), 1, None),
+        ((2, 5, 5, 6), (4, 2, 3), 1, 2 * 8 * 12 * 42), ((4, 3, 6, 5), (3, 3, 1), 0, 1),
+        ((1, 1, 4, 4), (2, 3, 3), 1, None), ((2, 7, 3, 3), (3, 3, 2), 1, 3 * 8 * 12 * 12),
+        ((2, 2, 1, 2), (2, 3, 3), 1, None), ((8, 24, 16, 16), (16, 3, 3), 1, None)])
+    def test_is_bit_identical_to_the_padded_window_referee(self, shape, kernel, padding,
+                                                           chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(ad, "_CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(sum(shape) + sum(kernel) + padding)
+        x = rng.normal(size=shape)
+        k = rng.normal(size=(kernel[0], shape[0], *kernel[1:]))
+        tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        out = ad.conv2d(tx, tk, padding=padding)
+        g = rng.normal(size=out.shape)
+        backward(ad.sum_along(ad.mul(out, g)))
+        for got, ref in zip((out.data, tx.grad, tk.grad), padded_window_conv(x, k, padding, g)):
+            np.testing.assert_array_equal(got, ref)
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError, match="larger than padded input"):

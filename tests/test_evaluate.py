@@ -58,6 +58,22 @@ class TestSampleEpisode:
         assert set(task.query_labels) == set(range(4))
 
 
+def primal_fit_logistic(x, labels, n_classes, epochs, lr):
+    """Referee: the fit's gradient steps on the weights themselves."""
+    b, n, c = x.shape
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), labels] = 1.0
+    w = np.zeros((b, c, n_classes))
+    bias = np.zeros((b, 1, n_classes))
+    xt = x.swapaxes(1, 2)
+    for _ in range(epochs):
+        p = evaluate._softmax(x @ w + bias)
+        g = (p - onehot) / n
+        w -= lr * (xt @ g)
+        bias -= lr * g.sum(axis=1, keepdims=True)
+    return w, bias
+
+
 class TestLinearClassifier:
     """The logistic fit of the classifier, raw_query and weighted_query strategies."""
 
@@ -75,6 +91,27 @@ class TestLinearClassifier:
     def test_zero_epochs_give_uniform_probabilities(self):
         logits = self.fit_logits(np.ones((3, 4)), np.array([0, 1, 2]), 3, epochs=0)
         np.testing.assert_allclose(evaluate._softmax(logits), 1 / 3, atol=1e-12)
+
+    @pytest.mark.parametrize("k_shot", [1, 2, 5])
+    def test_dual_fit_matches_the_primal_loop(self, k_shot):
+        # 5-way episodes of 75 queries: n = 5, 10 and 25 supports of 32 channels
+        rng = np.random.default_rng(k_shot)
+        x = rng.normal(size=(75, 5 * k_shot, 32))
+        labels = np.repeat(np.arange(5), k_shot)
+        w, b = evaluate._fit_logistic(x, labels, 5, epochs=100, lr=0.1)
+        w_ref, b_ref = primal_fit_logistic(x, labels, 5, epochs=100, lr=0.1)
+        assert w.shape == w_ref.shape and b.shape == b_ref.shape
+        assert np.abs(w - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
+        assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+        targets = rng.normal(size=(75, 1, 32))
+        np.testing.assert_array_equal((targets @ w + b).argmax(axis=2),
+                                      (targets @ w_ref + b_ref).argmax(axis=2))
+
+    def test_zero_epochs_return_zeros(self):
+        w, b = evaluate._fit_logistic(np.ones((2, 3, 4)), np.array([0, 1, 2]), 3,
+                                      epochs=0, lr=0.1)
+        assert w.shape == (2, 4, 3) and b.shape == (2, 1, 3)
+        assert not w.any() and not b.any()
 
     def test_conflicting_duplicate_does_not_crash(self):
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

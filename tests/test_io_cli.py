@@ -382,11 +382,9 @@ class TestCli:
                 expected = np.concatenate([fq.data[0], pooled_feature(smp_map).data[0]])
                 sample_id, class_id, pool, *values = line.split(",")
                 assert (sample_id, int(class_id), pool) == (s.sample_id, s.class_id, "query")
-                # at 16 px a conv gemm can take BLAS's small-matrix path and
-                # round the last bit differently in a batch than alone (rows
-                # measured within 4.4e-13 relative; bit-equal at 32 px)
-                np.testing.assert_allclose(np.array(values, dtype=float), expected,
-                                           rtol=1e-10, atol=1e-13)
+                # the conv runs one gemm per image, so a map's bits do not
+                # depend on its batch, and the CSV's repr round-trips them
+                np.testing.assert_array_equal(np.array(values, dtype=float), expected)
 
     @pytest.mark.parametrize("pool", ["query", "support"])
     def test_grouped_export_is_byte_identical_to_one_batch(self, tmp_path, monkeypatch, pool):
@@ -576,6 +574,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert "image_size" in err and str(ckpt) in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    # each exited 2 but left the output directory behind: eval and
+    # export-embeddings made it before loading the pools and computing
+    @pytest.mark.parametrize("command,flags,message", [
+        pytest.param("eval", ["--n-way", "4"],
+                     "error: sample_episode: need 4 classes, dataset has 3", id="eval-n_way"),
+        pytest.param("eval", ["--n-way", "2", "--k-shot", "5"],
+                     "error: sample_episode: class 1 has 4 support samples, needs 5",
+                     id="eval-k_shot"),
+        pytest.param("eval", ["--seed", "-1", "--with-baseline"],
+                     "error: expected non-negative integer", id="eval-seed"),
+        pytest.param("eval", ["--strategies", ","],
+                     "error: run_evaluation_suite: no strategy and no baseline requested",
+                     id="eval-strategies"),
+        pytest.param("export-embeddings", ["--seed", "-1"],
+                     "error: expected non-negative integer", id="export-embeddings-seed"),
+        pytest.param("export-embeddings", ["--data", "{empty}"],
+                     "error: load_pools: no class_* directories", id="export-embeddings-data")])
+    def test_refused_run_exits_2_without_making_the_output_directory(
+            self, tmp_path, capsys, command, flags, message):
+        ckpt = tmp_path / "ckpt.txt"
+        cio.save_checkpoint(ckpt, tiny_model())
+        (tmp_path / "empty").mkdir()
+        flags = [f.format(empty=tmp_path / "empty") for f in flags]
+        rc = main([command, "--out", str(tmp_path / "run"), "--checkpoint", str(ckpt),
+                   "--episodes", "1", *TINY_FLAGS, *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_plot_without_a_csv_exits_2_before_making_the_output_directory(self, tmp_path,
