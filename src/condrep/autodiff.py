@@ -46,8 +46,10 @@ The batched forms are exercised by the same finite-difference gradient
 suite as the plain ones.
 
 Graph construction is single-writer: do not build or backward one graph
-from several threads. Reading a frozen parameter set (inference inside
-``no_grad``) is safe to share.
+from several threads. Grad mode is one process-wide flag, which
+``no_grad`` saves and restores, so it is not thread-safe: when two threads'
+``no_grad`` blocks overlap, the first exit turns recording back on inside
+the other block, and the second exit leaves it off for good.
 
 Importing this module sets the process's glibc malloc policy (see
 :func:`_keep_freed_pages`).

@@ -40,15 +40,10 @@ class BackboneConfig:
     feature_side: int = 4
 
     def validate(self):
+        from .io import check_keys   # the config table's rules, then the block arithmetic
+        check_keys(feature_channels=self.feature_channels, feature_side=self.feature_side)
         if not self.blocks:
             raise ConfigError("backbone: at least one block is required")
-        if self.feature_channels < 8:
-            raise ConfigError(f"backbone: feature_channels must be >= 8, got {self.feature_channels}")
-        if self.feature_channels % 2:
-            raise ConfigError(f"backbone: feature_channels must be even for the conditional "
-                              f"learner's sinusoid encoding, got {self.feature_channels}")
-        if self.feature_side < 2:
-            raise ConfigError(f"backbone: feature_side must be >= 2, got {self.feature_side}")
         side = self.input_size
         for i, block in enumerate(self.blocks):
             if not isinstance(block, (tuple, list)) or len(block) != 2 \
@@ -99,10 +94,4 @@ def extract_features(images, params: dict[str, Tensor], config: BackboneConfig) 
         x = ad.conv2d(x, params[f"block{i}.kernel"], padding=1)
         x = ad.norm_relu_pool(x, params[f"block{i}.gamma"], params[f"block{i}.beta"], stride)
     return ad.permute(x, (1, 2, 3, 0))
-
-
-def pooled_feature(feature_maps: Tensor) -> Tensor:
-    """Spatial mean of prototype maps (..., W, H, C) -> (..., C)."""
-    nd = feature_maps.ndim
-    return ad.mean(feature_maps, axis=(nd - 3, nd - 2))
 

@@ -30,11 +30,10 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _common_config(args) -> dict[str, str]:
-    overrides = {k: getattr(args, k.replace("-", "_"), None) for k in cio.DEFAULT_CONFIG}
-    cfg = cio.resolve_config(args.config, overrides)
-    cio.dataset_config_from(cfg).validate()   # before any output directory is made
-    return cfg
+def _common_config(args) -> tuple[dict[str, str], dict]:
+    """The resolved, checked config and its typed values; before any output."""
+    cfg = cio.resolve_config(args.config, {k: getattr(args, k) for k in cio.DEFAULT_CONFIG})
+    return cfg, cio.config_values(cfg)
 
 
 def _load_dataset(args, cfg):
@@ -43,31 +42,30 @@ def _load_dataset(args, cfg):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _common_config(args)
-    out = _out_dir(args)
+    cfg, _ = _common_config(args)
     dataset = build_dataset(cio.dataset_config_from(cfg))
+    out = _out_dir(args)
     n = export_pools(dataset, out)
     print(f"wrote {n} samples under {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _common_config(args)
+    cfg, v = _common_config(args)
     model_cfg, train_cfg = cio.model_config_from(cfg), cio.train_config_from(cfg)
-    model_cfg.validate()   # both before the output directory is made
-    train_cfg.validate()
-    out = _out_dir(args)
     dataset = _load_dataset(args, cfg)
-    model = Model.init(model_cfg, seed=int(cfg["seed"]))
+    cio.check_pools("pair batches", dataset)   # the last check before the output directory
+    out = _out_dir(args)
+    model = Model.init(model_cfg, seed=v["seed"])
     ckpt_path = out / "checkpoint.txt"
-    every = int(cfg["checkpoint_every"])
-    meta = {"seed": int(cfg["seed"]), "config_hash": cio.config_hash(cfg)}
+    every = v["checkpoint_every"]
+    meta = {"seed": v["seed"], "config_hash": cio.config_hash(cfg)}
 
     def checkpoint_cb(epoch, loss, m):
         if every > 0 and (epoch + 1) % every == 0:
             cio.save_checkpoint(ckpt_path, m, {**meta, "epoch": epoch + 1})
 
-    losses = train(dataset, model, train_cfg, seed=int(cfg["seed"]),
+    losses = train(dataset, model, train_cfg, seed=v["seed"],
                    epoch_callback=checkpoint_cb)
     cio.save_checkpoint(ckpt_path, model, {**meta, "epoch": train_cfg.epochs})
     cio.write_loss_csv(out / "loss.csv", losses)
@@ -77,31 +75,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_model(args, cfg) -> Model:
+def _checkpoint_model(args, v) -> Model:
     """The ``--checkpoint`` model, whose image size must be the config's
     ``image_size``; call it before any output directory is made."""
     model, _meta = cio.model_from_checkpoint(args.checkpoint)
     size = model.config.backbone.input_size
-    if size != int(cfg["image_size"]):
+    if size != v["image_size"]:
         raise DimensionError(f"{args.command}: checkpoint expects {size}-pixel images, config "
-                             f"says {cfg['image_size']}; set image_size to {size} for "
+                             f"says {v['image_size']}; set image_size to {size} for "
                              f"{args.checkpoint}")
     return model
 
 
 def cmd_eval(args) -> int:
-    cfg = _common_config(args)
-    model = _checkpoint_model(args, cfg)
+    cfg, v = _common_config(args)
+    model = _checkpoint_model(args, v)
     dataset = _load_dataset(args, cfg)
-    strategies = [s.strip() for s in cfg["strategies"].split(",") if s.strip()]
     baseline_model = None
     if args.with_baseline:
         # same init seed as training started from: the no-training counterfactual
-        baseline_model = Model.init(model.config, seed=int(cfg["seed"]))
+        baseline_model = Model.init(model.config, seed=v["seed"])
     reports = evaluate.run_evaluation_suite(
-        dataset, model, n_way=int(cfg["n_way"]), k_shot=int(cfg["k_shot"]),
-        q_per_class=int(cfg["q_per_class"]), n_episodes=int(cfg["episodes"]),
-        strategies=strategies, seed=int(cfg["seed"]), baseline_model=baseline_model)
+        dataset, model, n_way=v["n_way"], k_shot=v["k_shot"], q_per_class=v["q_per_class"],
+        n_episodes=v["episodes"], strategies=v["strategies"], seed=v["seed"],
+        baseline_model=baseline_model)
     out = _out_dir(args)
     cio.write_accuracy_csv(out / "accuracy.csv", reports)
     cio.write_report_json(out / "report.json", reports, run_config=cfg)
@@ -112,8 +109,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    cfg = _common_config(args)
-    model = _checkpoint_model(args, cfg)
+    cfg, v = _common_config(args)
+    model = _checkpoint_model(args, v)
     dataset = _load_dataset(args, cfg)
     pool = dataset.support if args.pool == "support" else dataset.query
     if not pool:
@@ -153,9 +150,10 @@ def cmd_plot(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="output directory (or CONDREP_OUTDIR)")
-    for key in cio.DEFAULT_CONFIG:
+    for key, (kind, default, rng) in cio.CONFIG_TABLE.items():   # help shows the table row
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
-                       help=f"override (default {cio.DEFAULT_CONFIG[key]})")
+                       help=(f"{kind} {rng}" if isinstance(rng, str) else
+                             f"{kind}: {'/'.join(rng)}") + f" (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:

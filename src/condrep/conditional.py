@@ -85,11 +85,8 @@ class ConvKernel4D:
     bias: Tensor
 
     def __post_init__(self):
-        if self.weights.ndim != 4:
-            raise ConfigError(f"conv4d: kernel must be 4-D, got shape {self.weights.shape}")
-        if any(d % 2 == 0 or d < 1 for d in self.weights.shape):
-            raise ConfigError(f"conv4d: kernel dims must be odd and positive, "
-                              f"got {self.weights.shape}")
+        from .io import check_keys
+        check_keys(kernel_shape=self.weights.shape)
         if self.bias.size != 1:
             raise ConfigError(f"conv4d: bias must be scalar, got shape {self.bias.shape}")
 

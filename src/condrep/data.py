@@ -57,21 +57,11 @@ class DatasetConfig:
     blur_fraction: float = 0.05
 
     def validate(self):
-        if self.n_classes < 1 or self.support_per_class < 1 or self.query_per_class < 1:
-            raise ConfigError("dataset: class and per-class counts must be positive")
-        if self.image_size < 16:
-            raise ConfigError(f"dataset: image_size must be >= 16, got {self.image_size}")
+        from .io import CONFIG_TABLE, check_keys   # fields named for keys, and the mix
         if set(self.transform_mix) != set(DIFFICULTY_TAGS):
             raise ConfigError(f"dataset: transform_mix must cover exactly {DIFFICULTY_TAGS}")
-        mix = self.transform_mix
-        if not all(0.0 <= p < np.inf for p in mix.values()) or abs(sum(mix.values()) - 1.0) > 1e-9:
-            raise ConfigError(f"dataset: transform_mix must be finite, non-negative and sum "
-                              f"to 1, got {mix}")
-        if not 0.0 <= self.blur_fraction <= 1.0:
-            raise ConfigError(f"dataset: blur_fraction must lie in [0, 1], got {self.blur_fraction}")
-        if self.transform_mix["blurry_noisy"] > 0 and self.blur_fraction < 0.05:
-            raise ConfigError(f"dataset: blur_fraction must be >= 0.05 when the blurry "
-                              f"transform is enabled, got {self.blur_fraction}")
+        check_keys(**{f"mix_{tag}": p for tag, p in self.transform_mix.items()},
+                   **{k: v for k, v in vars(self).items() if k in CONFIG_TABLE})
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +108,13 @@ def _stroke_texture(class_id: int, size: int, base: float) -> np.ndarray:
 def generate_base_image(class_id: int, seed: int, size: int = 32) -> SyntheticSample:
     """Clean support-style sample: class glyph with pose jitter on a uniform
     background; the target covers roughly 10-50% of the pixels."""
-    if size < 16:
-        raise ConfigError(f"generate_base_image: size must be >= 16, got {size}")
+    from .io import check_keys
+    check_keys(image_size=size)
+    return _base_image(class_id, seed, size)
+
+
+def _base_image(class_id: int, seed: int, size: int) -> SyntheticSample:
+    """:func:`generate_base_image` of a ``size`` already checked, as in build_dataset."""
     rng = np.random.default_rng(np.random.SeedSequence([0x67657, class_id, seed, size]))
     family = class_id % 8
     scale = size / 32.0
@@ -313,13 +308,13 @@ def build_dataset(cfg: DatasetConfig) -> SyntheticDataset:
     for c in range(cfg.n_classes):
         for i in range(cfg.support_per_class):
             seed = int(np.random.SeedSequence([cfg.seed, 1, c, i]).generate_state(1)[0])
-            support.append(generate_base_image(c, seed, cfg.image_size))
+            support.append(_base_image(c, seed, cfg.image_size))
         tags = _tag_quota(cfg.transform_mix, cfg.query_per_class, cfg.blur_fraction)
         shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, c]))
         shuffle_rng.shuffle(tags)
         for i, tag in enumerate(tags):
             seed = int(np.random.SeedSequence([cfg.seed, 3, c, i]).generate_state(1)[0])
-            base = generate_base_image(c, seed, cfg.image_size)
+            base = _base_image(c, seed, cfg.image_size)
             query.append(apply_difficulty(base, tag, seed=seed))
     return SyntheticDataset(config=cfg, support=support, query=query)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .data import SyntheticDataset
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError
 from .model import Model
 from .rerepresent import re_represent_pair
 
@@ -81,18 +81,12 @@ def sample_episode(dataset: SyntheticDataset, n_way: int, k_shot: int,
     sup_by_class = dataset.by_class("support")
     qry_by_class = dataset.by_class("query")
     classes = sorted(set(sup_by_class) & set(qry_by_class))
-    if len(classes) < n_way:
-        raise DataError(f"sample_episode: need {n_way} classes, dataset has {len(classes)}")
+    from .io import check_pools
+    check_pools("episodes", dataset, n_way=n_way, k_shot=k_shot, q_per_class=q_per_class)
     chosen = np.sort(rng.choice(classes, size=n_way, replace=False))
     sup_imgs, sup_labels, qry_imgs, qry_labels = [], [], [], []
     for local, c in enumerate(chosen):
         pool_s, pool_q = sup_by_class[c], qry_by_class[c]
-        if len(pool_s) < k_shot:
-            raise DataError(f"sample_episode: class {c} has {len(pool_s)} support "
-                            f"samples, needs {k_shot}")
-        if len(pool_q) < q_per_class:
-            raise DataError(f"sample_episode: class {c} has {len(pool_q)} query "
-                            f"samples, needs {q_per_class}")
         for i in rng.choice(len(pool_s), size=k_shot, replace=False):
             sup_imgs.append(pool_s[i].image)
             sup_labels.append(local)
@@ -168,10 +162,8 @@ def strategy_predictions(strategies, *, n_way: int, k_shot: int,
 
     Ties break toward the lowest class index (argmax keeps the first max).
     """
-    for i, s in enumerate(strategies):
-        if s not in STRATEGIES or s in strategies[:i]:
-            raise ConfigError(f"strategy_predictions: strategy '{s}' is "
-                              + ("requested twice" if s in STRATEGIES else "unknown"))
+    from .io import check_keys
+    check_keys(strategies=strategies)
     nq = pair_dist.shape[0]
     fit, preds = None, {}
     for s in strategies:
@@ -308,11 +300,10 @@ def run_evaluation_suite(dataset: SyntheticDataset, model: Model, *, n_way: int 
     comparison. ``baseline_model`` adds a raw backbone-prototype report
     computed with that (typically untrained) model's features. Each model's
     backbone maps every distinct image once per call."""
-    for name, value in (("n_way", n_way), ("k_shot", k_shot), ("q_per_class", q_per_class),
-                        ("n_episodes", n_episodes)):
-        if value < 1:
-            raise ConfigError(f"run_evaluation_suite: {name} must be >= 1, got {value}")
+    from .io import check_keys
     strategies = list(strategies)
+    check_keys(n_way=n_way, k_shot=k_shot, q_per_class=q_per_class, episodes=n_episodes,
+               strategies=strategies, seed=seed)
     accs: dict[str, list[float]] = {s: [] for s in strategies}
     if baseline_model is not None:
         accs[BASELINE] = []

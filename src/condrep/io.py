@@ -9,13 +9,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .backbone import BackboneConfig
+from .data import AUGMENT_MODES, DatasetConfig
+from .evaluate import STRATEGIES
+from .exceptions import ConfigError, DataError
 from .model import Model, ModelConfig
+from .rerepresent import STRUCTURES
+from .training import LossConfig, TrainConfig
 
 CHECKPOINT_MAGIC = "condrep-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -88,74 +96,135 @@ def model_from_checkpoint(path) -> tuple[Model, dict]:
 
 
 # ---------------------------------------------------------------------------
-# run config: plain key=value text with CLI-flag overrides
+# run config: one table that parses and checks every key
 # ---------------------------------------------------------------------------
 
-# reference-setup defaults where one exists: batch 80, lr 1e-3, weight decay 0.05,
-# 600 episodes, 15 queries per class; the 224-pixel input of the full-scale
-# setup is replaced by the 32-pixel toy default.
-DEFAULT_CONFIG: dict[str, str] = {
-    "n_classes": "5",
-    "support_per_class": "20",
-    "query_per_class": "60",
-    "image_size": "32",
-    "blur_fraction": "0.05",
-    "mix_camouflaged": "0.25",
-    "mix_small": "0.25",
-    "mix_incomplete": "0.25",
-    "mix_blurry_noisy": "0.25",
-    "feature_channels": "32",
-    "feature_side": "4",
-    "kernel_shape": "3,3,3,3",
-    "structure": "siamese",
-    "epochs": "50",
-    "batch_size": "80",
-    "batches_per_epoch": "12",
-    "learning_rate": "0.001",
-    "weight_decay": "0.05",
-    "lr_drop_every": "20",
-    "lr_drop_factor": "0.5",
-    "loss_variant": "standard",
-    "margin": "1.0",
-    "epsilon": "1e-8",
-    "augment": "randaugment",
-    "n_way": "5",
-    "k_shot": "1",
-    "q_per_class": "15",
-    "episodes": "600",
-    "strategies": "weighted_query",
-    "checkpoint_every": "10",
-    "seed": "0",
+# Each key's kind, default and range. A number's range is terms joined by
+# " and ": ">= lo", "> lo", "<= hi", "even" or "odd"; a float must also be
+# finite. A named kind takes one of the names in its range, and a list kind
+# takes them comma-separated, each once. Defaults follow the reference setup
+# where one exists; the 32-pixel toy input replaces its 224. CROSS_RULES
+# below are (keys, holds, what must hold), checked once all their keys are given.
+CONFIG_TABLE: dict[str, tuple[str, str, str | tuple]] = {
+    "n_classes": ("int", "5", ">= 1"),
+    "support_per_class": ("int", "20", ">= 1"),
+    "query_per_class": ("int", "60", ">= 1"),
+    "image_size": ("int", "32", ">= 16"),
+    "blur_fraction": ("float", "0.05", ">= 0 and <= 1"),
+    "mix_camouflaged": ("float", "0.25", ">= 0"),
+    "mix_small": ("float", "0.25", ">= 0"),
+    "mix_incomplete": ("float", "0.25", ">= 0"),
+    "mix_blurry_noisy": ("float", "0.25", ">= 0"),
+    "feature_channels": ("int", "32", ">= 8 and even"),   # the sinusoid encoding pairs them
+    "feature_side": ("int", "4", ">= 2"),
+    "kernel_shape": ("4 ints", "3,3,3,3", ">= 1 and odd"),
+    "structure": ("structure", "siamese", STRUCTURES),
+    "epochs": ("int", "50", ">= 1"),
+    "batch_size": ("int", "80", ">= 1"),
+    "batches_per_epoch": ("int", "12", ">= 0"),           # 0: from the support pool's size
+    "learning_rate": ("float", "0.001", ">= 0"),
+    "weight_decay": ("float", "0.05", ">= 0"),
+    "lr_drop_every": ("int", "20", ">= 0"),               # 0: never
+    "lr_drop_factor": ("float", "0.5", "> 0 and <= 1"),
+    "loss_variant": ("loss variant", "standard", ("standard", "literal")),
+    "margin": ("float", "1.0", "> 0"),
+    "epsilon": ("float", "1e-8", "> 0 and <= 1e-3"),
+    "augment": ("augment mode", "randaugment", AUGMENT_MODES),
+    "n_way": ("int", "5", ">= 1"),
+    "k_shot": ("int", "1", ">= 1"),
+    "q_per_class": ("int", "15", ">= 1"),
+    "episodes": ("int", "600", ">= 1"),
+    "strategies": ("strategy list", "weighted_query", STRATEGIES),
+    "checkpoint_every": ("int", "10", ">= 0"),            # 0: the final checkpoint only
+    "seed": ("int", "0", ">= 0"),
 }
+DEFAULT_CONFIG: dict[str, str] = {key: row[1] for key, row in CONFIG_TABLE.items()}
+_MIX = ("mix_camouflaged", "mix_small", "mix_incomplete", "mix_blurry_noisy")
+CROSS_RULES = ((_MIX, lambda *mix: abs(sum(mix) - 1.0) <= 1e-9, "the mix_* shares must sum to 1"),
+               (("mix_blurry_noisy", "blur_fraction"), lambda mix, blur: mix == 0 or blur >= 0.05,
+                "blur_fraction must be >= 0.05 while mix_blurry_noisy > 0"))
+# what each use draws from the pools: (key or count, the pool count it may
+# not exceed), over the classes that hold both support and query samples
+POOL_RULES = {"pair batches": ((2, "n_classes"),),
+              "episodes": (("n_way", "n_classes"), ("k_shot", "support_per_class"),
+                           ("q_per_class", "query_per_class"))}
+_CMP = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+_PARSE = {"int": int, "float": float, "4 ints": lambda t: tuple(int(x) for x in t.split(",")),
+          "strategy list": lambda t: tuple(s.strip() for s in t.split(",") if s.strip())}
 
 
-def parse_config_file(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config: line {lineno} is not key=value: '{raw}'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+def _in_range(value, rng: str) -> bool:
+    return all(value % 2 == (term == "odd") if term in ("even", "odd")
+               else _CMP[term[:2].strip()](value, float(term[2:])) for term in rng.split(" and "))
+
+
+def config_values(cfg: dict[str, str]) -> dict:
+    """Each key of ``cfg`` as its table type; ConfigError names one that does not parse."""
+    out = {}
+    for key, text in cfg.items():
+        try:
+            out[key] = _PARSE.get(CONFIG_TABLE[key][0], str)(text)
+        except ValueError:
+            raise ConfigError(f"config: {key} = {text!r} does not parse as "
+                              f"{CONFIG_TABLE[key][0]}") from None
     return out
 
 
-def resolve_config(file_path=None, overrides: dict | None = None) -> dict[str, str]:
-    """defaults < config file < explicit overrides."""
-    cfg = dict(DEFAULT_CONFIG)
-    if file_path:
-        for key, value in parse_config_file(file_path).items():
-            if key not in DEFAULT_CONFIG:
-                raise ConfigError(f"config: unknown key '{key}'")
-            cfg[key] = value
-    for key, value in (overrides or {}).items():
-        if value is None:
+def check_keys(**values) -> None:
+    """Check typed values by the table: each key's range, then each cross
+    rule whose keys are all given. ConfigError names the key and its value."""
+    for key, value in values.items():
+        kind, _default, rng = CONFIG_TABLE[key]
+        if isinstance(rng, tuple):
+            names = list(value) if kind.endswith(" list") else [value]
+            for i, name in enumerate(names):
+                noun = f"{kind.removesuffix(' list')} {name!r}"
+                if name not in rng:
+                    raise ConfigError(f"config: {key}: unknown {noun} (choose {'/'.join(rng)})")
+                if name in names[:i]:
+                    raise ConfigError(f"config: {key}: {noun} is requested twice")
             continue
-        if key not in DEFAULT_CONFIG:
-            raise ConfigError(f"config: unknown key '{key}'")
-        cfg[key] = str(value)
+        items = value if kind == "4 ints" else [value]
+        if (kind == "4 ints" and len(items) != 4) or not all(
+                _in_range(v, rng) and (kind != "float" or math.isfinite(v)) for v in items):
+            must = {"float": "finite and ", "4 ints": "4 ints "}.get(kind, "")
+            raise ConfigError(f"config: {key} must be {must}{rng}, got {value!r}")
+    for keys, holds, what in CROSS_RULES:
+        if values.keys() >= set(keys) and not holds(*(values[k] for k in keys)):
+            raise ConfigError(f"config: {what}, got "
+                              + ", ".join(f"{key} = {values[key]!r}" for key in keys))
+
+
+def check_pools(use: str, dataset, **values) -> None:
+    """DataError if ``use`` (a POOL_RULES key) would draw more than ``dataset`` holds."""
+    sup, qry = dataset.by_class("support"), dataset.by_class("query")
+    classes = sorted(set(sup) & set(qry))
+    have = {"n_classes": [(len(classes), "")],
+            "support_per_class": [(len(sup[c]), f" for class {c}") for c in classes],
+            "query_per_class": [(len(qry[c]), f" for class {c}") for c in classes]}
+    for need, limit in POOL_RULES[use]:
+        for count, where in have[limit]:
+            if values.get(need, need) > count:
+                named = f"{need} = {values[need]}" if need in values else need
+                raise DataError(f"{use} need {limit} >= {named}, the pools hold {count}{where}")
+
+
+def resolve_config(file_path=None, overrides: dict | None = None) -> dict[str, str]:
+    """defaults < config file (``key=value`` lines) < explicit overrides; the
+    table parses and checks every key, and ConfigError names the one at fault."""
+    given = {}
+    for lineno, raw in enumerate(Path(file_path).read_text().splitlines() if file_path else [], 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise ConfigError(f"config: line {lineno} is not key=value: '{raw}'")
+            key, value = line.split("=", 1)
+            given[key.strip()] = value.strip()
+    given.update((k, str(v)) for k, v in (overrides or {}).items() if v is not None)
+    if unknown := sorted(given.keys() - CONFIG_TABLE.keys()):
+        raise ConfigError(f"config: unknown key '{unknown[0]}'")
+    cfg = {**DEFAULT_CONFIG, **given}
+    check_keys(**config_values(cfg))
     return cfg
 
 
@@ -165,58 +234,34 @@ def config_hash(cfg: dict[str, str]) -> str:
 
 
 def dataset_config_from(cfg: dict[str, str]):
-    from .data import DatasetConfig
-    return DatasetConfig(
-        n_classes=int(cfg["n_classes"]),
-        support_per_class=int(cfg["support_per_class"]),
-        query_per_class=int(cfg["query_per_class"]),
-        image_size=int(cfg["image_size"]),
-        seed=int(cfg["seed"]),
-        transform_mix={
-            "camouflaged": float(cfg["mix_camouflaged"]),
-            "small": float(cfg["mix_small"]),
-            "incomplete": float(cfg["mix_incomplete"]),
-            "blurry_noisy": float(cfg["mix_blurry_noisy"]),
-        },
-        blur_fraction=float(cfg["blur_fraction"]),
-    )
+    v = config_values(cfg)   # a field named for a key takes its value
+    return DatasetConfig(**{f.name: v[f.name] for f in fields(DatasetConfig) if f.name in v},
+                         transform_mix={key.removeprefix("mix_"): v[key] for key in _MIX})
 
 
 def model_config_from(cfg: dict[str, str]) -> ModelConfig:
-    from .backbone import BackboneConfig
-    size = int(cfg["image_size"])
-    side = int(cfg["feature_side"])
-    channels = int(cfg["feature_channels"])
-    if not 1 <= side <= size:
-        raise ConfigError(f"config: feature_side must lie in 1..image_size ({size}), got {side}")
-    n_blocks = int(np.log2(size // side))
-    if side * 2 ** n_blocks != size:
-        raise ConfigError(f"config: image_size {size} cannot reach feature_side {side} "
-                          f"with stride-2 blocks")
+    v = config_values(cfg)
+    size, side, channels = v["image_size"], v["feature_side"], v["feature_channels"]
+    check_keys(image_size=size, feature_side=side)
+    ratio, rest = divmod(size, side)
+    if rest or ratio < 2 or ratio & (ratio - 1):
+        raise ConfigError(f"config: image_size / feature_side must be a power of two >= 2 "
+                          f"for stride-2 blocks, got {size} / {side}")
+    n_blocks = ratio.bit_length() - 1
     widths = [max(8, channels // 2 ** (n_blocks - 1 - i)) for i in range(n_blocks)]
     widths[-1] = channels
     backbone = BackboneConfig(input_size=size, channels_in=1,
                               blocks=tuple((w, 2) for w in widths),
                               feature_channels=channels, feature_side=side)
-    kernel_shape = tuple(int(x) for x in cfg["kernel_shape"].split(","))
-    return ModelConfig(backbone=backbone, kernel_shape=kernel_shape,
-                       structure=cfg["structure"])
+    return ModelConfig(backbone=backbone, kernel_shape=v["kernel_shape"],
+                       structure=v["structure"])
 
 
 def train_config_from(cfg: dict[str, str]):
-    from .training import LossConfig, TrainConfig
-    return TrainConfig(
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        batches_per_epoch=int(cfg["batches_per_epoch"]),
-        learning_rate=float(cfg["learning_rate"]),
-        weight_decay=float(cfg["weight_decay"]),
-        lr_drop_every=int(cfg["lr_drop_every"]),
-        lr_drop_factor=float(cfg["lr_drop_factor"]),
-        augment=cfg["augment"],
-        loss=LossConfig(variant=cfg["loss_variant"], margin=float(cfg["margin"]),
-                        epsilon=float(cfg["epsilon"])),
-    )
+    v = config_values(cfg)   # a field named for a key takes its value
+    return TrainConfig(**{f.name: v[f.name] for f in fields(TrainConfig) if f.name in v},
+                       loss=LossConfig(variant=v["loss_variant"], margin=v["margin"],
+                                       epsilon=v["epsilon"]))
 
 
 # ---------------------------------------------------------------------------

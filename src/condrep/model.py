@@ -9,7 +9,7 @@ from .autodiff import Tensor
 from .backbone import BackboneConfig, extract_features, init_backbone
 from .conditional import ConvKernel4D, init_conv_kernel
 from .exceptions import ConfigError, DimensionError
-from .rerepresent import STRUCTURES, init_rerep_params
+from .rerepresent import init_rerep_params
 
 
 @dataclass(frozen=True)
@@ -19,12 +19,9 @@ class ModelConfig:
     structure: str = "siamese"
 
     def validate(self):
+        from .io import check_keys
         self.backbone.validate()
-        if len(self.kernel_shape) != 4 or any(d % 2 == 0 or d < 1 for d in self.kernel_shape):
-            raise ConfigError(f"model: kernel_shape must be four odd positive ints, "
-                              f"got {self.kernel_shape}")
-        if self.structure not in STRUCTURES:
-            raise ConfigError(f"model: unknown structure '{self.structure}'")
+        check_keys(kernel_shape=tuple(self.kernel_shape), structure=self.structure)
 
     @property
     def channels(self) -> int:

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .data import AUGMENT_MODES, SyntheticDataset, augment_query_image
-from .exceptions import (ConfigError, ContractError, DataError, DimensionError,
+from .data import SyntheticDataset, augment_query_image
+from .exceptions import (ContractError, DimensionError,
                          NonFiniteLossError)
 from .model import Model
 from .optim import AdamW
@@ -30,12 +30,8 @@ class LossConfig:
     epsilon: float = 1e-8
 
     def validate(self):
-        if self.variant not in ("standard", "literal"):
-            raise ConfigError(f"loss: unknown variant '{self.variant}'")
-        if not 0.0 < self.margin < np.inf:
-            raise ConfigError(f"loss: margin must be finite and positive, got {self.margin}")
-        if not (0.0 < self.epsilon <= 1e-3):
-            raise ConfigError(f"loss: epsilon must lie in (0, 1e-3], got {self.epsilon}")
+        from .io import check_keys
+        check_keys(loss_variant=self.variant, margin=self.margin, epsilon=self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -53,17 +49,8 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("train: epochs and batch_size must be positive")
-        for name in ("batches_per_epoch", "lr_drop_every", "learning_rate", "weight_decay"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise ConfigError(f"train: {name} must be finite and >= 0, got {value}")
-        if not 0.0 < self.lr_drop_factor <= 1.0:
-            raise ConfigError(f"train: lr_drop_factor must lie in (0, 1], "
-                              f"got {self.lr_drop_factor}")
-        if self.augment not in AUGMENT_MODES:
-            raise ConfigError(f"train: unknown augment mode '{self.augment}'")
+        from .io import CONFIG_TABLE, check_keys   # each field named for a key
+        check_keys(**{k: v for k, v in vars(self).items() if k in CONFIG_TABLE})
         self.loss.validate()
 
     def resolved_batches(self, dataset: SyntheticDataset) -> int:
@@ -81,9 +68,8 @@ def sample_pair_batch(dataset: SyntheticDataset, batch_size: int, rng,
     sup = dataset.by_class("support")
     qry = dataset.by_class("query")
     classes = sorted(set(sup) & set(qry))
-    if len(classes) < 2:
-        raise DataError(f"sample_pair_batch: need >= 2 classes with support and query "
-                        f"samples, found {len(classes)}")
+    from .io import check_pools
+    check_pools("pair batches", dataset)
     n_pos = int(np.ceil(batch_size / 2))
     supports, queries, labels = [], [], []
     for i in range(batch_size):

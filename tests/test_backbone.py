@@ -6,7 +6,7 @@ import pytest
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
-from condrep.backbone import BackboneConfig, extract_features, init_backbone, pooled_feature
+from condrep.backbone import BackboneConfig, extract_features, init_backbone
 from condrep.exceptions import ConfigError, DimensionError
 from condrep.io import model_config_from, resolve_config
 
@@ -139,11 +139,4 @@ def test_graph_is_channel_major_between_two_permutes():
     assert counts["max_pool2"] == 0 and counts["mean"] == 0
     assert counts["conv2d"] == counts["norm_relu_pool"] == len(cfg.blocks)
     assert sum(counts.values()) == 2 + 2 * len(cfg.blocks)
-
-
-def test_pooled_feature_shape_and_value():
-    x = Tensor(np.arange(2 * 2 * 2 * 3, dtype=float).reshape(2, 2, 2, 3))
-    pooled = pooled_feature(x)
-    assert pooled.shape == (2, 3)
-    np.testing.assert_allclose(pooled.data, x.data.mean(axis=(1, 2)), atol=1e-15)
 

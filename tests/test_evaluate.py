@@ -45,6 +45,18 @@ class TestSampleEpisode:
         with pytest.raises(DataError, match="class"):
             sample_episode(dataset, 3, 7, 5, seed=0)
 
+    # each named the shortfall but not the config key that asked for it
+    @pytest.mark.parametrize("args,message", [
+        ((7, 1, 5), "episodes need n_classes >= n_way = 7, the pools hold 6$"),
+        ((3, 7, 5), "episodes need support_per_class >= k_shot = 7, the pools hold 6 for "
+                    "class 0"),
+        ((3, 1, 19), "episodes need query_per_class >= q_per_class = 19, the pools hold 18 "
+                     "for class 0")],
+        ids=["n_way", "k_shot", "q_per_class"])
+    def test_shortfall_names_the_key(self, dataset, args, message):
+        with pytest.raises(DataError, match=message):
+            sample_episode(dataset, *args, seed=0)
+
     def test_determinism(self, dataset):
         a = sample_episode(dataset, 4, 2, 3, seed=9)
         b = sample_episode(dataset, 4, 2, 3, seed=9)
@@ -409,7 +421,8 @@ class TestRunEvaluation:
     @pytest.mark.parametrize("arg", ["n_way", "k_shot", "q_per_class", "n_episodes"])
     def test_protocol_argument_below_one_rejected(self, dataset, model, arg, value):
         kwargs = {"n_way": 2, "k_shot": 1, "q_per_class": 2, "n_episodes": 1, arg: value}
-        with pytest.raises(ConfigError, match=f"{arg} must be >= 1"):
+        key = "episodes" if arg == "n_episodes" else arg   # the config key it reads
+        with pytest.raises(ConfigError, match=f"config: {key} must be >= 1, got {value}"):
             run_evaluation_suite(dataset, model, strategies=["weighted_query"], seed=0,
                                  baseline_model=model, **kwargs)
 

@@ -1,5 +1,6 @@
 """Checkpoints, configs, CSV/report consistency, plots, the CLI contract, and the
 package's public surface."""
+import argparse
 import json
 import os
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 
 from condrep import evaluate, io as cio, training
 from condrep.autodiff import Tensor, no_grad
-from condrep.backbone import BackboneConfig, pooled_feature
-from condrep.cli import main
+from condrep.backbone import BackboneConfig
+from condrep.cli import build_parser, main
 from condrep.data import DatasetConfig, build_dataset, export_pools
 from condrep.evaluate import EvalReport
 from condrep.exceptions import ConfigError, DimensionError
@@ -234,6 +235,124 @@ class TestConfig:
         assert a == b and len(a) == 16
 
 
+def bad_values(key: str) -> tuple[str, str]:
+    """One value of ``key`` that does not parse and one outside its range,
+    both read off the config table."""
+    kind, _default, rng = cio.CONFIG_TABLE[key]
+    if isinstance(rng, tuple):   # a number names nothing, and a list may not repeat a name
+        return "1.5", f"{rng[0]},{rng[0]}" if kind.endswith(" list") else "none_such"
+    op, lo = rng.split(" and ")[0].split()   # every range starts at its lower bound
+    below = float(lo) - 1 if op == ">=" else float(lo)
+    if kind == "float":
+        return "x", repr(below)
+    return ("3,x,3,3", f"3,3,3,{int(below)}") if kind == "4 ints" else ("1.5", str(int(below)))
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("key,value", [
+        pytest.param(key, value, id=f"{key}-{what}") for key in cio.CONFIG_TABLE
+        for what, value in zip(("unparsable", "out_of_range"), bad_values(key))])
+    def test_bad_value_exits_2_naming_its_key_before_any_output(self, tmp_path, capsys,
+                                                                key, value):
+        rc = main(["train", "--out", str(tmp_path / "run"), *TINY_FLAGS,
+                   f"--{key.replace('_', '-')}", value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: config: {key}" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_every_key_has_one_flag_with_its_range_and_a_readme_entry(self):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for command in ("gen-data", "train", "eval", "export-embeddings"):
+            for key in cio.CONFIG_TABLE:
+                flags = [a for a in commands[command]._actions if a.dest == key]
+                assert [a.option_strings for a in flags] == [[f"--{key.replace('_', '-')}"]]
+                kind, default, rng = cio.CONFIG_TABLE[key]
+                shown = f"{kind} {rng}" if isinstance(rng, str) else f"{kind}: {'/'.join(rng)}"
+                assert flags[0].help == f"{shown} (default {default})", (command, key)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert [key for key in cio.CONFIG_TABLE if f"`{key}`" not in readme] == []
+
+    def test_resolved_config_is_the_strings_it_was_given(self):
+        cfg = cio.resolve_config(None, {"seed": 7, "learning_rate": "1e-3", "epochs": " 4"})
+        assert cfg == dict(cio.DEFAULT_CONFIG, seed="7", learning_rate="1e-3", epochs=" 4")
+
+    # each exited 2 only after making the output directory, exited 0 or 1, or
+    # named no key: keys were parsed by bare int() and float() in four places
+    # and the cross-key limits were met only while drawing batches or episodes
+    @pytest.mark.parametrize("command,flags,message", [
+        pytest.param("train", ["--n-classes", "1"],
+                     "pair batches need n_classes >= 2, the pools hold 1",
+                     id="train-n_classes-1"),
+        pytest.param("train", ["--seed", "-1"], "config: seed must be >= 0, got -1",
+                     id="train-seed"),
+        pytest.param("gen-data", ["--seed", "-1"], "config: seed must be >= 0, got -1",
+                     id="gen-data-seed"),
+        pytest.param("train", ["--checkpoint-every", "x"],
+                     "config: checkpoint_every = 'x' does not parse as int",
+                     id="train-checkpoint_every-x"),
+        pytest.param("train", ["--checkpoint-every", "-1"],
+                     "config: checkpoint_every must be >= 0, got -1",
+                     id="train-checkpoint_every-negative"),
+        pytest.param("train", ["--epochs", "1.5"], "config: epochs = '1.5' does not parse as int",
+                     id="train-epochs"),
+        pytest.param("eval", ["--episodes", "1.5"],
+                     "config: episodes = '1.5' does not parse as int", id="eval-episodes"),
+        pytest.param("train", ["--image-size", "abc"],
+                     "config: image_size = 'abc' does not parse as int", id="train-image_size"),
+        pytest.param("eval", ["--n-way", "6"],
+                     "episodes need n_classes >= n_way = 6, the pools hold 3",
+                     id="eval-n_way"),
+        pytest.param("eval", ["--n-way", "3", "--k-shot", "5"],
+                     "episodes need support_per_class >= k_shot = 5, the pools hold 4",
+                     id="eval-k_shot"),
+        pytest.param("eval", ["--n-way", "3", "--q-per-class", "7"],
+                     "episodes need query_per_class >= q_per_class = 7, the pools "
+                     "hold 6", id="eval-q_per_class"),
+        # a feature side equal to the image side built no block and exited 1
+        # with an IndexError traceback
+        pytest.param("train", ["--feature-side", "16"],
+                     "config: image_size / feature_side must be a power of two >= 2 for "
+                     "stride-2 blocks, got 16 / 16", id="train-feature_side-16")])
+    def test_probe_input_exits_2_naming_key_and_value_before_any_output(
+            self, tmp_path, capsys, command, flags, message):
+        ckpt = tmp_path / "ckpt.txt"
+        cio.save_checkpoint(ckpt, tiny_model())
+        small = ["--epochs", "1", "--batches-per-epoch", "1", "--batch-size", "4",
+                 "--episodes", "1"]
+        extra = ["--checkpoint", str(ckpt)] if command == "eval" else []
+        rc = main([command, "--out", str(tmp_path / "run"), *TINY_FLAGS, *small, *extra, *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    # loaded pools are counted after they load: train exited 2 from the first
+    # pair batch, after making the output directory, and eval's error from
+    # the first episode named no key
+    @pytest.mark.parametrize("command,flags,message", [
+        pytest.param("train", [], "pair batches need n_classes >= 2, the pools hold 1",
+                     id="train"),
+        pytest.param("eval", ["--n-way", "1", "--k-shot", "3"],
+                     "episodes need support_per_class >= k_shot = 3, the pools hold 2",
+                     id="eval")])
+    def test_short_pools_exit_2_before_any_output(self, tmp_path, capsys, command, flags,
+                                                  message):
+        ckpt = tmp_path / "ckpt.txt"
+        cio.save_checkpoint(ckpt, tiny_model())
+        export_pools(build_dataset(DatasetConfig(seed=0, n_classes=1, image_size=16,
+                                                 support_per_class=2, query_per_class=3)),
+                     tmp_path / "data")
+        extra = ["--checkpoint", str(ckpt)] if command == "eval" else []
+        rc = main([command, "--out", str(tmp_path / "run"), "--data", str(tmp_path / "data"),
+                   *TINY_FLAGS, "--q-per-class", "2", *extra, *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestCsvAndReport:
     def test_loss_csv_round_trip(self, tmp_path):
         path = tmp_path / "loss.csv"
@@ -379,7 +498,7 @@ class TestCli:
                 ref_map = model.features(refs[s.class_id].image[None])
                 smp_map = model.features(s.image[None])
                 _fs, fq = re_represent_pair(ref_map, smp_map, model)
-                expected = np.concatenate([fq.data[0], pooled_feature(smp_map).data[0]])
+                expected = np.concatenate([fq.data[0], smp_map.data.mean(axis=(1, 2))[0]])
                 sample_id, class_id, pool, *values = line.split(",")
                 assert (sample_id, int(class_id), pool) == (s.sample_id, s.class_id, "query")
                 # the conv runs one gemm per image, so a map's bits do not
@@ -399,10 +518,10 @@ class TestCli:
         with no_grad():   # every image and every row in one batch
             ref_maps, smp_maps = np.split(training._distinct_features(model, images).data, 2)
             _fs, fq = re_represent_pair(Tensor(ref_maps), Tensor(smp_maps), model)
-            base = pooled_feature(Tensor(smp_maps))
+            base = smp_maps.mean(axis=(1, 2))
         expected = tmp_path / "expected.csv"
         cio.write_embeddings_csv(expected, [(s.sample_id, s.class_id, s.pool, rep, b)
-                                            for s, rep, b in zip(samples, fq.data, base.data)],
+                                            for s, rep, b in zip(samples, fq.data, base)],
                                  channels=8)
         # 16 KB of first conv output per 16 px image and two 256-byte maps per
         # pair: groups of 1 image and 5 pairs, then of 4 images and 128 pairs
@@ -494,7 +613,7 @@ class TestCli:
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "error: run_evaluation_suite: n_episodes must be >= 1" in proc.stderr
+        assert "error: config: episodes must be >= 1, got 0" in proc.stderr
         assert not (tmp_path / "run" / "report.json").exists()
         assert not (tmp_path / "run" / "accuracy.csv").exists()
 
@@ -529,11 +648,11 @@ class TestCli:
     # the first batch)
     @pytest.mark.parametrize("command,flag,value,key", [
         ("train", "--augment", "foo", "augment"),
-        ("train", "--mix-small", "nan", "transform_mix"),
+        ("train", "--mix-small", "nan", "mix_small"),
         ("train", "--loss-variant", "foo", "variant"),
         ("train", "--margin", "-1", "margin"),
-        ("gen-data", "--mix-small", "nan", "transform_mix"),
-        ("eval", "--mix-small", "nan", "transform_mix"),
+        ("gen-data", "--mix-small", "nan", "mix_small"),
+        ("eval", "--mix-small", "nan", "mix_small"),
         ("export-embeddings", "--blur-fraction", "2", "blur_fraction")])
     def test_invalid_config_exits_2_before_making_the_output_directory(
             self, tmp_path, capsys, command, flag, value, key):
@@ -580,17 +699,18 @@ class TestCli:
     # export-embeddings made it before loading the pools and computing
     @pytest.mark.parametrize("command,flags,message", [
         pytest.param("eval", ["--n-way", "4"],
-                     "error: sample_episode: need 4 classes, dataset has 3", id="eval-n_way"),
+                     "error: episodes need n_classes >= n_way = 4, the pools hold 3",
+                     id="eval-n_way"),
         pytest.param("eval", ["--n-way", "2", "--k-shot", "5"],
-                     "error: sample_episode: class 1 has 4 support samples, needs 5",
-                     id="eval-k_shot"),
+                     "error: episodes need support_per_class >= k_shot = 5, the pools "
+                     "hold 4", id="eval-k_shot"),
         pytest.param("eval", ["--seed", "-1", "--with-baseline"],
-                     "error: expected non-negative integer", id="eval-seed"),
+                     "error: config: seed must be >= 0, got -1", id="eval-seed"),
         pytest.param("eval", ["--strategies", ","],
                      "error: run_evaluation_suite: no strategy and no baseline requested",
                      id="eval-strategies"),
         pytest.param("export-embeddings", ["--seed", "-1"],
-                     "error: expected non-negative integer", id="export-embeddings-seed"),
+                     "error: config: seed must be >= 0, got -1", id="export-embeddings-seed"),
         pytest.param("export-embeddings", ["--data", "{empty}"],
                      "error: load_pools: no class_* directories", id="export-embeddings-data")])
     def test_refused_run_exits_2_without_making_the_output_directory(

@@ -100,7 +100,7 @@ class TestPairBatch:
 
     def test_single_class_rejected(self):
         ds = tiny_dataset(n_classes=1)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="pair batches need n_classes >= 2, the pools hold 1"):
             sample_pair_batch(ds, 4, np.random.default_rng(0))
 
     def test_determinism(self):
@@ -410,7 +410,8 @@ class TestTrainLoop:
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "error: train: lr_drop_factor" in proc.stderr
+        assert "error: config: lr_drop_factor must be finite and > 0 and <= 1, got -0.5" \
+            in proc.stderr
         assert not (tmp_path / "checkpoint.txt").exists()
 
 
