@@ -1,5 +1,5 @@
 """Small end-to-end run: train the pair pipeline on a reduced synthetic set,
-then meta-test all five K-shot inference strategies on shared episodes."""
+then meta-test all four K-shot inference strategies on shared episodes."""
 import time
 
 from condrep.data import DatasetConfig, build_dataset

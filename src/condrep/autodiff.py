@@ -19,9 +19,9 @@ arrays and shapes only:
   itself and rebuilds the transient ``b^T`` copy its a-gradient multiplies
   by, so attention whose keys are its values keeps those rows once; relu
   keeps a 1-byte mask; sqrt and softmax keep their output (softmax builds
-  it in the one array that held the shift and its exponential), log its
-  input, layer_norm the normalized rows, their inverse deviations and
-  gamma's array;
+  it in the one array that held the shift and its exponential),
+  layer_norm the normalized rows, their inverse deviations and gamma's
+  array;
 * conv2d keeps its input array for the kernel gradient and the flattened
   kernel for the input gradient; norm_relu_pool keeps shapes and the
   arrays named below, so no conv output outlives the forward.
@@ -282,12 +282,6 @@ def sqrt(x) -> Tensor:
     def vjp(g, out=out):
         return g * np.where(out > 0.0, 0.5 / np.where(out > 0.0, out, 1.0), 0.0)
     return _make(out, [(x, vjp)])
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    xd = x.data
-    return _make(np.log(xd), [(x, lambda g: g / xd)])
 
 
 # ---------------------------------------------------------------------------

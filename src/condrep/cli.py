@@ -132,18 +132,15 @@ def cmd_export_embeddings(args) -> int:
 def cmd_plot(args) -> int:
     if not (args.loss_csv or args.accuracy_csv):
         raise ConfigError("plot: pass --loss-csv and/or --accuracy-csv")
-    out = _out_dir(args)
-    wrote = []
+    svgs = {}   # both CSVs are read and checked before the output directory
     if args.loss_csv:
-        path = out / "loss.svg"
-        loss_curve_svg(args.loss_csv, path)
-        wrote.append(path)
+        svgs["loss.svg"] = loss_curve_svg(args.loss_csv)
     if args.accuracy_csv:
-        path = out / "accuracy.svg"
-        accuracy_bars_svg(args.accuracy_csv, path)
-        wrote.append(path)
-    for p in wrote:
-        print(f"wrote {p}")
+        svgs["accuracy.svg"] = accuracy_bars_svg(args.accuracy_csv)
+    out = _out_dir(args)
+    for name, text in svgs.items():
+        (out / name).write_text(text)
+        print(f"wrote {out / name}")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""N-way-K-shot meta-testing: episode sampling, the five K-shot inference
-strategies (three of them fit an online linear classifier on the
+"""N-way-K-shot meta-testing: episode sampling, the four K-shot inference
+strategies (two of them fit an online linear classifier on the
 re-represented supports), and evaluation reports.
 
 Inference is inductive: every query is classified from its own pairings
@@ -16,7 +16,7 @@ cannot mix information between queries, nor change a bit, because every
 per-pair computation is independent of the other pairs in its group.
 
 Nothing is computed twice. At K=1 each class prototype is its one support,
-so ``proto_dist`` is ``pair_dist``. The three classifier strategies share one
+so ``proto_dist`` is ``pair_dist``. The two classifier strategies share one
 logistic fit per episode. :func:`run_evaluation_suite` keeps, for that call
 only, a memo per model from image bytes to backbone map, so each distinct
 image is mapped once. No bit of a map depends on the rest of its batch, at
@@ -36,8 +36,7 @@ from .exceptions import ConfigError
 from .model import Model
 from .rerepresent import re_represent_pair
 
-STRATEGIES = ("individual_similarity", "class_similarity", "classifier",
-              "raw_query", "weighted_query")
+STRATEGIES = ("individual_similarity", "class_similarity", "classifier", "weighted_query")
 BASELINE = "backbone_prototype_baseline"   # raw pooled features, no conditional path
 
 
@@ -147,8 +146,8 @@ def _fit_logistic(x: np.ndarray, labels: np.ndarray, n_classes: int,
 
 def strategy_predictions(strategies, *, n_way: int, k_shot: int,
                          pair_dist: np.ndarray, proto_dist: np.ndarray,
-                         support_vectors: np.ndarray, query_vectors: np.ndarray,
-                         pooled_queries: np.ndarray) -> dict[str, np.ndarray]:
+                         support_vectors: np.ndarray,
+                         query_vectors: np.ndarray) -> dict[str, np.ndarray]:
     """``{strategy: predictions}`` for each requested strategy; an unknown or
     repeated name raises ConfigError. The classifier strategies score their
     targets against one logistic fit, made only if one of them is requested.
@@ -158,7 +157,6 @@ def strategy_predictions(strategies, *, n_way: int, k_shot: int,
     proto_dist      (NQ, N) distances of the class-prototype pairings
     support_vectors (NQ, N*K, C) re-represented supports, conditioned per query
     query_vectors   (NQ, N*K, C) re-represented query vectors per pairing
-    pooled_queries  (NQ, C) plain backbone-pooled query features
 
     Ties break toward the lowest class index (argmax keeps the first max).
     """
@@ -177,8 +175,6 @@ def strategy_predictions(strategies, *, n_way: int, k_shot: int,
                                     n_way, epochs=100, lr=0.1)
             if s == "classifier":
                 target = query_vectors.mean(axis=1)
-            elif s == "raw_query":
-                target = pooled_queries
             else:  # weighted_query
                 class_weights = _softmax(-proto_dist)                       # (NQ, N)
                 class_means = query_vectors.reshape(nq, n_way, k_shot, -1).mean(axis=2)
@@ -273,7 +269,6 @@ def episode_features(task: EpisodeTask, model: Model, memo: dict | None = None) 
     return {
         "pair_dist": pair_dist, "proto_dist": proto_dist,
         "support_vectors": support_vectors, "query_vectors": query_vectors,
-        "pooled_queries": qry_maps.mean(axis=(1, 2)),
     }
 
 
@@ -308,7 +303,8 @@ def run_evaluation_suite(dataset: SyntheticDataset, model: Model, *, n_way: int 
     if baseline_model is not None:
         accs[BASELINE] = []
     if not accs:
-        raise ConfigError("run_evaluation_suite: no strategy and no baseline requested")
+        raise ConfigError("config: strategies is empty and --with-baseline is off: "
+                          "no strategy and no baseline requested")
     memo, baseline_memo = {}, {}
     for ep in range(n_episodes):
         rng = np.random.default_rng(np.random.SeedSequence([0x657, seed, ep]))

@@ -23,7 +23,7 @@ from .evaluate import STRATEGIES
 from .exceptions import ConfigError, DataError
 from .model import Model, ModelConfig
 from .rerepresent import STRUCTURES
-from .training import LossConfig, TrainConfig
+from .training import TrainConfig
 
 CHECKPOINT_MAGIC = "condrep-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -126,9 +126,7 @@ CONFIG_TABLE: dict[str, tuple[str, str, str | tuple]] = {
     "weight_decay": ("float", "0.05", ">= 0"),
     "lr_drop_every": ("int", "20", ">= 0"),               # 0: never
     "lr_drop_factor": ("float", "0.5", "> 0 and <= 1"),
-    "loss_variant": ("loss variant", "standard", ("standard", "literal")),
     "margin": ("float", "1.0", "> 0"),
-    "epsilon": ("float", "1e-8", "> 0 and <= 1e-3"),
     "augment": ("augment mode", "randaugment", AUGMENT_MODES),
     "n_way": ("int", "5", ">= 1"),
     "k_shot": ("int", "1", ">= 1"),
@@ -259,9 +257,7 @@ def model_config_from(cfg: dict[str, str]) -> ModelConfig:
 
 def train_config_from(cfg: dict[str, str]):
     v = config_values(cfg)   # a field named for a key takes its value
-    return TrainConfig(**{f.name: v[f.name] for f in fields(TrainConfig) if f.name in v},
-                       loss=LossConfig(variant=v["loss_variant"], margin=v["margin"],
-                                       epsilon=v["epsilon"]))
+    return TrainConfig(**{f.name: v[f.name] for f in fields(TrainConfig) if f.name in v})
 
 
 # ---------------------------------------------------------------------------

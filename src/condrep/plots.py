@@ -1,9 +1,7 @@
-"""Hand-written SVG emission for the loss curve and per-strategy accuracy
-bars with confidence whiskers. Self-contained vector files, no network
-access, no plotting dependency."""
+"""Hand-written SVG text for the loss curve and per-strategy accuracy
+bars with confidence whiskers, rendered from the CSV outputs. Self-contained
+vector files, no network access, no plotting dependency."""
 from __future__ import annotations
-
-from pathlib import Path
 
 from .evaluate import EvalReport
 from .exceptions import ConfigError
@@ -32,7 +30,7 @@ def _axes() -> list[str]:
     ]
 
 
-def loss_curve_svg(loss_csv, out_path) -> None:
+def loss_curve_svg(loss_csv) -> str:
     points = read_loss_csv(loss_csv)
     if not points:
         raise ConfigError(f"plot: no data rows in {loss_csv}")
@@ -48,10 +46,10 @@ def loss_curve_svg(loss_csv, out_path) -> None:
     elements.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="2"/>')
     elements.append(f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 12}" font-size="11">'
                     f'epoch 0..{epochs[-1]}, loss {lo:.4g}..{hi:.4g}</text>')
-    Path(out_path).write_text(_svg(elements, "training loss"))
+    return _svg(elements, "training loss")
 
 
-def accuracy_bars_svg(accuracy_csv, out_path) -> None:
+def accuracy_bars_svg(accuracy_csv) -> str:
     """One bar per strategy column; height is mean accuracy on a fixed [0, 1]
     scale (mean * PLOT_H pixels), whiskers are the 95% confidence interval,
     both as :meth:`EvalReport.from_accuracies` computes them."""
@@ -79,4 +77,4 @@ def accuracy_bars_svg(accuracy_csv, out_path) -> None:
                         f'y2="{y + whisk!r}" stroke="black"/>')
         elements.append(f'<text x="{cx!r}" y="{base_y + 16}" text-anchor="middle" '
                         f'font-size="10">{name}</text>')
-    Path(out_path).write_text(_svg(elements, "episode accuracy (95% CI)"))
+    return _svg(elements, "episode accuracy (95% CI)")

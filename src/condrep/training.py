@@ -1,8 +1,13 @@
 """Balanced pair sampling, contrastive objective, and the single-stage
-training loop that supervises the whole network."""
+training loop that supervises the whole network.
+
+The paper's literal objective, minus the mean of log(d + eps) over
+same-class pairs, is not implemented: it has no lower bound and rewards
+pushing same-class pairs apart, so the margin contrastive loss is the only
+one."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +29,6 @@ class PairBatch:
 
 
 @dataclass(frozen=True)
-class LossConfig:
-    variant: str = "standard"     # "standard" | "literal"
-    margin: float = 1.0
-    epsilon: float = 1e-8
-
-    def validate(self):
-        from .io import check_keys
-        check_keys(loss_variant=self.variant, margin=self.margin, epsilon=self.epsilon)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 80
@@ -46,12 +40,11 @@ class TrainConfig:
     lr_drop_every: int = 20       # halve the learning rate every N epochs
     lr_drop_factor: float = 0.5
     augment: str = "randaugment"
-    loss: LossConfig = field(default_factory=LossConfig)
+    margin: float = 1.0
 
     def validate(self):
         from .io import CONFIG_TABLE, check_keys   # each field named for a key
         check_keys(**{k: v for k, v in vars(self).items() if k in CONFIG_TABLE})
-        self.loss.validate()
 
     def resolved_batches(self, dataset: SyntheticDataset) -> int:
         if self.batches_per_epoch > 0:
@@ -99,13 +92,11 @@ def pair_distance(f_support, f_query):
     return ad.sum_along(ad.mul(diff, diff), axis=diff.ndim - 1)
 
 
-def contrastive_loss(distances, same_class, cfg: LossConfig) -> Tensor:
-    """Batch loss over squared distances.
-
-    standard (default): mean of y*d + (1-y)*max(0, margin - sqrt(d))^2
-    literal:            -(1/N) * sum over same-class pairs of log(d + eps)
-    """
-    cfg.validate()
+def contrastive_loss(distances, same_class, margin: float = 1.0) -> Tensor:
+    """Batch loss over squared distances:
+    mean of y*d + (1-y)*max(0, margin - sqrt(d))^2."""
+    from .io import check_keys
+    check_keys(margin=margin)
     d = ad.as_tensor(distances)
     y = np.asarray(same_class, dtype=bool)
     if d.ndim != 1 or d.shape[0] != y.shape[0]:
@@ -114,12 +105,9 @@ def contrastive_loss(distances, same_class, cfg: LossConfig) -> Tensor:
         raise ContractError("contrastive_loss: empty batch")
     if np.any(d.data < 0):
         raise ContractError("contrastive_loss: negative distance")
-    if cfg.variant == "literal":
-        mask = Tensor(y.astype(np.float64))
-        return ad.mean(ad.mul(ad.mul(ad.log(ad.add(d, cfg.epsilon)), mask), -1.0))
     pos = Tensor(y.astype(np.float64))
     neg = Tensor((~y).astype(np.float64))
-    hinge = ad.relu(ad.sub(cfg.margin, ad.sqrt(d)))
+    hinge = ad.relu(ad.sub(margin, ad.sqrt(d)))
     return ad.mean(ad.add(ad.mul(pos, d), ad.mul(neg, ad.mul(hinge, hinge))))
 
 
@@ -133,11 +121,11 @@ def _distinct_features(model: Model, images: np.ndarray) -> Tensor:
     return ad.index_axis(model.features(images[first]), 0, index)
 
 
-def batch_loss(model: Model, batch: PairBatch, cfg: LossConfig) -> Tensor:
+def batch_loss(model: Model, batch: PairBatch, margin: float) -> Tensor:
     fs_maps = _distinct_features(model, batch.support_images)
     fq_maps = _distinct_features(model, batch.query_images)
     f_s, f_q = re_represent_pair(fs_maps, fq_maps, model)
-    return contrastive_loss(pair_distance(f_s, f_q), batch.same_class, cfg)
+    return contrastive_loss(pair_distance(f_s, f_q), batch.same_class, margin)
 
 
 def train_epoch(dataset: SyntheticDataset, model: Model, optimizer: AdamW,
@@ -147,7 +135,7 @@ def train_epoch(dataset: SyntheticDataset, model: Model, optimizer: AdamW,
     losses = []
     for b in range(cfg.resolved_batches(dataset)):
         batch = sample_pair_batch(dataset, cfg.batch_size, rng, augment=cfg.augment)
-        loss = batch_loss(model, batch, cfg.loss)
+        loss = batch_loss(model, batch, cfg.margin)
         value = loss.item()
         if not np.isfinite(value):
             raise NonFiniteLossError(f"training aborted: non-finite loss at batch {b}")

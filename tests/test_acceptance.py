@@ -21,8 +21,7 @@ from condrep.evaluate import (EvalReport, classify_query, episode_features,
 from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.model import Model, ModelConfig
 from condrep.rerepresent import re_represent_pair
-from condrep.training import (LossConfig, TrainConfig, contrastive_loss, pair_distance,
-                              train)
+from condrep.training import TrainConfig, contrastive_loss, pair_distance, train
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-3
@@ -75,7 +74,6 @@ def test_criterion_1_gradient_suite():
         "mean": lambda t: sq(ad.mean(t, axis=0)),
         "sum_along": lambda t: sq(ad.sum_along(t, axis=-1)),
         "sqrt": lambda t: sq(ad.sqrt(ad.add(ad.mul(t, t), 0.3))),
-        "log": lambda t: sq(ad.log(ad.add(ad.mul(t, t), 1.0))),
         "index_axis": lambda t: sq(ad.index_axis(t, 0, 1)),
     }
     for name, f in unary.items():
@@ -147,7 +145,7 @@ def test_criterion_1_gradient_suite():
                                          ad.index_axis(feats, 0, 1), model)
                 return contrastive_loss(
                     pair_distance(ad.reshape(a, (1, a.size)), ad.reshape(b, (1, b.size))),
-                    labels[:1], LossConfig())
+                    labels[:1])
             finally:
                 target.data = saved
 
@@ -247,7 +245,7 @@ def test_criterion_4_protocol():
     feats = episode_features(task, model)
     full = {s: classify_query(task, model, s, features=feats)
             for s in ("individual_similarity", "class_similarity", "classifier",
-                      "raw_query", "weighted_query")}
+                      "weighted_query")}
     for i in range(len(task.query_images)):
         sub = type(task)(n_way=task.n_way, k_shot=task.k_shot, q_per_class=1,
                          support_images=task.support_images,

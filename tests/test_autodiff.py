@@ -588,7 +588,6 @@ OP_CASES = {
     "concat": lambda t, rng: ad.concat([t, Tensor(rng.normal(size=t.shape))], axis=0),
     "mean": lambda t, rng: ad.mean(t, axis=0),
     "sqrt": lambda t, rng: ad.sqrt(ad.add(ad.mul(t, t), 0.5)),
-    "log": lambda t, rng: ad.log(ad.add(ad.mul(t, t), 1.0)),
 }
 
 

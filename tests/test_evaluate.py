@@ -87,7 +87,7 @@ def primal_fit_logistic(x, labels, n_classes, epochs, lr):
 
 
 class TestLinearClassifier:
-    """The logistic fit of the classifier, raw_query and weighted_query strategies."""
+    """The logistic fit of the classifier and weighted_query strategies."""
 
     @staticmethod
     def fit_logits(x, y, n_classes, epochs=100):
@@ -147,14 +147,12 @@ class TestStrategyRules:
         pair_dist = ((support_vectors - query_vectors) ** 2).sum(axis=-1)
         proto_dist = np.stack([((centers - query_vectors[i, 0]) ** 2).sum(axis=-1)
                                for i in range(4)])
-        pooled = query_vectors[:, 0, :]
         strategies = ["individual_similarity", "class_similarity", "classifier",
-                      "raw_query", "weighted_query"]
+                      "weighted_query"]
         predictions = strategy_predictions(strategies, n_way=n_way, k_shot=k,
                                            pair_dist=pair_dist, proto_dist=proto_dist,
                                            support_vectors=support_vectors,
-                                           query_vectors=query_vectors,
-                                           pooled_queries=pooled)
+                                           query_vectors=query_vectors)
         assert list(predictions) == strategies
         for strategy, preds in predictions.items():
             np.testing.assert_array_equal(preds, true, err_msg=strategy)
@@ -164,8 +162,7 @@ class TestStrategyRules:
         preds = strategy_predictions(["individual_similarity"], n_way=2, k_shot=1,
                                      pair_dist=pair_dist, proto_dist=pair_dist,
                                      support_vectors=np.zeros((1, 2, 3)),
-                                     query_vectors=np.zeros((1, 2, 3)),
-                                     pooled_queries=np.zeros((1, 3)))
+                                     query_vectors=np.zeros((1, 2, 3)))
         assert preds["individual_similarity"][0] == 0
 
     def test_unknown_strategy_rejected(self, dataset, model):
@@ -175,9 +172,9 @@ class TestStrategyRules:
 
     def test_repeated_strategy_rejected_by_name(self, dataset, model):
         feats = episode_features(sample_episode(dataset, 2, 1, 2, seed=0), model)
-        with pytest.raises(ConfigError, match="'raw_query' is requested twice"):
-            strategy_predictions(["raw_query", "classifier", "raw_query"], n_way=2, k_shot=1,
-                                 **feats)
+        with pytest.raises(ConfigError, match="'weighted_query' is requested twice"):
+            strategy_predictions(["weighted_query", "classifier", "weighted_query"], n_way=2,
+                                 k_shot=1, **feats)
 
     @pytest.mark.parametrize("k_shot", [1, 2])
     def test_all_strategies_at_once_equal_each_alone(self, dataset, model, k_shot):
@@ -260,7 +257,7 @@ class TestNoRepeatedWork:
             assert calls[1] == 6 * 3
 
     @pytest.mark.parametrize("strategies,fits", [
-        (STRATEGIES, 1), (["classifier", "raw_query"], 1),
+        (STRATEGIES, 1), (["classifier", "weighted_query"], 1),
         (["individual_similarity", "class_similarity"], 0)])
     def test_one_logistic_fit_per_episode(self, dataset, model, monkeypatch, strategies, fits):
         calls = []

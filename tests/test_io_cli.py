@@ -273,6 +273,7 @@ class TestConfigTable:
                 assert flags[0].help == f"{shown} (default {default})", (command, key)
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert [key for key in cio.CONFIG_TABLE if f"`{key}`" not in readme] == []
+        assert [s for s in evaluate.STRATEGIES if f"`{s}`" not in readme] == []
 
     def test_resolved_config_is_the_strings_it_was_given(self):
         cfg = cio.resolve_config(None, {"seed": 7, "learning_rate": "1e-3", "epochs": " 4"})
@@ -394,20 +395,16 @@ class TestPlots:
     def test_loss_curve_is_wellformed_svg(self, tmp_path):
         csv = tmp_path / "loss.csv"
         cio.write_loss_csv(csv, [1.0, 0.5, 0.4])
-        out = tmp_path / "loss.svg"
-        loss_curve_svg(csv, out)
-        root = ET.parse(out).getroot()
+        root = ET.fromstring(loss_curve_svg(csv))
         assert root.tag.endswith("svg")
 
     def test_bar_heights_equal_csv_means(self, tmp_path):
         rng = np.random.default_rng(1)
         reports = {s: EvalReport.from_accuracies(s, rng.uniform(size=12))
-                   for s in ("classifier", "raw_query")}
+                   for s in ("classifier", "weighted_query")}
         csv = tmp_path / "acc.csv"
         cio.write_accuracy_csv(csv, reports)
-        out = tmp_path / "acc.svg"
-        accuracy_bars_svg(csv, out)
-        root = ET.parse(out).getroot()
+        root = ET.fromstring(accuracy_bars_svg(csv))
         rects = [el for el in root.iter() if el.tag.endswith("rect")
                  and "data-strategy" in el.attrib]
         assert len(rects) == 2
@@ -421,7 +418,7 @@ class TestPlots:
         bad = tmp_path / "acc.csv"
         bad.write_text("episode,a\n0,nan_text\n")
         with pytest.raises(ConfigError):
-            accuracy_bars_svg(bad, tmp_path / "out.svg")
+            accuracy_bars_svg(bad)
 
 
 class TestCli:
@@ -540,11 +537,18 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "loss.svg").exists()
 
-    def test_plot_with_empty_csv_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "acc.csv"
-        bad.write_text("episode,a\n")
-        rc = main(["plot", "--accuracy-csv", str(bad), "--out", str(tmp_path)])
+    # a header-only CSV exited 2 but left the output directory behind: plot
+    # made it before reading the CSVs
+    @pytest.mark.parametrize("flag,header", [("--accuracy-csv", "episode,a"),
+                                             ("--loss-csv", "epoch,mean_loss")],
+                             ids=["accuracy", "loss"])
+    def test_plot_with_empty_csv_exits_2(self, tmp_path, capsys, flag, header):
+        bad = tmp_path / "header_only.csv"
+        bad.write_text(header + "\n")
+        rc = main(["plot", flag, str(bad), "--out", str(tmp_path / "run")])
         assert rc == 2
+        assert "no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         rc = main(["eval", "--out", str(tmp_path), "--checkpoint",
@@ -649,7 +653,7 @@ class TestCli:
     @pytest.mark.parametrize("command,flag,value,key", [
         ("train", "--augment", "foo", "augment"),
         ("train", "--mix-small", "nan", "mix_small"),
-        ("train", "--loss-variant", "foo", "variant"),
+        ("train", "--lr-drop-factor", "0", "lr_drop_factor"),
         ("train", "--margin", "-1", "margin"),
         ("gen-data", "--mix-small", "nan", "mix_small"),
         ("eval", "--mix-small", "nan", "mix_small"),
@@ -707,18 +711,26 @@ class TestCli:
         pytest.param("eval", ["--seed", "-1", "--with-baseline"],
                      "error: config: seed must be >= 0, got -1", id="eval-seed"),
         pytest.param("eval", ["--strategies", ","],
-                     "error: run_evaluation_suite: no strategy and no baseline requested",
-                     id="eval-strategies"),
+                     "error: config: strategies is empty and --with-baseline is off: no "
+                     "strategy and no baseline requested", id="eval-strategies"),
+        pytest.param("eval", ["--strategies", "raw_query"], "unknown strategy 'raw_query'",
+                     id="eval-raw_query"),
+        pytest.param("eval", ["--config", "{tmp}/epsilon.cfg"], "error: config: unknown "
+                     "key 'epsilon'", id="eval-epsilon"),
+        pytest.param("eval", ["--config", "{tmp}/loss_variant.cfg"], "error: config: unknown "
+                     "key 'loss_variant'", id="eval-loss_variant"),
         pytest.param("export-embeddings", ["--seed", "-1"],
                      "error: config: seed must be >= 0, got -1", id="export-embeddings-seed"),
-        pytest.param("export-embeddings", ["--data", "{empty}"],
+        pytest.param("export-embeddings", ["--data", "{tmp}/empty"],
                      "error: load_pools: no class_* directories", id="export-embeddings-data")])
     def test_refused_run_exits_2_without_making_the_output_directory(
             self, tmp_path, capsys, command, flags, message):
         ckpt = tmp_path / "ckpt.txt"
         cio.save_checkpoint(ckpt, tiny_model())
         (tmp_path / "empty").mkdir()
-        flags = [f.format(empty=tmp_path / "empty") for f in flags]
+        (tmp_path / "epsilon.cfg").write_text("epsilon=1e-8\n")
+        (tmp_path / "loss_variant.cfg").write_text("loss_variant=standard\n")
+        flags = [f.format(tmp=tmp_path) for f in flags]
         rc = main([command, "--out", str(tmp_path / "run"), "--checkpoint", str(ckpt),
                    "--episodes", "1", *TINY_FLAGS, *flags])
         err = capsys.readouterr().err

@@ -24,7 +24,7 @@ from condrep.backbone import BackboneConfig
 from condrep.model import Model, ModelConfig
 from condrep.optim import AdamW
 from condrep.rerepresent import re_represent_pair
-from condrep.training import (LossConfig, TrainConfig, batch_loss, contrastive_loss,
+from condrep.training import (TrainConfig, batch_loss, contrastive_loss,
                               pair_distance, sample_pair_batch, train, train_epoch)
 
 
@@ -128,38 +128,31 @@ class TestPairDistance:
 
 class TestContrastiveLoss:
     def test_positive_pair_at_zero_distance_contributes_nothing(self):
-        loss = contrastive_loss(Tensor([0.0]), [True], LossConfig())
+        loss = contrastive_loss(Tensor([0.0]), [True])
         assert loss.item() == 0.0
 
     def test_saturated_negative_contributes_nothing(self):
-        loss = contrastive_loss(Tensor([4.0]), [False], LossConfig(margin=1.0))
+        loss = contrastive_loss(Tensor([4.0]), [False], margin=1.0)
         assert loss.item() == 0.0
 
     def test_hand_evaluated_mixed_batch(self):
-        loss = contrastive_loss(Tensor([0.25, 0.25]), [True, False], LossConfig(margin=1.0))
+        loss = contrastive_loss(Tensor([0.25, 0.25]), [True, False], margin=1.0)
         np.testing.assert_allclose(loss.item(), 0.25, atol=1e-12)
-
-    def test_literal_variant_matches_formula(self):
-        d = np.array([0.5, 2.0, 1.0])
-        y = [True, False, True]
-        loss = contrastive_loss(Tensor(d), y, LossConfig(variant="literal", epsilon=1e-8))
-        expected = -(np.log(0.5 + 1e-8) + np.log(1.0 + 1e-8)) / 3
-        np.testing.assert_allclose(loss.item(), expected, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            contrastive_loss(Tensor(np.zeros(0)), [], LossConfig())
+            contrastive_loss(Tensor(np.zeros(0)), [])
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ContractError):
-            contrastive_loss(Tensor([-0.1]), [True], LossConfig())
+            contrastive_loss(Tensor([-0.1]), [True])
 
     def test_nonnegative_and_zero_iff_satisfied(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             d = rng.uniform(0, 4, size=6)
             y = rng.integers(0, 2, size=6).astype(bool)
-            val = contrastive_loss(Tensor(d), y, LossConfig(margin=1.0)).item()
+            val = contrastive_loss(Tensor(d), y, margin=1.0).item()
             assert val >= 0.0
             satisfied = np.all(d[y] == 0) and np.all(np.sqrt(d[~y]) >= 1.0)
             assert (val == 0.0) == bool(satisfied)
@@ -170,15 +163,15 @@ class TestContrastiveLoss:
         y = [True, False, True, False]
 
         def f(t):
-            return contrastive_loss(pair_distance(t, fq), y, LossConfig(margin=2.0))
+            return contrastive_loss(pair_distance(t, fq), y, margin=2.0)
 
         fs = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         backward(f(fs))
         assert max_relative_error(fs.grad, fd_gradient_oracle(f, fs)) < 1e-4
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigError):
-            contrastive_loss(Tensor([1.0]), [True], LossConfig(variant="triplet"))
+    def test_non_positive_margin_rejected(self):
+        with pytest.raises(ConfigError, match="margin"):
+            contrastive_loss(Tensor([1.0]), [True], margin=0.0)
 
 
 class TestBatchLoss:
@@ -204,12 +197,12 @@ class TestBatchLoss:
         return loss.item(), {k: p.grad.copy() for k, p in model.parameters().items()}
 
     def test_matches_full_batch_forward(self):
-        model, batch, cfg = Model.init(ModelConfig(), seed=3), self.repeated_batch(), LossConfig()
+        model, batch = Model.init(ModelConfig(), seed=3), self.repeated_batch()
         f_s, f_q = re_represent_pair(model.features(batch.support_images),
                                      model.features(batch.query_images), model)
         ref, ref_grads = self.loss_and_grads(
-            model, contrastive_loss(pair_distance(f_s, f_q), batch.same_class, cfg))
-        value, grads = self.loss_and_grads(model, batch_loss(model, batch, cfg))
+            model, contrastive_loss(pair_distance(f_s, f_q), batch.same_class))
+        value, grads = self.loss_and_grads(model, batch_loss(model, batch, 1.0))
         assert value == ref
         for k, g in grads.items():
             assert np.abs(g - ref_grads[k]).max() <= 1e-12 * np.abs(ref_grads[k]).max(), k
@@ -221,7 +214,7 @@ class TestBatchLoss:
         monkeypatch.setattr(Model, "features",
                             lambda self, images: seen.append(len(images)) or
                             features(self, images))
-        batch_loss(model, batch, LossConfig())
+        batch_loss(model, batch, 1.0)
         distinct = [len({im.tobytes() for im in imgs})
                     for imgs in (batch.support_images, batch.query_images)]
         assert seen == distinct
@@ -379,10 +372,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "margin"])
     def test_non_finite_rate_or_margin_rejected(self, field, value):
-        cfg = TrainConfig(loss=LossConfig(margin=value)) if field == "margin" \
-            else TrainConfig(**{field: value})
         with pytest.raises(ConfigError, match=field):
-            cfg.validate()
+            TrainConfig(**{field: value}).validate()
 
     def test_unknown_augment_rejected(self):
         # it passed validation and failed only in the first sample_pair_batch
@@ -424,7 +415,7 @@ def default_batch_memory():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss = batch_loss(model, batch, LossConfig())
+        loss = batch_loss(model, batch, 1.0)
         live = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         backward(loss)
@@ -457,13 +448,12 @@ def test_forward_keeps_no_block_norm_or_relu_output():
     assert live < 42e6, live
 
 
-@pytest.mark.parametrize("variant", ["standard", "literal"])
-def test_no_vjp_holds_a_tensor(variant):
+def test_no_vjp_holds_a_tensor():
     # a vjp that captures a Tensor, even only to read its shape, keeps the
     # tensor's array alive until backward; every vjp keeps arrays and shapes
     model = Model.init(ModelConfig(), seed=0)
     batch = sample_pair_batch(build_dataset(DatasetConfig()), 8, np.random.default_rng(0))
-    loss = batch_loss(model, batch, LossConfig(variant=variant))
+    loss = batch_loss(model, batch, 1.0)
     vjps = [vjp for node in [loss._node] + intermediates(loss) for _, vjp in node._edges]
     assert len(vjps) > 100
     assert not [vjp.__qualname__ for vjp in vjps if holds_tensor(vjp)]
@@ -482,7 +472,7 @@ def test_block_conv_outputs_are_freed_before_backward(monkeypatch):
     monkeypatch.setattr(ad, "conv2d", conv2d)
     model = Model.init(ModelConfig(), seed=0)
     batch = sample_pair_batch(build_dataset(DatasetConfig()), 8, np.random.default_rng(0))
-    loss = batch_loss(model, batch, LossConfig())
+    loss = batch_loss(model, batch, 1.0)
     assert len(outputs) == 2 * 2 * len(model.config.backbone.blocks)   # support, query
     assert all(ref() is None for ref in outputs)
     backward(loss)
