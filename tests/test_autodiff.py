@@ -588,6 +588,12 @@ OP_CASES = {
     "concat": lambda t, rng: ad.concat([t, Tensor(rng.normal(size=t.shape))], axis=0),
     "mean": lambda t, rng: ad.mean(t, axis=0),
     "sqrt": lambda t, rng: ad.sqrt(ad.add(ad.mul(t, t), 0.5)),
+    "sum_along": lambda t, rng: ad.sum_along(t, axis=-1),
+    # one more index than rows, so at least one row is gathered twice
+    "index_axis": lambda t, rng: ad.index_axis(
+        t, 0, rng.integers(0, t.shape[0], size=t.shape[0] + 1)),
+    "layer_norm": lambda t, rng: ad.layer_norm(
+        t, Tensor(rng.normal(size=t.shape[-1])), Tensor(rng.normal(size=t.shape[-1]))),
 }
 
 
