@@ -2,8 +2,9 @@
 then meta-test all four K-shot inference strategies on shared episodes."""
 import time
 
+from condrep.config import STRATEGIES
 from condrep.data import DatasetConfig, build_dataset
-from condrep.evaluate import STRATEGIES, run_evaluation_suite
+from condrep.evaluate import run_evaluation_suite
 from condrep.model import Model, ModelConfig
 from condrep.backbone import BackboneConfig
 from condrep.training import TrainConfig, train

@@ -9,11 +9,12 @@ A numpy library with four layers:
   convolution conditional learner, and the re-representation head
 * ``data`` / ``training`` - the synthetic easy/hard image pools and the
   contrastive pair training loop
-* ``evaluate`` / ``io`` / ``plots`` / ``cli`` - episodic N-way-K-shot
-  evaluation, persistence, and the command-line front-end
+* ``config`` / ``evaluate`` / ``io`` / ``plots`` / ``cli`` - the run config
+  table, episodic N-way-K-shot evaluation, persistence, and the
+  command-line front-end
 """
-from . import (autodiff, backbone, conditional, data, evaluate, exceptions, gradcheck, model,
-               optim, rerepresent, training)
+from . import (autodiff, backbone, conditional, config, data, evaluate, exceptions, gradcheck,
+               model, optim, rerepresent, training)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

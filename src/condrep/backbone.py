@@ -28,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_keys
 from .exceptions import ConfigError, DimensionError
 
 
@@ -40,7 +41,6 @@ class BackboneConfig:
     feature_side: int = 4
 
     def validate(self):
-        from .io import check_keys   # the config table's rules, then the block arithmetic
         check_keys(feature_channels=self.feature_channels, feature_side=self.feature_side)
         if not self.blocks:
             raise ConfigError("backbone: at least one block is required")

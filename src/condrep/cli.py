@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, io as cio
+from .config import CONFIG_TABLE, DEFAULT_CONFIG, check_pools, config_values
 from .data import build_dataset, export_pools, load_pools
 from .exceptions import (ConfigError, ContractError, DataError, DimensionError,
                          NonFiniteLossError, StateError)
@@ -32,8 +33,8 @@ def _out_dir(args) -> Path:
 
 def _common_config(args) -> tuple[dict[str, str], dict]:
     """The resolved, checked config and its typed values; before any output."""
-    cfg = cio.resolve_config(args.config, {k: getattr(args, k) for k in cio.DEFAULT_CONFIG})
-    return cfg, cio.config_values(cfg)
+    cfg = cio.resolve_config(args.config, {k: getattr(args, k) for k in DEFAULT_CONFIG})
+    return cfg, config_values(cfg)
 
 
 def _load_dataset(args, cfg):
@@ -54,7 +55,7 @@ def cmd_train(args) -> int:
     cfg, v = _common_config(args)
     model_cfg, train_cfg = cio.model_config_from(cfg), cio.train_config_from(cfg)
     dataset = _load_dataset(args, cfg)
-    cio.check_pools("pair batches", dataset)   # the last check before the output directory
+    check_pools("pair batches", dataset)   # the last check before the output directory
     out = _out_dir(args)
     model = Model.init(model_cfg, seed=v["seed"])
     ckpt_path = out / "checkpoint.txt"
@@ -147,7 +148,7 @@ def cmd_plot(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="output directory (or CONDREP_OUTDIR)")
-    for key, (kind, default, rng) in cio.CONFIG_TABLE.items():   # help shows the table row
+    for key, (kind, default, rng) in CONFIG_TABLE.items():   # help shows the table row
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
                        help=(f"{kind} {rng}" if isinstance(rng, str) else
                              f"{kind}: {'/'.join(rng)}") + f" (default {default})")

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_keys
 from .exceptions import ConfigError, ContractError, DimensionError
 
 
@@ -85,7 +86,6 @@ class ConvKernel4D:
     bias: Tensor
 
     def __post_init__(self):
-        from .io import check_keys
         check_keys(kernel_shape=self.weights.shape)
         if self.bias.size != 1:
             raise ConfigError(f"conv4d: bias must be scalar, got shape {self.bias.shape}")

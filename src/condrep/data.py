@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import CONFIG_TABLE, DIFFICULTY_TAGS, check_keys
 from .exceptions import ConfigError, ContractError, DataError
-
-DIFFICULTY_TAGS = ("camouflaged", "small", "incomplete", "blurry_noisy")
 
 SMALL_MAX_FRACTION = 0.01      # target pixels / image pixels after "small"
 INCOMPLETE_MIN_REMOVED = 0.5   # fraction of target pixels an occluder must take
@@ -57,7 +56,6 @@ class DatasetConfig:
     blur_fraction: float = 0.05
 
     def validate(self):
-        from .io import CONFIG_TABLE, check_keys   # fields named for keys, and the mix
         if set(self.transform_mix) != set(DIFFICULTY_TAGS):
             raise ConfigError(f"dataset: transform_mix must cover exactly {DIFFICULTY_TAGS}")
         check_keys(**{f"mix_{tag}": p for tag, p in self.transform_mix.items()},
@@ -108,13 +106,7 @@ def _stroke_texture(class_id: int, size: int, base: float) -> np.ndarray:
 def generate_base_image(class_id: int, seed: int, size: int = 32) -> SyntheticSample:
     """Clean support-style sample: class glyph with pose jitter on a uniform
     background; the target covers roughly 10-50% of the pixels."""
-    from .io import check_keys
     check_keys(image_size=size)
-    return _base_image(class_id, seed, size)
-
-
-def _base_image(class_id: int, seed: int, size: int) -> SyntheticSample:
-    """:func:`generate_base_image` of a ``size`` already checked, as in build_dataset."""
     rng = np.random.default_rng(np.random.SeedSequence([0x67657, class_id, seed, size]))
     family = class_id % 8
     scale = size / 32.0
@@ -308,13 +300,13 @@ def build_dataset(cfg: DatasetConfig) -> SyntheticDataset:
     for c in range(cfg.n_classes):
         for i in range(cfg.support_per_class):
             seed = int(np.random.SeedSequence([cfg.seed, 1, c, i]).generate_state(1)[0])
-            support.append(_base_image(c, seed, cfg.image_size))
+            support.append(generate_base_image(c, seed, cfg.image_size))
         tags = _tag_quota(cfg.transform_mix, cfg.query_per_class, cfg.blur_fraction)
         shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, c]))
         shuffle_rng.shuffle(tags)
         for i, tag in enumerate(tags):
             seed = int(np.random.SeedSequence([cfg.seed, 3, c, i]).generate_state(1)[0])
-            base = _base_image(c, seed, cfg.image_size)
+            base = generate_base_image(c, seed, cfg.image_size)
             query.append(apply_difficulty(base, tag, seed=seed))
     return SyntheticDataset(config=cfg, support=support, query=query)
 
@@ -350,13 +342,9 @@ def measure_rule(sample: SyntheticSample) -> dict:
 # train-time query augmentation (light transforms applied at batch loading)
 # ---------------------------------------------------------------------------
 
-AUGMENT_MODES = ("none", "randcrop", "noise", "randaugment")
-
-
 def augment_query_image(image: np.ndarray, mode: str, rng) -> np.ndarray:
     """Light training-time augmentation of a query image (1, H, W)."""
-    if mode not in AUGMENT_MODES:
-        raise ConfigError(f"augment: unknown mode '{mode}'")
+    check_keys(augment=mode)
     if mode == "none":
         return image
     if mode == "randaugment":

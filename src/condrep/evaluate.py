@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, no_grad
+from .config import check_keys, check_pools
 from .data import SyntheticDataset
 from .exceptions import ConfigError
 from .model import Model
 from .rerepresent import re_represent_pair
 
-STRATEGIES = ("individual_similarity", "class_similarity", "classifier", "weighted_query")
 BASELINE = "backbone_prototype_baseline"   # raw pooled features, no conditional path
 
 
@@ -80,7 +80,6 @@ def sample_episode(dataset: SyntheticDataset, n_way: int, k_shot: int,
     sup_by_class = dataset.by_class("support")
     qry_by_class = dataset.by_class("query")
     classes = sorted(set(sup_by_class) & set(qry_by_class))
-    from .io import check_pools
     check_pools("episodes", dataset, n_way=n_way, k_shot=k_shot, q_per_class=q_per_class)
     chosen = np.sort(rng.choice(classes, size=n_way, replace=False))
     sup_imgs, sup_labels, qry_imgs, qry_labels = [], [], [], []
@@ -160,7 +159,6 @@ def strategy_predictions(strategies, *, n_way: int, k_shot: int,
 
     Ties break toward the lowest class index (argmax keeps the first max).
     """
-    from .io import check_keys
     check_keys(strategies=strategies)
     nq = pair_dist.shape[0]
     fit, preds = None, {}
@@ -295,7 +293,6 @@ def run_evaluation_suite(dataset: SyntheticDataset, model: Model, *, n_way: int 
     comparison. ``baseline_model`` adds a raw backbone-prototype report
     computed with that (typically untrained) model's features. Each model's
     backbone maps every distinct image once per call."""
-    from .io import check_keys
     strategies = list(strategies)
     check_keys(n_way=n_way, k_shot=k_shot, q_per_class=q_per_class, episodes=n_episodes,
                strategies=strategies, seed=seed)

@@ -8,6 +8,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import BackboneConfig, extract_features, init_backbone
 from .conditional import ConvKernel4D, init_conv_kernel
+from .config import check_keys
 from .exceptions import ConfigError, DimensionError
 from .rerepresent import init_rerep_params
 
@@ -19,7 +20,6 @@ class ModelConfig:
     structure: str = "siamese"
 
     def validate(self):
-        from .io import check_keys
         self.backbone.validate()
         check_keys(kernel_shape=tuple(self.kernel_shape), structure=self.structure)
 

@@ -4,7 +4,6 @@ vector files, no network access, no plotting dependency."""
 from __future__ import annotations
 
 from .evaluate import EvalReport
-from .exceptions import ConfigError
 from .io import read_accuracy_csv, read_loss_csv
 
 WIDTH, HEIGHT = 640, 400
@@ -32,8 +31,6 @@ def _axes() -> list[str]:
 
 def loss_curve_svg(loss_csv) -> str:
     points = read_loss_csv(loss_csv)
-    if not points:
-        raise ConfigError(f"plot: no data rows in {loss_csv}")
     epochs = [p[0] for p in points]
     losses = [p[1] for p in points]
     lo, hi = min(losses), max(losses)

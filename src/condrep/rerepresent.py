@@ -15,15 +15,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .conditional import attend, conditional_forward
-from .exceptions import ConfigError, DimensionError
-
-STRUCTURES = ("siamese", "non_siamese", "non_residual")
+from .config import check_keys
+from .exceptions import DimensionError
 
 
 def init_rerep_params(channels: int, structure: str = "siamese", seed: int = 0) -> dict[str, Tensor]:
     """Parameter set(s) for the re-representation learner."""
-    if structure not in STRUCTURES:
-        raise ConfigError(f"rerepresent: unknown structure '{structure}'")
+    check_keys(structure=structure)
     in_dim = 1 if structure == "non_residual" else channels + 1
     if structure == "non_siamese":
         rng_s = np.random.default_rng(np.random.SeedSequence([0x7272, seed, 0]))

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
+from .config import CONFIG_TABLE, check_keys, check_pools
 from .data import SyntheticDataset, augment_query_image
 from .exceptions import (ContractError, DimensionError,
                          NonFiniteLossError)
@@ -43,7 +44,6 @@ class TrainConfig:
     margin: float = 1.0
 
     def validate(self):
-        from .io import CONFIG_TABLE, check_keys   # each field named for a key
         check_keys(**{k: v for k, v in vars(self).items() if k in CONFIG_TABLE})
 
     def resolved_batches(self, dataset: SyntheticDataset) -> int:
@@ -61,7 +61,6 @@ def sample_pair_batch(dataset: SyntheticDataset, batch_size: int, rng,
     sup = dataset.by_class("support")
     qry = dataset.by_class("query")
     classes = sorted(set(sup) & set(qry))
-    from .io import check_pools
     check_pools("pair batches", dataset)
     n_pos = int(np.ceil(batch_size / 2))
     supports, queries, labels = [], [], []
@@ -95,7 +94,6 @@ def pair_distance(f_support, f_query):
 def contrastive_loss(distances, same_class, margin: float = 1.0) -> Tensor:
     """Batch loss over squared distances:
     mean of y*d + (1-y)*max(0, margin - sqrt(d))^2."""
-    from .io import check_keys
     check_keys(margin=margin)
     d = ad.as_tensor(distances)
     y = np.asarray(same_class, dtype=bool)

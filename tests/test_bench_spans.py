@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from condrep import autodiff, data, evaluate, io, model, optim, rerepresent, training
+from condrep.config import DEFAULT_CONFIG
 from condrep.data import DatasetConfig, build_dataset
 from condrep.model import Model
 from condrep.training import TrainConfig, train_epoch
@@ -26,7 +27,7 @@ def traced():
     tracer = spans.Tracer(SimpleNamespace(autodiff=autodiff, data=data, evaluate=evaluate,
                                           io=io, model=model, optim=optim,
                                           rerepresent=rerepresent, training=training))
-    cfg = io.model_config_from(dict(io.DEFAULT_CONFIG, image_size="16", feature_channels="8",
+    cfg = io.model_config_from(dict(DEFAULT_CONFIG, image_size="16", feature_channels="8",
                                     feature_side="2"))
     net = Model.init(cfg, seed=0)
     dataset = build_dataset(DatasetConfig(seed=0, n_classes=3, image_size=16,

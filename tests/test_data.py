@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condrep.data import (DIFFICULTY_TAGS, DatasetConfig, apply_difficulty,
+from condrep.config import DIFFICULTY_TAGS
+from condrep.data import (DatasetConfig, apply_difficulty,
                           augment_query_image, build_dataset, export_pools,
                           generate_base_image, load_pools, measure_rule)
 from condrep.exceptions import ConfigError, ContractError, DataError

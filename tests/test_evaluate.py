@@ -6,8 +6,9 @@ import pytest
 
 from condrep import evaluate
 from condrep.backbone import BackboneConfig
+from condrep.config import STRATEGIES
 from condrep.data import DatasetConfig, build_dataset
-from condrep.evaluate import (BASELINE, STRATEGIES, EvalReport, classify_query,
+from condrep.evaluate import (BASELINE, EvalReport, classify_query,
                               episode_features, run_evaluation_suite, sample_episode,
                               strategy_predictions)
 from condrep.exceptions import ConfigError, DataError

@@ -1,6 +1,8 @@
 """Checkpoints, configs, CSV/report consistency, plots, the CLI contract, and the
 package's public surface."""
 import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ from condrep import evaluate, io as cio, training
 from condrep.autodiff import Tensor, no_grad
 from condrep.backbone import BackboneConfig
 from condrep.cli import build_parser, main
+from condrep.config import CONFIG_TABLE, DEFAULT_CONFIG, STRATEGIES, config_values
 from condrep.data import DatasetConfig, build_dataset, export_pools
 from condrep.evaluate import EvalReport
 from condrep.exceptions import ConfigError, DimensionError
@@ -36,11 +39,38 @@ TINY_FLAGS = ["--image-size", "16", "--feature-channels", "8", "--feature-side",
 
 def test_package_exports_only_its_submodules():
     import condrep
-    assert sorted(condrep.__all__) == ["autodiff", "backbone", "conditional", "data",
+    assert sorted(condrep.__all__) == ["autodiff", "backbone", "conditional", "config", "data",
                                        "evaluate", "exceptions", "gradcheck", "model",
                                        "optim", "rerepresent", "training"]
     assert all(isinstance(getattr(condrep, name), types.ModuleType)
                for name in condrep.__all__)
+
+
+def imported_modules(node) -> list[str]:
+    """The modules an import statement names; a relative one keeps its dots."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return []
+
+
+def test_condrep_modules_import_each_other_at_module_level_only():
+    # the config table lives in a module that imports nothing from the model,
+    # so no model module needs an import inside a function to reach it
+    src = Path(__file__).resolve().parents[1] / "src" / "condrep"
+    lazy = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lazy.update(f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                            for name in imported_modules(node)
+                            if name.startswith(".") or name.split(".")[0] == "condrep")
+    assert sorted(lazy) == []
+    outside = {name for node in ast.walk(ast.parse((src / "config.py").read_text()))
+               for name in imported_modules(node)}
+    outside -= {".exceptions", "numpy"} | set(sys.stdlib_module_names)
+    assert outside == set()
 
 
 class TestCheckpoint:
@@ -238,7 +268,7 @@ class TestConfig:
 def bad_values(key: str) -> tuple[str, str]:
     """One value of ``key`` that does not parse and one outside its range,
     both read off the config table."""
-    kind, _default, rng = cio.CONFIG_TABLE[key]
+    kind, _default, rng = CONFIG_TABLE[key]
     if isinstance(rng, tuple):   # a number names nothing, and a list may not repeat a name
         return "1.5", f"{rng[0]},{rng[0]}" if kind.endswith(" list") else "none_such"
     op, lo = rng.split(" and ")[0].split()   # every range starts at its lower bound
@@ -250,7 +280,7 @@ def bad_values(key: str) -> tuple[str, str]:
 
 class TestConfigTable:
     @pytest.mark.parametrize("key,value", [
-        pytest.param(key, value, id=f"{key}-{what}") for key in cio.CONFIG_TABLE
+        pytest.param(key, value, id=f"{key}-{what}") for key in CONFIG_TABLE
         for what, value in zip(("unparsable", "out_of_range"), bad_values(key))])
     def test_bad_value_exits_2_naming_its_key_before_any_output(self, tmp_path, capsys,
                                                                 key, value):
@@ -265,19 +295,32 @@ class TestConfigTable:
         commands = next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
         for command in ("gen-data", "train", "eval", "export-embeddings"):
-            for key in cio.CONFIG_TABLE:
+            for key in CONFIG_TABLE:
                 flags = [a for a in commands[command]._actions if a.dest == key]
                 assert [a.option_strings for a in flags] == [[f"--{key.replace('_', '-')}"]]
-                kind, default, rng = cio.CONFIG_TABLE[key]
+                kind, default, rng = CONFIG_TABLE[key]
                 shown = f"{kind} {rng}" if isinstance(rng, str) else f"{kind}: {'/'.join(rng)}"
                 assert flags[0].help == f"{shown} (default {default})", (command, key)
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        assert [key for key in cio.CONFIG_TABLE if f"`{key}`" not in readme] == []
-        assert [s for s in evaluate.STRATEGIES if f"`{s}`" not in readme] == []
+        assert [key for key in CONFIG_TABLE if f"`{key}`" not in readme] == []
+        assert [s for s in STRATEGIES if f"`{s}`" not in readme] == []
+
+    def test_dataclass_defaults_are_the_table_defaults(self):
+        # the library's defaults (as the acceptance fixtures build them) and
+        # `condrep train`'s (from the table) must describe the same run
+        assert cio.dataset_config_from(DEFAULT_CONFIG) == DatasetConfig()
+        assert cio.model_config_from(DEFAULT_CONFIG) == ModelConfig()
+        assert cio.train_config_from(DEFAULT_CONFIG) == training.TrainConfig()
+        v = config_values(DEFAULT_CONFIG)
+        suite = inspect.signature(evaluate.run_evaluation_suite).parameters
+        assert {key: suite[key].default for key in ("n_way", "k_shot", "q_per_class",
+                                                    "n_episodes", "strategies", "seed")} \
+            == {"n_way": v["n_way"], "k_shot": v["k_shot"], "q_per_class": v["q_per_class"],
+                "n_episodes": v["episodes"], "strategies": v["strategies"], "seed": v["seed"]}
 
     def test_resolved_config_is_the_strings_it_was_given(self):
         cfg = cio.resolve_config(None, {"seed": 7, "learning_rate": "1e-3", "epochs": " 4"})
-        assert cfg == dict(cio.DEFAULT_CONFIG, seed="7", learning_rate="1e-3", epochs=" 4")
+        assert cfg == dict(DEFAULT_CONFIG, seed="7", learning_rate="1e-3", epochs=" 4")
 
     # each exited 2 only after making the output directory, exited 0 or 1, or
     # named no key: keys were parsed by bare int() and float() in four places
@@ -384,11 +427,14 @@ class TestCsvAndReport:
         with pytest.raises(ConfigError, match="line 3"):
             cio.read_accuracy_csv(path)
 
-    def test_empty_accuracy_csv_rejected(self, tmp_path):
-        path = tmp_path / "acc.csv"
-        path.write_text("episode,a\n")
-        with pytest.raises(ConfigError):
-            cio.read_accuracy_csv(path)
+    @pytest.mark.parametrize("read,header", [(cio.read_accuracy_csv, "episode,a"),
+                                             (cio.read_loss_csv, "epoch,mean_loss")],
+                             ids=["accuracy", "loss"])
+    def test_header_only_csv_rejected(self, tmp_path, read, header):
+        path = tmp_path / "header_only.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ConfigError, match="no data rows"):
+            read(path)
 
 
 class TestPlots:

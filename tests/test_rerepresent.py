@@ -15,6 +15,7 @@ from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.model import Model, ModelConfig
 from condrep.backbone import BackboneConfig
 from condrep.conditional import conditional_forward
+from condrep.config import DEFAULT_CONFIG
 from condrep.rerepresent import (finalize_vector, fuse_conditional, init_rerep_params,
                                  mlp_compress, re_represent_pair, self_attend)
 
@@ -272,7 +273,7 @@ HEAD_CONFIGS = {"32px": {}, "28px-7x7x64": {"image_size": "28", "feature_side": 
 def test_pairs_do_not_depend_on_their_batch(config, structure):
     # every contraction of the head runs per pair and every norm per row, so a
     # pair's vectors are the same bits alone, in any sub-batch and in any order
-    cfg = cio.model_config_from(dict(cio.DEFAULT_CONFIG, structure=structure,
+    cfg = cio.model_config_from(dict(DEFAULT_CONFIG, structure=structure,
                                      **HEAD_CONFIGS[config]))
     model = Model.init(cfg, seed=3)
     k = model.kernel.weights.data
