@@ -12,11 +12,17 @@ difficulty transforms:
 
 Each transform's quantitative rule can be re-measured from the sample
 itself (mask fraction, removed fraction, applied tags).
+
+Glyphs share what does not depend on their draw: the coordinate grid is
+computed once per image size and the stripe wave once per class and size
+(``_coordinate_grid`` and ``_stripe_wave``, both cached read-only), so a
+default build of 400 images computes one grid and five waves.
 """
 from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +72,27 @@ class DatasetConfig:
 # glyph rendering
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def _coordinate_grid(size: int) -> np.ndarray:
+    """(2, size, size) row and column coordinates, shared by every glyph."""
+    grid = np.indices((size, size)).astype(float)
+    grid.setflags(write=False)
+    return grid
+
+
+@lru_cache(maxsize=32)
+def _stripe_wave(class_id: int, size: int) -> np.ndarray:
+    """The class's stripe wave in [-1, 1]; only its brightness varies per glyph."""
+    y, x = _coordinate_grid(size)
+    angle = (class_id * 0.9) % np.pi
+    freq = 0.55 + 0.18 * ((class_id * 3) % 4)
+    wave = np.sin(freq * (np.cos(angle) * x + np.sin(angle) * y))
+    wave.setflags(write=False)
+    return wave
+
+
 def _shape_mask(family: int, size: int, r: float, cx: float, cy: float) -> np.ndarray:
-    y, x = np.indices((size, size)).astype(float)
+    y, x = _coordinate_grid(size)
     dx, dy = x - cx, y - cy
     if family == 0:                                  # disk
         return dx * dx + dy * dy <= r * r
@@ -96,11 +121,7 @@ def _shape_mask(family: int, size: int, r: float, cx: float, cy: float) -> np.nd
 
 def _stroke_texture(class_id: int, size: int, base: float) -> np.ndarray:
     """Class-specific stripe texture for the glyph interior."""
-    y, x = np.indices((size, size)).astype(float)
-    angle = (class_id * 0.9) % np.pi
-    freq = 0.55 + 0.18 * ((class_id * 3) % 4)
-    wave = np.sin(freq * (np.cos(angle) * x + np.sin(angle) * y))
-    return np.clip(base * (0.84 + 0.16 * wave), 0.0, 1.0)
+    return np.clip(base * (0.84 + 0.16 * _stripe_wave(class_id, size)), 0.0, 1.0)
 
 
 def generate_base_image(class_id: int, seed: int, size: int = 32) -> SyntheticSample:
@@ -225,7 +246,7 @@ def _blur_noise(sample: SyntheticSample, rng) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(out, 0.0, 1.0), sample.target_mask.copy()
 
 
-_TRANSFORMS = {
+_TRANSFORMS = {   # one per DIFFICULTY_TAGS entry, in its order
     "camouflaged": _camouflage,
     "small": _shrink,
     "incomplete": _occlude,
@@ -238,7 +259,7 @@ def apply_difficulty(sample: SyntheticSample, tag: str, seed: int) -> SyntheticS
     if sample.pool != "support":
         raise ContractError(f"apply_difficulty: sample is already in pool "
                             f"'{sample.pool}'")
-    if tag not in _TRANSFORMS:
+    if tag not in DIFFICULTY_TAGS:
         raise ConfigError(f"apply_difficulty: unknown tag '{tag}'")
     rng = np.random.default_rng(np.random.SeedSequence([0x7472, sample.class_id, seed]))
     image, mask = _TRANSFORMS[tag](sample, rng)

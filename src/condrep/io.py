@@ -1,9 +1,12 @@
 """Persistence: checkpoints, run configs, CSV tables, and JSON reports.
 
 Checkpoints are line-oriented text. Every value is written with
-``float.hex`` so a save/load round trip reproduces each parameter
-bit-exactly. No artifact carries a timestamp, so reruns with the same
-config and seed are byte-identical.
+``float.hex``, eight to a line, so a save/load round trip reproduces each
+parameter bit-exactly. Each tensor is formatted from one ``tolist()`` and
+parsed back with one ``map(float.fromhex, ...)`` over its tokens; a token
+without the ``0x`` prefix that ``float.hex`` writes (``1.5``, ``10``) is
+refused rather than read as hex. No artifact carries a timestamp, so
+reruns with the same config and seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -36,9 +39,8 @@ def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
     for name, p in sorted(model.parameters().items()):
         dims = " ".join(str(d) for d in p.data.shape)
         lines.append(f"tensor {name} {p.data.ndim} {dims}".rstrip())
-        flat = p.data.reshape(-1)
-        for i in range(0, flat.size, 8):
-            lines.append(" ".join(v.hex() for v in flat[i:i + 8]))
+        values = list(map(float.hex, p.data.reshape(-1).tolist()))
+        lines.extend(" ".join(values[i:i + 8]) for i in range(0, len(values), 8))
     lines.append("end")
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -74,10 +76,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
             part, j = f"tensor '{name}'", i + 1
             while lines[j] != "end" and not lines[j].startswith("tensor"):
                 j += 1
-            values = [float.fromhex(tok) for tok in " ".join(lines[i + 1:j]).split()]
-            params[name] = np.array(values, dtype=np.float64).reshape(shape)
+            text = " ".join(lines[i + 1:j])
+            tokens = text.split()
+            values = np.fromiter(map(float.fromhex, tokens), np.float64, len(tokens))
+            params[name] = values.reshape(shape)
             if not np.isfinite(params[name]).all():
                 raise ValueError("non-finite values")
+            if text.count("0x") != len(tokens):   # fromhex takes "0x" once, as a prefix
+                raise ValueError("a value lacks the 0x prefix that float.hex writes")
             i = j
     except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
         # every step above fails only on a malformed or cut-off file

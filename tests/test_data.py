@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from condrep import data
 from condrep.config import DIFFICULTY_TAGS
 from condrep.data import (DatasetConfig, apply_difficulty,
                           augment_query_image, build_dataset, export_pools,
@@ -52,6 +53,52 @@ class TestBaseImages:
             assert s.image.min() >= 0.0 and s.image.max() <= 1.0
 
 
+class TestGlyphCaches:
+    # every glyph reads one coordinate grid per image size and one stripe
+    # wave per class and size; both are cached read-only, so no draw can
+    # change what a later glyph is drawn from
+    def test_cached_grid_and_wave_are_read_only(self):
+        x = data._coordinate_grid(32)[1]
+        for arr in (data._coordinate_grid(32), x, data._stripe_wave(3, 32)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            x += 1.0
+
+    @pytest.mark.parametrize("size", [28, 32])
+    def test_texture_equals_the_per_glyph_formula(self, size):
+        y, x = np.indices((size, size)).astype(float)
+        for class_id in (0, 1, 2, 4, 7, 11):
+            angle = (class_id * 0.9) % np.pi
+            freq = 0.55 + 0.18 * ((class_id * 3) % 4)
+            wave = np.sin(freq * (np.cos(angle) * x + np.sin(angle) * y))
+            for base in (0.68, 0.7913, 0.9):
+                expected = np.clip(base * (0.84 + 0.16 * wave), 0.0, 1.0)
+                texture = data._stroke_texture(class_id, size, base)
+                assert texture.tobytes() == expected.tobytes(), (class_id, size, base)
+
+    def test_build_after_clearing_the_caches_equals_a_warm_build(self):
+        cfg = DatasetConfig(seed=7, n_classes=3, support_per_class=4, query_per_class=8,
+                            image_size=28)
+        data._coordinate_grid.cache_clear()
+        data._stripe_wave.cache_clear()
+        cold = build_dataset(cfg)
+        warm = build_dataset(cfg)
+        for a, b in zip(cold.support + cold.query, warm.support + warm.query, strict=True):
+            assert a.image.tobytes() == b.image.tobytes(), a.sample_id
+            assert a.target_mask.tobytes() == b.target_mask.tobytes(), a.sample_id
+            assert (a.class_id, a.pool, a.transforms_applied, a.seed) == \
+                   (b.class_id, b.pool, b.transforms_applied, b.seed)
+
+    def test_default_build_computes_one_grid_and_one_wave_per_class(self):
+        data._coordinate_grid.cache_clear()
+        data._stripe_wave.cache_clear()
+        cfg = DatasetConfig()
+        build_dataset(cfg)
+        assert data._coordinate_grid.cache_info().misses == 1
+        assert data._stripe_wave.cache_info().misses == cfg.n_classes
+
+
 class TestDifficultyTransforms:
     @pytest.mark.parametrize("tag", DIFFICULTY_TAGS)
     def test_rules_hold_when_re_measured(self, tag):
@@ -91,6 +138,9 @@ class TestDifficultyTransforms:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConfigError):
             apply_difficulty(generate_base_image(0, 1), "sideways", seed=1)
+
+    def test_one_transform_per_difficulty_tag_in_its_order(self):
+        assert tuple(data._TRANSFORMS) == DIFFICULTY_TAGS
 
 
 class TestBuildDataset:

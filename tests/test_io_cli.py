@@ -156,7 +156,9 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="truncated"):
             cio.load_checkpoint(path)
 
-    @pytest.mark.parametrize("token", ["0xzz", "1.5.2", "0x1p99999"])
+    # "1.5", "10" and "1e3" loaded as 1.3125, 16.0 and 483.0: float.fromhex
+    # reads a token without the 0x prefix as hex digits
+    @pytest.mark.parametrize("token", ["0xzz", "1.5.2", "0x1p99999", "1.5", "10", "1e3"])
     def test_bad_token_names_tensor(self, tmp_path, token):
         path, lines = saved_checkpoint(tmp_path)
         at = tensor_line(lines, "rerep.final.w1") + 1
@@ -192,6 +194,28 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="conditional.bias.*non-finite"):
             cio.load_checkpoint(path)
+
+    def test_value_lines_are_float_hex_eight_per_line(self, tmp_path):
+        model = tiny_model(seed=5)
+        params = model.parameters()
+        params["rerep.final.w1"].data.flat[:3] = [-0.0, 5e-324, 1e308]
+        assert any(p.data.size % 8 for p in params.values())
+        path = tmp_path / "ck.txt"
+        cio.save_checkpoint(path, model)
+        expected = []
+        for name, p in sorted(params.items()):
+            values = p.data.reshape(-1).tolist()
+            dims = " ".join(str(d) for d in p.data.shape)
+            expected.append(f"tensor {name} {p.data.ndim} {dims}".rstrip())
+            expected.extend(" ".join(map(float.hex, values[i:i + 8]))
+                            for i in range(0, len(values), 8))
+        lines = path.read_text().splitlines()
+        assert lines[2:-1] == expected
+        assert lines[-1] == "end"
+        _config, loaded, _meta = cio.load_checkpoint(path)
+        for name, p in params.items():
+            assert loaded[name].shape == p.data.shape, name
+            assert loaded[name].tobytes() == p.data.tobytes(), name
 
     def test_legacy_avg_pool_key_loads(self, tmp_path):
         # checkpoints from before max pooling was removed carry "pool": "avg"
@@ -612,6 +636,20 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "error: checkpoint:" in proc.stderr
+
+    # it exited 0, evaluating with each "1.5" read as the hex value 1.3125
+    def test_decimal_checkpoint_value_exits_2_before_making_the_output_directory(
+            self, tmp_path, capsys):
+        path, lines = saved_checkpoint(tmp_path)
+        lines[tensor_line(lines, "backbone.block0.beta") + 1] = " ".join(["1.5"] * 8)
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--out", str(tmp_path / "run"), "--checkpoint", str(path),
+                   *TINY_FLAGS])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "malformed or truncated tensor 'backbone.block0.beta'" in err
+        assert not (tmp_path / "run").exists()
 
     # each exited 1 with a TypeError traceback from building the model, after
     # the checkpoint was parsed
