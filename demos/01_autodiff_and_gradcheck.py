@@ -1,11 +1,16 @@
 """Tour of the tensor core: build a small graph, backpropagate, and referee
-the gradients with the central-difference oracle."""
+the gradients with the central-difference oracle of tests/referees.py."""
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
-from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.optim import AdamW
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))   # the referees
+from referees import fd_gradient_oracle, max_relative_error  # noqa: E402
 
 rng = np.random.default_rng(0)
 

@@ -1,6 +1,13 @@
 """Generate the easy/hard synthetic pools and re-measure every difficulty
-rule, printing a small ASCII rendering of one sample per transform."""
-from condrep.data import DatasetConfig, apply_difficulty, build_dataset, generate_base_image, measure_rule
+rule with tests/referees.py, printing a small ASCII rendering of one sample
+per transform."""
+import sys
+from pathlib import Path
+
+from condrep.data import DatasetConfig, apply_difficulty, build_dataset, generate_base_image
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))   # the referees
+from referees import measure_rule  # noqa: E402
 
 
 def ascii_art(image):

@@ -1,13 +1,18 @@
 """Walk one (support, query) pair through the conditional learner and show
 the swap symmetry, and that the factored 4D convolution agrees with the
-nested-loop oracle run on the dense relation tensor."""
+nested-loop oracle of tests/referees.py run on the dense relation tensor."""
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from condrep.autodiff import Tensor
-from condrep.conditional import (ConvKernel4D, build_relation_tensor, conditional_forward,
-                                 conditional_matrices, conv4d_oracle)
+from condrep.conditional import ConvKernel4D, conditional_forward
 from condrep.data import apply_difficulty, generate_base_image
 from condrep.model import Model
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))   # the referees
+from referees import build_relation_tensor, conditional_matrices, conv4d_oracle  # noqa: E402
 
 model = Model.init(seed=4)
 # the kernel starts near-flat; amplify its sliding slice so the demo maps

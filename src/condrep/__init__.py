@@ -2,8 +2,8 @@
 
 A numpy library with four layers:
 
-* ``autodiff`` / ``optim`` / ``gradcheck`` - dense float64 tensors with
-  reverse-mode differentiation, AdamW, and the finite-difference oracle
+* ``autodiff`` / ``optim`` - dense float64 tensors with reverse-mode
+  differentiation, and AdamW
 * ``backbone`` / ``conditional`` / ``rerepresent`` / ``model`` - the
   network: feature extractor, cross-attention + bidirectional 4D
   convolution conditional learner, and the re-representation head
@@ -13,8 +13,8 @@ A numpy library with four layers:
   table, episodic N-way-K-shot evaluation, persistence, and the
   command-line front-end
 """
-from . import (autodiff, backbone, conditional, config, data, evaluate, exceptions, gradcheck,
-               model, optim, rerepresent, training)
+from . import (autodiff, backbone, conditional, config, data, evaluate, exceptions, model,
+               optim, rerepresent, training)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -117,6 +117,10 @@ def cmd_export_embeddings(args) -> int:
     if not pool:
         raise DataError(f"export-embeddings: pool '{args.pool}' is empty")
     refs = {c: samples[0].image for c, samples in dataset.by_class("support").items()}
+    unpaired = sorted({s.class_id for s in pool} - refs.keys())
+    if unpaired:
+        raise DataError(f"export-embeddings: class {unpaired[0]} has no support sample to "
+                        f"pair its {args.pool} samples with")
     slot = {c: i for i, c in enumerate(refs)}
     maps = evaluate._maps(np.stack([*refs.values(), *(s.image for s in pool)]), model)
     ref_maps, smp_maps = np.split(maps, [len(refs)])

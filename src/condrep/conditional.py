@@ -15,8 +15,9 @@ linear in rel, and rel is an outer product, so it factors exactly into
 ``relu(sum_c s[ws, hs, c] * pooled[c] + bias)`` with
 ``pooled[c] = sum_{wq, hq} coef[wq, hq] * q[wq, hq, c]``; the query direction
 mirrors it. That costs O(W*H*C), not rel's O((W*H)^2 * C), so the model never
-builds rel: :func:`build_relation_tensor` and :func:`conv4d_oracle` keep the
-dense form as the tests' referee, against :func:`conditional_matrices`.
+builds rel. The dense form and its nested-loop 4D convolution live in
+``tests/referees.py``, which referees :func:`_fold_weights` and
+:func:`_directional_reduce` against them, on unequal grids as well.
 
 Symmetry contract: for any inputs a, b and any parameter values,
 ``conditional_forward(a, b).support_matrix`` is bit-identical to
@@ -40,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import check_keys
-from .exceptions import ConfigError, ContractError, DimensionError
+from .exceptions import ConfigError, DimensionError
 
 
 # ---------------------------------------------------------------------------
@@ -148,91 +149,6 @@ def _directional_reduce(own: Tensor, other: Tensor, coef: Tensor, bias: Tensor) 
     return ad.relu(ad.add(ad.matmul(own, ad.reshape(pooled, pooled.shape[:-2] + (-1, 1))), bias))
 
 
-def _reduce_rows(s_rows, q_rows, s_grid, q_grid, kernel: ConvKernel4D) -> tuple[Tensor, Tensor]:
-    """Support and query columns of (..., W*H, C) rows on W x H grids; equal
-    grids share one set of fold weights."""
-    kern = kernel.sliding_slice()
-    coef = {grid: _fold_weights(kern, *grid) for grid in {q_grid, s_grid}}
-    return (_directional_reduce(s_rows, q_rows, coef[q_grid], kernel.bias),
-            _directional_reduce(q_rows, s_rows, coef[s_grid], kernel.bias))
-
-
-def conditional_matrices(s_corr, q_corr, kernel: ConvKernel4D) -> tuple[Tensor, Tensor]:
-    """Support (..., Ws, Hs) and query (..., Wq, Hq) matrices of ``s_corr``
-    (..., Ws, Hs, C) and ``q_corr`` (..., Wq, Hq, C); each equals
-    ``conv4d_oracle(build_relation_tensor(s_corr, q_corr), kernel, direction)``."""
-    s, q = ad.as_tensor(s_corr), ad.as_tensor(q_corr)
-    if s.ndim < 3 or s.ndim != q.ndim or s.shape[:-3] != q.shape[:-3] \
-            or s.shape[-1] != q.shape[-1]:
-        raise DimensionError(f"conditional_matrices: expected (..., W, H, C) inputs with "
-                             f"equal batch dims and channels, got {s.shape} and {q.shape}")
-    rows = [ad.reshape(t, t.shape[:-3] + (-1, t.shape[-1])) for t in (s, q)]
-    columns = _reduce_rows(*rows, s.shape[-3:-1], q.shape[-3:-1], kernel)
-    return tuple(ad.reshape(col, t.shape[:-1]) for col, t in zip(columns, (s, q)))
-
-
-def build_relation_tensor(support_corr, query_corr) -> Tensor:
-    """Uncompressed channelwise outer product, the input of :func:`conv4d_oracle`:
-    out[..., ws, hs, wq, hq, c] = support[..., ws, hs, c] * query[..., wq, hq, c]."""
-    s, q = ad.as_tensor(support_corr), ad.as_tensor(query_corr)
-    if s.ndim < 3 or q.ndim < 3 or s.shape[-1] != q.shape[-1]:
-        raise DimensionError(f"build_relation_tensor: channel counts differ, "
-                             f"{s.shape} vs {q.shape}")
-    ws, hs, c = s.shape[-3], s.shape[-2], s.shape[-1]
-    wq, hq = q.shape[-3], q.shape[-2]
-    s5 = ad.reshape(s, s.shape[:-3] + (ws, hs, 1, 1, c))
-    q5 = ad.reshape(q, q.shape[:-3] + (1, 1, wq, hq, c))
-    return ad.mul(s5, q5)
-
-
-def conv4d_oracle(rel, kernel: ConvKernel4D, direction: str) -> np.ndarray:
-    """Literal nested-loop reduction of a dense relation tensor for small
-    grids; referee for :func:`conditional_matrices`."""
-    rel = np.asarray(rel.data if isinstance(rel, Tensor) else rel, dtype=np.float64)
-    if rel.ndim != 5:
-        raise DimensionError(f"conv4d_oracle: expected (Ws,Hs,Wq,Hq,C), got {rel.shape}")
-    if direction not in ("support", "query"):
-        raise ConfigError(f"conv4d_oracle: unknown direction '{direction}'")
-    ws, hs, wq, hq, c = rel.shape
-    if max(ws, hs, wq, hq) > 6:
-        raise ContractError("conv4d_oracle: grids larger than 6 are out of oracle scope")
-    kern = kernel.sliding_slice().data
-    k, l = kern.shape
-    bias = float(kernel.bias.data)
-    pk, pl = k // 2, l // 2
-
-    if direction == "support":
-        out = np.zeros((ws, hs))
-        for i in range(ws):
-            for j in range(hs):
-                acc = 0.0
-                for ch in range(c):
-                    for u in range(wq):          # every sliding window position
-                        for v in range(hq):
-                            for dk in range(k):
-                                for dl in range(l):
-                                    a, b = u + dk - pk, v + dl - pl
-                                    if 0 <= a < wq and 0 <= b < hq:
-                                        acc += kern[dk, dl] * rel[i, j, a, b, ch]
-                out[i, j] = max(0.0, acc + bias)
-        return out
-
-    out = np.zeros((wq, hq))
-    for u in range(wq):
-        for v in range(hq):
-            acc = 0.0
-            for ch in range(c):
-                for i in range(ws):
-                    for j in range(hs):
-                        for dk in range(k):
-                            for dl in range(l):
-                                a, b = i + dk - pk, j + dl - pl
-                                if 0 <= a < ws and 0 <= b < hs:
-                                    acc += kern[dk, dl] * rel[a, b, u, v, ch]
-            out[u, v] = max(0.0, acc + bias)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # full conditional forward
 # ---------------------------------------------------------------------------
@@ -262,6 +178,7 @@ def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
     own_s, own_q = ad.add(rows_s, pe[:t]), ad.add(rows_q, pe[:t])
     view_s = ad.concat([own_s, ad.add(rows_q, pe[t:])], axis=-2)     # support's [self; other]
     view_q = ad.concat([own_q, ad.add(rows_s, pe[t:])], axis=-2)     # query's [self; other]
-    return ConditionalOutput(*_reduce_rows(attend(own_s, view_s, view_s),
-                                           attend(own_q, view_q, view_q), (w, h), (w, h), kernel),
-                             rows_s, rows_q)
+    att_s, att_q = attend(own_s, view_s, view_s), attend(own_q, view_q, view_q)
+    coef = _fold_weights(kernel.sliding_slice(), w, h)
+    return ConditionalOutput(_directional_reduce(att_s, att_q, coef, kernel.bias),
+                             _directional_reduce(att_q, att_s, coef, kernel.bias), rows_s, rows_q)

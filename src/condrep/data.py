@@ -11,7 +11,8 @@ difficulty transforms:
   blurry_noisy  box blur (radius 1-3) and/or additive gaussian noise
 
 Each transform's quantitative rule can be re-measured from the sample
-itself (mask fraction, removed fraction, applied tags).
+itself (mask fraction, removed fraction, applied tags); ``tests/referees.py``
+does so for the data tests.
 
 Glyphs share what does not depend on their draw: the coordinate grid is
 computed once per image size and the stripe wave once per class and size
@@ -330,33 +331,6 @@ def build_dataset(cfg: DatasetConfig) -> SyntheticDataset:
             base = generate_base_image(c, seed, cfg.image_size)
             query.append(apply_difficulty(base, tag, seed=seed))
     return SyntheticDataset(config=cfg, support=support, query=query)
-
-
-# ---------------------------------------------------------------------------
-# rule re-measurement (used by the data-rule test suite)
-# ---------------------------------------------------------------------------
-
-def measure_rule(sample: SyntheticSample) -> dict:
-    """Re-measure the quantitative difficulty rule for a query sample,
-    independently of what the transform recorded."""
-    if sample.pool != "query":
-        raise ContractError("measure_rule: expected a query-pool sample")
-    tag = sample.transforms_applied[0]
-    img = sample.image[0]
-    mask = sample.target_mask
-    base = generate_base_image(sample.class_id, sample.seed, img.shape[0])
-    if tag == "small":
-        return {"tag": tag, "mask_fraction": mask.sum() / mask.size,
-                "ok": mask.sum() / mask.size <= SMALL_MAX_FRACTION}
-    if tag == "incomplete":
-        removed = 1.0 - mask.sum() / base.target_mask.sum()
-        return {"tag": tag, "removed_fraction": removed,
-                "ok": removed > INCOMPLETE_MIN_REMOVED}
-    if tag == "camouflaged":
-        gap = abs(float(img[mask].mean()) - float(img[~mask].mean()))
-        return {"tag": tag, "mean_gap": gap, "ok": gap <= CAMOUFLAGE_MEAN_TOL}
-    changed = not np.array_equal(img, base.image[0])
-    return {"tag": tag, "changed": changed, "ok": changed}
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,12 @@ def read_loss_csv(path) -> list[tuple[int, float]]:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             epoch, loss = line.split(",")
-            out.append((int(epoch), float(loss)))
+            epoch, loss = int(epoch), float(loss)
         except ValueError:
             raise ConfigError(f"loss csv: malformed line {lineno}: '{line}'")
+        if not np.isfinite(loss):
+            raise ConfigError(f"loss csv: non-finite loss {loss!r} on line {lineno} of {path}")
+        out.append((epoch, loss))
     return out
 
 
@@ -206,10 +209,14 @@ def read_accuracy_csv(path) -> dict[str, list[float]]:
         if len(parts) != len(names) + 1:
             raise ConfigError(f"accuracy csv: malformed line {lineno}: '{line}'")
         try:
-            for name, val in zip(names, parts[1:]):
-                out[name].append(float(val))
+            values = [float(val) for val in parts[1:]]
         except ValueError:
             raise ConfigError(f"accuracy csv: malformed line {lineno}: '{line}'")
+        for name, val in zip(names, values):
+            if not 0.0 <= val <= 1.0:   # also refuses nan
+                raise ConfigError(f"accuracy csv: {name} accuracy {val!r} on line {lineno} of "
+                                  f"{path} is not in [0, 1]")
+            out[name].append(val)
     return out
 
 

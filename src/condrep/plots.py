@@ -3,6 +3,8 @@ bars with confidence whiskers, rendered from the CSV outputs. Self-contained
 vector files, no network access, no plotting dependency."""
 from __future__ import annotations
 
+from xml.sax.saxutils import escape, quoteattr
+
 from .evaluate import EvalReport
 from .io import read_accuracy_csv, read_loss_csv
 
@@ -63,8 +65,8 @@ def accuracy_bars_svg(accuracy_csv) -> str:
         y = base_y - height
         cx = x + bar_w / 2
         elements.append(f'<rect x="{x!r}" y="{y!r}" width="{bar_w!r}" height="{height!r}" '
-                        f'fill="steelblue" data-strategy="{name}" data-mean="{report.mean!r}" '
-                        f'data-ci95="{report.ci95!r}"/>')
+                        f'fill="steelblue" data-strategy={quoteattr(name)} '
+                        f'data-mean="{report.mean!r}" data-ci95="{report.ci95!r}"/>')
         whisk = report.ci95 * PLOT_H
         elements.append(f'<line x1="{cx!r}" y1="{y - whisk!r}" x2="{cx!r}" y2="{y + whisk!r}" '
                         f'stroke="black"/>')
@@ -73,5 +75,5 @@ def accuracy_bars_svg(accuracy_csv) -> str:
         elements.append(f'<line x1="{cx - 5!r}" y1="{y + whisk!r}" x2="{cx + 5!r}" '
                         f'y2="{y + whisk!r}" stroke="black"/>')
         elements.append(f'<text x="{cx!r}" y="{base_y + 16}" text-anchor="middle" '
-                        f'font-size="10">{name}</text>')
+                        f'font-size="10">{escape(name)}</text>')
     return _svg(elements, "episode accuracy (95% CI)")

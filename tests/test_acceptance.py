@@ -13,15 +13,15 @@ from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
 from condrep.backbone import BackboneConfig
 from condrep.cli import main as cli_main
-from condrep.conditional import (ConvKernel4D, build_relation_tensor, conditional_forward,
-                                 conditional_matrices, conv4d_oracle)
-from condrep.data import DatasetConfig, build_dataset, measure_rule
+from condrep.conditional import ConvKernel4D, conditional_forward
+from condrep.data import DatasetConfig, build_dataset
 from condrep.evaluate import (EvalReport, classify_query, episode_features,
                               run_evaluation_suite, sample_episode)
-from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.model import Model, ModelConfig
 from condrep.rerepresent import re_represent_pair
 from condrep.training import TrainConfig, contrastive_loss, pair_distance, train
+from referees import (build_relation_tensor, conditional_matrices, conv4d_oracle,
+                      fd_gradient_oracle, max_relative_error, measure_rule)
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-3

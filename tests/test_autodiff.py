@@ -10,8 +10,8 @@ import pytest
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
 from condrep.exceptions import ConfigError, ContractError, DimensionError, StateError
-from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.optim import AdamW
+from referees import fd_gradient_oracle, max_relative_error
 
 FD_TOL = 1e-4
 

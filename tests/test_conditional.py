@@ -10,11 +10,11 @@ import pytest
 from condrep import autodiff as ad
 from condrep import conditional
 from condrep.autodiff import Tensor, backward
-from condrep.conditional import (ConvKernel4D, attend, build_relation_tensor,
-                                 conditional_forward, conditional_matrices, conv4d_oracle,
-                                 init_conv_kernel, _sinusoid_table)
+from condrep.conditional import (ConvKernel4D, attend, conditional_forward, init_conv_kernel,
+                                 _sinusoid_table)
 from condrep.exceptions import ConfigError, DimensionError
-from condrep.gradcheck import fd_gradient_oracle, max_relative_error
+from referees import (build_relation_tensor, conditional_matrices, conv4d_oracle,
+                      fd_gradient_oracle, max_relative_error)
 
 
 def delta_kernel(shape=(3, 3, 3, 3), bias=0.0) -> ConvKernel4D:

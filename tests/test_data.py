@@ -12,8 +12,9 @@ from condrep import data
 from condrep.config import DIFFICULTY_TAGS
 from condrep.data import (DatasetConfig, apply_difficulty,
                           augment_query_image, build_dataset, export_pools,
-                          generate_base_image, load_pools, measure_rule)
+                          generate_base_image, load_pools)
 from condrep.exceptions import ConfigError, ContractError, DataError
+from referees import measure_rule
 
 
 class TestBaseImages:

@@ -2,6 +2,7 @@
 package's public surface."""
 import argparse
 import ast
+import importlib.util
 import inspect
 import json
 import os
@@ -40,10 +41,22 @@ TINY_FLAGS = ["--image-size", "16", "--feature-channels", "8", "--feature-side",
 def test_package_exports_only_its_submodules():
     import condrep
     assert sorted(condrep.__all__) == ["autodiff", "backbone", "conditional", "config", "data",
-                                       "evaluate", "exceptions", "gradcheck", "model",
-                                       "optim", "rerepresent", "training"]
+                                       "evaluate", "exceptions", "model", "optim",
+                                       "rerepresent", "training"]
     assert all(isinstance(getattr(condrep, name), types.ModuleType)
                for name in condrep.__all__)
+
+
+def test_referees_live_in_the_tests_not_the_package():
+    # the dense 4D convolution, the grid-level conditional matrices, the rule
+    # re-measurement and the finite-difference oracle are in tests/referees.py
+    from condrep import conditional, data
+    moved = {conditional: ("build_relation_tensor", "conv4d_oracle", "conditional_matrices",
+                           "_reduce_rows"),
+             data: ("measure_rule",)}
+    assert [f"{module.__name__}.{name}" for module, names in moved.items()
+            for name in names if hasattr(module, name)] == []
+    assert importlib.util.find_spec("condrep.gradcheck") is None
 
 
 def imported_modules(node) -> list[str]:
@@ -608,17 +621,37 @@ class TestCli:
         assert (tmp_path / "loss.svg").exists()
 
     # a header-only CSV exited 2 but left the output directory behind: plot
-    # made it before reading the CSVs
-    @pytest.mark.parametrize("flag,header", [("--accuracy-csv", "episode,a"),
-                                             ("--loss-csv", "epoch,mean_loss")],
-                             ids=["accuracy", "loss"])
-    def test_plot_with_empty_csv_exits_2(self, tmp_path, capsys, flag, header):
-        bad = tmp_path / "header_only.csv"
-        bad.write_text(header + "\n")
+    # made it before reading the CSVs; a non-finite or out-of-range value
+    # was drawn (as "nan" coordinates or a bar outside the axes) with exit 0
+    @pytest.mark.parametrize("flag,text,message", [
+        ("--accuracy-csv", "episode,a\n", "no data rows"),
+        ("--loss-csv", "epoch,mean_loss\n", "no data rows"),
+        ("--accuracy-csv", "episode,a\n0,0.5\n1,nan\n", "a accuracy nan on line 3 of {csv}"),
+        ("--accuracy-csv", "episode,a\n0,7.5\n", "a accuracy 7.5 on line 2 of {csv}"),
+        ("--accuracy-csv", "episode,a,b\n0,0.5,-2\n", "b accuracy -2.0 on line 2 of {csv}"),
+        ("--loss-csv", "epoch,mean_loss\n0,1.0\n1,inf\n", "loss inf on line 3 of {csv}"),
+        ("--loss-csv", "epoch,mean_loss\n0,nan\n", "loss nan on line 2 of {csv}")],
+        ids=["accuracy", "loss", "accuracy-nan", "accuracy-above-1", "accuracy-negative",
+             "loss-inf", "loss-nan"])
+    def test_plot_with_bad_csv_exits_2(self, tmp_path, capsys, flag, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
         rc = main(["plot", flag, str(bad), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "no data rows" in capsys.readouterr().err
+        assert message.format(csv=bad) in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    # a strategy name with markup characters made an SVG no XML parser read
+    def test_plot_escapes_strategy_names(self, tmp_path):
+        csv = tmp_path / "acc.csv"
+        csv.write_text('episode,a<b&"c\n0,0.5\n')
+        rc = main(["plot", "--accuracy-csv", str(csv), "--out", str(tmp_path / "run")])
+        assert rc == 0
+        root = ET.parse(tmp_path / "run" / "accuracy.svg").getroot()
+        assert [el.attrib["data-strategy"] for el in root.iter()
+                if "data-strategy" in el.attrib] == ['a<b&"c']
+        assert 'a<b&"c' in [el.text for el in root.iter() if el.tag.endswith("text")]
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         rc = main(["eval", "--out", str(tmp_path), "--checkpoint",
@@ -820,6 +853,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    # a query class without a support sample raised KeyError and exited 1
+    def test_pool_class_without_support_exits_2_without_making_the_output_directory(
+            self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.txt"
+        cio.save_checkpoint(ckpt, tiny_model())
+        pools = tmp_path / "pools"
+        export_pools(build_dataset(DatasetConfig(seed=0, n_classes=3, image_size=16,
+                                                 support_per_class=4, query_per_class=6)),
+                     pools)
+        for path in (pools / "class_0002").glob("support_*"):
+            path.unlink()
+        rc = main(["export-embeddings", "--out", str(tmp_path / "run"), "--checkpoint",
+                   str(ckpt), *TINY_FLAGS, "--data", str(pools)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "class 2 has no support sample" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_plot_without_a_csv_exits_2_before_making_the_output_directory(self, tmp_path,

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
-from condrep.conditional import (ConvKernel4D, _sinusoid_table, conditional_forward,
-                                 conditional_matrices)
-from condrep.gradcheck import fd_gradient_oracle, max_relative_error
+from condrep.conditional import ConvKernel4D, _sinusoid_table, conditional_forward
+from referees import conditional_matrices, fd_gradient_oracle, max_relative_error
 
 FD_TOL = 1e-4
 ORACLE = settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -11,13 +11,13 @@ from condrep import autodiff as ad
 from condrep import io as cio
 from condrep.autodiff import Tensor, backward, no_grad
 from condrep.exceptions import ConfigError, DimensionError
-from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.model import Model, ModelConfig
 from condrep.backbone import BackboneConfig
 from condrep.conditional import conditional_forward
 from condrep.config import DEFAULT_CONFIG
 from condrep.rerepresent import (finalize_vector, fuse_conditional, init_rerep_params,
                                  mlp_compress, re_represent_pair, self_attend)
+from referees import fd_gradient_oracle, max_relative_error
 
 C = 8
 

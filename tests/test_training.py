@@ -19,13 +19,13 @@ from condrep.cli import main
 from condrep.data import DatasetConfig, build_dataset
 from condrep.exceptions import (ConfigError, ContractError, DataError, DimensionError,
                                 NonFiniteLossError)
-from condrep.gradcheck import fd_gradient_oracle, max_relative_error
 from condrep.backbone import BackboneConfig
 from condrep.model import Model, ModelConfig
 from condrep.optim import AdamW
 from condrep.rerepresent import re_represent_pair
 from condrep.training import (TrainConfig, batch_loss, contrastive_loss,
                               pair_distance, sample_pair_batch, train, train_epoch)
+from referees import fd_gradient_oracle, max_relative_error
 
 
 def intermediates(loss):
