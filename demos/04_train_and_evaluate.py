@@ -6,14 +6,11 @@ from condrep.config import STRATEGIES
 from condrep.data import DatasetConfig, build_dataset
 from condrep.evaluate import run_evaluation_suite
 from condrep.model import Model, ModelConfig
-from condrep.backbone import BackboneConfig
 from condrep.training import TrainConfig, train
 
 dataset = build_dataset(DatasetConfig(seed=0, n_classes=5, support_per_class=10,
                                       query_per_class=20, image_size=16))
-config = ModelConfig(backbone=BackboneConfig(input_size=16,
-                                             blocks=((8, 2), (16, 2), (16, 2)),
-                                             feature_channels=16, feature_side=2))
+config = ModelConfig(image_size=16, feature_side=2, feature_channels=16)
 model = Model.init(config, seed=1)
 
 t0 = time.time()

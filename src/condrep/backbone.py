@@ -1,9 +1,10 @@
 """Small convolutional feature extractor trained from scratch.
 
 Maps a grayscale image to a W x H x C prototype feature map. Each block is
-conv3x3 (stride 1, pad 1) -> norm over channels -> relu -> average
-pooling with the block's stride. The toy default turns a 32x32 input into
-a 4x4x32 map.
+conv3x3 (stride 1, pad 1) -> norm over channels -> relu -> 2x2 average
+pooling, so it halves the side. ``block_widths`` derives the blocks from
+image_size, feature_side and feature_channels: the toy default turns a
+32x32 input into a 4x4x32 map through blocks of 8, 16 and 32 channels.
 
 The backbone runs channel-major: the (B, C, H, W) input is permuted once
 to (C, B, H, W), each block's two ops take and return that layout, and the
@@ -22,57 +23,34 @@ computed in. Kernels keep the (C_out, C_in, kh, kw) shape.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import check_keys
 from .exceptions import ConfigError, DimensionError
 
 
-@dataclass(frozen=True)
-class BackboneConfig:
-    input_size: int = 32
-    channels_in: int = 1
-    blocks: tuple = ((8, 2), (16, 2), (32, 2))   # (out_channels, pool stride) per block
-    feature_channels: int = 32
-    feature_side: int = 4
-
-    def validate(self):
-        check_keys(feature_channels=self.feature_channels, feature_side=self.feature_side)
-        if not self.blocks:
-            raise ConfigError("backbone: at least one block is required")
-        side = self.input_size
-        for i, block in enumerate(self.blocks):
-            if not isinstance(block, (tuple, list)) or len(block) != 2 \
-                    or any(type(n) is not int for n in block):
-                raise ConfigError(f"backbone.blocks[{i}] must be a pair of ints "
-                                  f"(out_channels, pool stride), got {block!r}")
-            out_ch, stride = block
-            if out_ch < 1 or stride < 1:
-                raise ConfigError(f"backbone: block {i} has invalid (channels, stride) "
-                                  f"({out_ch}, {stride})")
-            if side % stride != 0:
-                raise ConfigError(f"backbone: block {i} stride {stride} does not divide "
-                                  f"spatial side {side}")
-            side //= stride
-        if side != self.feature_side:
-            raise ConfigError(f"backbone: blocks map input {self.input_size} to side {side}, "
-                              f"expected feature_side {self.feature_side}")
-        if self.blocks[-1][0] != self.feature_channels:
-            raise ConfigError(f"backbone: last block emits {self.blocks[-1][0]} channels, "
-                              f"expected feature_channels {self.feature_channels}")
+def block_widths(image_size: int, feature_side: int, feature_channels: int) -> tuple[int, ...]:
+    """Output channels of each stride-2 block that takes ``image_size`` to
+    ``feature_side``: n blocks for a ratio of 2**n, block i emitting
+    max(8, C // 2**(n-1-i)) channels and the last exactly C. ConfigError
+    unless the ratio is a power of two >= 2."""
+    ratio, rest = divmod(image_size, feature_side)
+    if rest or ratio < 2 or ratio & (ratio - 1):
+        raise ConfigError(f"config: image_size / feature_side must be a power of two >= 2 "
+                          f"for stride-2 blocks, got {image_size} / {feature_side}")
+    n = ratio.bit_length() - 1
+    return tuple(max(8, feature_channels // 2 ** (n - 1 - i)) for i in range(n - 1)) \
+        + (feature_channels,)
 
 
-def init_backbone(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
-    """Kaiming-style fan-in scaled init, deterministic under ``seed``."""
-    config.validate()
+def init_backbone(config, seed: int) -> dict[str, Tensor]:
+    """Kaiming-style fan-in scaled init of the blocks of ``config`` (a
+    ``ModelConfig``), deterministic under ``seed``."""
     rng = np.random.default_rng(np.random.SeedSequence([0x6B61, seed]))
     params: dict[str, Tensor] = {}
-    cin = config.channels_in
-    for i, (cout, _stride) in enumerate(config.blocks):
+    cin = 1
+    for i, cout in enumerate(config.blocks):
         fan_in = cin * 9
         params[f"block{i}.kernel"] = Tensor(
             rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, 3, 3)), requires_grad=True)
@@ -82,16 +60,16 @@ def init_backbone(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def extract_features(images, params: dict[str, Tensor], config: BackboneConfig) -> Tensor:
-    """Run the backbone; returns the batch of prototype maps (B, W, H, C)."""
+def extract_features(images, params: dict[str, Tensor], config) -> Tensor:
+    """Run the backbone of ``config`` (a ``ModelConfig``); returns the batch
+    of prototype maps (B, W, H, C)."""
     x = ad.as_tensor(images)
-    if x.ndim != 4 or x.shape[1] != config.channels_in or \
-            x.shape[2] != config.input_size or x.shape[3] != config.input_size:
-        raise DimensionError(f"backbone: expected images (B,{config.channels_in},"
-                             f"{config.input_size},{config.input_size}), got {x.shape}")
+    size = config.image_size
+    if x.shape[1:] != (1, size, size):
+        raise DimensionError(f"backbone: expected images (B,1,{size},{size}), got {x.shape}")
     x = ad.permute(x, (1, 0, 2, 3))
-    for i, (cout, stride) in enumerate(config.blocks):
+    for i in range(len(config.blocks)):
         x = ad.conv2d(x, params[f"block{i}.kernel"], padding=1)
-        x = ad.norm_relu_pool(x, params[f"block{i}.gamma"], params[f"block{i}.beta"], stride)
+        x = ad.norm_relu_pool(x, params[f"block{i}.gamma"], params[f"block{i}.beta"], 2)
     return ad.permute(x, (1, 2, 3, 0))
 

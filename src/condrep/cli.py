@@ -80,7 +80,7 @@ def _checkpoint_model(args, v) -> Model:
     """The ``--checkpoint`` model, whose image size must be the config's
     ``image_size``; call it before any output directory is made."""
     model, _meta = cio.model_from_checkpoint(args.checkpoint)
-    size = model.config.backbone.input_size
+    size = model.config.image_size
     if size != v["image_size"]:
         raise DimensionError(f"{args.command}: checkpoint expects {size}-pixel images, config "
                              f"says {v['image_size']}; set image_size to {size} for "
@@ -129,7 +129,7 @@ def cmd_export_embeddings(args) -> int:
     rows = [(s.sample_id, s.class_id, s.pool, rep, b)
             for s, rep, b in zip(pool, fq, smp_maps.mean(axis=(1, 2)))]
     path = _out_dir(args) / f"embeddings_{args.pool}.csv"
-    cio.write_embeddings_csv(path, rows, channels=model.config.channels)
+    cio.write_embeddings_csv(path, rows, channels=model.config.feature_channels)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 

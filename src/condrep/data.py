@@ -22,13 +22,13 @@ default build of 400 images computes one grid and five waves.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .config import CONFIG_TABLE, DIFFICULTY_TAGS, check_keys
+from .config import DIFFICULTY_TAGS, check_keys
 from .exceptions import ConfigError, ContractError, DataError
 
 SMALL_MAX_FRACTION = 0.01      # target pixels / image pixels after "small"
@@ -58,15 +58,14 @@ class DatasetConfig:
     query_per_class: int = 60
     image_size: int = 32
     seed: int = 0
-    transform_mix: dict = field(default_factory=lambda: {
-        "camouflaged": 0.25, "small": 0.25, "incomplete": 0.25, "blurry_noisy": 0.25})
+    mix_camouflaged: float = 0.25     # each difficulty tag's share of the query pool
+    mix_small: float = 0.25
+    mix_incomplete: float = 0.25
+    mix_blurry_noisy: float = 0.25
     blur_fraction: float = 0.05
 
     def validate(self):
-        if set(self.transform_mix) != set(DIFFICULTY_TAGS):
-            raise ConfigError(f"dataset: transform_mix must cover exactly {DIFFICULTY_TAGS}")
-        check_keys(**{f"mix_{tag}": p for tag, p in self.transform_mix.items()},
-                   **{k: v for k, v in vars(self).items() if k in CONFIG_TABLE})
+        check_keys(**vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +291,17 @@ class SyntheticDataset:
         return out
 
 
-def _tag_quota(mix: dict, n: int, blur_fraction: float) -> list[str]:
-    """Largest-remainder allocation of difficulty tags, with the blur count
-    topped up to its floor share."""
-    tags = list(DIFFICULTY_TAGS)
-    exact = np.array([mix[t] * n for t in tags])
+def _tag_quota(cfg: DatasetConfig) -> list[str]:
+    """Largest-remainder allocation of a class's difficulty tags by the
+    ``mix_*`` shares, with the blur count topped up to its floor share."""
+    tags, n = list(DIFFICULTY_TAGS), cfg.query_per_class
+    exact = np.array([getattr(cfg, f"mix_{t}") * n for t in tags])
     counts = np.floor(exact).astype(int)
     remainder_order = np.argsort(-(exact - counts), kind="stable")
     for i in remainder_order[:n - counts.sum()]:
         counts[i] += 1
-    if mix["blurry_noisy"] > 0:
-        need = int(np.ceil(blur_fraction * n))
+    if cfg.mix_blurry_noisy > 0:
+        need = int(np.ceil(cfg.blur_fraction * n))
         bi = tags.index("blurry_noisy")
         while counts[bi] < need:
             donor = max((i for i in range(len(tags)) if i != bi), key=lambda i: counts[i])
@@ -323,7 +322,7 @@ def build_dataset(cfg: DatasetConfig) -> SyntheticDataset:
         for i in range(cfg.support_per_class):
             seed = int(np.random.SeedSequence([cfg.seed, 1, c, i]).generate_state(1)[0])
             support.append(generate_base_image(c, seed, cfg.image_size))
-        tags = _tag_quota(cfg.transform_mix, cfg.query_per_class, cfg.blur_fraction)
+        tags = _tag_quota(cfg)
         shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, c]))
         shuffle_rng.shuffle(tags)
         for i, tag in enumerate(tags):

@@ -221,7 +221,7 @@ def _maps(images: np.ndarray, model: Model, memo: dict | None = None) -> np.ndar
     keys = [im.tobytes() for im in images]
     new = {k: im for k, im in zip(keys, images) if k not in memo}
     new_keys, new_images = list(new), list(new.values())
-    row_bytes = images[0, 0].nbytes * model.config.backbone.blocks[0][0]
+    row_bytes = images[0, 0].nbytes * model.config.blocks[0]
     with no_grad():
         for g in _groups(len(new_keys), row_bytes):
             memo.update(zip(new_keys[g], model.features(np.stack(new_images[g])).data))

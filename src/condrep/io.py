@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig
-from .config import CONFIG_TABLE, DEFAULT_CONFIG, DIFFICULTY_TAGS, check_keys, config_values
+from .config import CONFIG_TABLE, DEFAULT_CONFIG, check_keys, config_values
 from .data import DatasetConfig
 from .exceptions import ConfigError
 from .model import Model, ModelConfig
@@ -103,16 +102,19 @@ def model_from_checkpoint(path) -> tuple[Model, dict]:
 # ---------------------------------------------------------------------------
 
 def resolve_config(file_path=None, overrides: dict | None = None) -> dict[str, str]:
-    """defaults < config file (``key=value`` lines) < explicit overrides; the
+    """defaults < config file (``key=value`` lines, each key once) < explicit overrides; the
     table parses and checks every key, and ConfigError names the one at fault."""
-    given = {}
+    given, line_of = {}, {}
     for lineno, raw in enumerate(Path(file_path).read_text().splitlines() if file_path else [], 1):
         line = raw.strip()
         if line and not line.startswith("#"):
             if "=" not in line:
                 raise ConfigError(f"config: line {lineno} is not key=value: '{raw}'")
-            key, value = line.split("=", 1)
-            given[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in line_of:
+                raise ConfigError(f"config: {key} is given twice in {file_path}, on lines "
+                                  f"{line_of[key]} and {lineno}")
+            given[key], line_of[key] = value, lineno
     given.update((k, str(v)) for k, v in (overrides or {}).items() if v is not None)
     if unknown := sorted(given.keys() - CONFIG_TABLE.keys()):
         raise ConfigError(f"config: unknown key '{unknown[0]}'")
@@ -126,33 +128,24 @@ def config_hash(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def dataset_config_from(cfg: dict[str, str]):
-    v = config_values(cfg)   # a field named for a key takes its value
-    return DatasetConfig(**{f.name: v[f.name] for f in fields(DatasetConfig) if f.name in v},
-                         transform_mix={tag: v[f"mix_{tag}"] for tag in DIFFICULTY_TAGS})
+def _config_from(cls, cfg: dict[str, str]):
+    """``cls`` with each field set to the value of the key it is named for, checked."""
+    v = config_values(cfg)
+    config = cls(**{f.name: v[f.name] for f in fields(cls)})
+    config.validate()
+    return config
+
+
+def dataset_config_from(cfg: dict[str, str]) -> DatasetConfig:
+    return _config_from(DatasetConfig, cfg)
 
 
 def model_config_from(cfg: dict[str, str]) -> ModelConfig:
-    v = config_values(cfg)
-    size, side, channels = v["image_size"], v["feature_side"], v["feature_channels"]
-    check_keys(image_size=size, feature_side=side)
-    ratio, rest = divmod(size, side)
-    if rest or ratio < 2 or ratio & (ratio - 1):
-        raise ConfigError(f"config: image_size / feature_side must be a power of two >= 2 "
-                          f"for stride-2 blocks, got {size} / {side}")
-    n_blocks = ratio.bit_length() - 1
-    widths = [max(8, channels // 2 ** (n_blocks - 1 - i)) for i in range(n_blocks)]
-    widths[-1] = channels
-    backbone = BackboneConfig(input_size=size, channels_in=1,
-                              blocks=tuple((w, 2) for w in widths),
-                              feature_channels=channels, feature_side=side)
-    return ModelConfig(backbone=backbone, kernel_shape=v["kernel_shape"],
-                       structure=v["structure"])
+    return _config_from(ModelConfig, cfg)
 
 
-def train_config_from(cfg: dict[str, str]):
-    v = config_values(cfg)   # a field named for a key takes its value
-    return TrainConfig(**{f.name: v[f.name] for f in fields(TrainConfig) if f.name in v})
+def train_config_from(cfg: dict[str, str]) -> TrainConfig:
+    return _config_from(TrainConfig, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +173,9 @@ def read_loss_csv(path) -> list[tuple[int, float]]:
             raise ConfigError(f"loss csv: malformed line {lineno}: '{line}'")
         if not np.isfinite(loss):
             raise ConfigError(f"loss csv: non-finite loss {loss!r} on line {lineno} of {path}")
+        if epoch != len(out):   # write_loss_csv numbers the epochs from 0
+            raise ConfigError(f"loss csv: epoch {epoch} on line {lineno} of {path}; the "
+                              f"epochs must run 0, 1, 2, ... in order, so it must be {len(out)}")
         out.append((epoch, loss))
     return out
 
@@ -201,7 +197,12 @@ def read_accuracy_csv(path) -> dict[str, list[float]]:
     if not lines or not lines[0].startswith("episode,"):
         raise ConfigError(f"accuracy csv: bad header in {path}")
     names = lines[0].split(",")[1:]
-    if not names or len([l for l in lines[1:] if l.strip()]) == 0:
+    for col, name in enumerate(names, start=2):
+        if not name or name in names[:col - 2]:
+            raise ConfigError(f"accuracy csv: column {col} of {path} has "
+                              + (f"the repeated strategy name {name!r}" if name
+                                 else "an empty strategy name"))
+    if not any(line.strip() for line in lines[1:]):
         raise ConfigError(f"accuracy csv: no data rows in {path}")
     out: dict[str, list[float]] = {name: [] for name in names}
     for lineno, line in enumerate(lines[1:], start=2):

@@ -8,12 +8,13 @@ one."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .config import CONFIG_TABLE, check_keys, check_pools
+from .config import check_keys, check_pools
 from .data import SyntheticDataset, augment_query_image
 from .exceptions import (ContractError, DimensionError,
                          NonFiniteLossError)
@@ -36,15 +37,15 @@ class TrainConfig:
     batches_per_epoch: int = 12   # 0 -> ceil(support pool / batch_size)
     learning_rate: float = 1e-3
     weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
     lr_drop_every: int = 20       # halve the learning rate every N epochs
     lr_drop_factor: float = 0.5
     augment: str = "randaugment"
     margin: float = 1.0
+    beta1: ClassVar[float] = 0.9  # AdamW's moment decays, fixed: not config keys
+    beta2: ClassVar[float] = 0.999
 
     def validate(self):
-        check_keys(**{k: v for k, v in vars(self).items() if k in CONFIG_TABLE})
+        check_keys(**vars(self))
 
     def resolved_batches(self, dataset: SyntheticDataset) -> int:
         if self.batches_per_epoch > 0:

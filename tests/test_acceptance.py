@@ -11,7 +11,6 @@ import pytest
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
-from condrep.backbone import BackboneConfig
 from condrep.cli import main as cli_main
 from condrep.conditional import ConvKernel4D, conditional_forward
 from condrep.data import DatasetConfig, build_dataset
@@ -35,9 +34,7 @@ def _report(criterion: int, description: str, ok: bool, detail: str = ""):
 
 
 def small_model(structure="siamese", seed=0):
-    cfg = ModelConfig(backbone=BackboneConfig(input_size=16, blocks=((8, 2), (8, 2), (8, 2)),
-                                              feature_channels=8, feature_side=2),
-                      structure=structure)
+    cfg = ModelConfig(image_size=16, feature_side=2, feature_channels=8, structure=structure)
     return Model.init(cfg, seed=seed)
 
 

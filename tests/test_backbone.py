@@ -6,13 +6,14 @@ import pytest
 
 from condrep import autodiff as ad
 from condrep.autodiff import Tensor, backward
-from condrep.backbone import BackboneConfig, extract_features, init_backbone
+from condrep.backbone import extract_features, init_backbone
 from condrep.exceptions import ConfigError, DimensionError
 from condrep.io import model_config_from, resolve_config
+from condrep.model import ModelConfig
 
 
 def test_same_seed_gives_identical_parameters():
-    cfg = BackboneConfig()
+    cfg = ModelConfig()
     a = init_backbone(cfg, seed=3)
     b = init_backbone(cfg, seed=3)
     for name in a:
@@ -21,7 +22,7 @@ def test_same_seed_gives_identical_parameters():
 
 def test_toy_default_spatial_arithmetic():
     # 32x32x1 input through 3 stride-2 blocks lands on a 4x4x32 map
-    cfg = BackboneConfig()
+    cfg = ModelConfig()
     cfg.validate()
     params = init_backbone(cfg, seed=0)
     img = np.random.default_rng(0).uniform(size=(2, 1, 32, 32))
@@ -29,39 +30,38 @@ def test_toy_default_spatial_arithmetic():
     assert feats.shape == (2, 4, 4, 32)
 
 
-def test_zero_blocks_rejected():
-    with pytest.raises(ConfigError):
-        BackboneConfig(blocks=()).validate()
-
-
-@pytest.mark.parametrize("block", [(8,), (8, 2, 1), 8, (8.0, 2)])
-def test_block_not_a_pair_of_ints_rejected(block):
-    with pytest.raises(ConfigError, match=r"backbone\.blocks\[1\]"):
-        BackboneConfig(blocks=((8, 2), block, (32, 2))).validate()
+@pytest.mark.parametrize("size,side,channels,blocks", [
+    (32, 4, 32, (8, 16, 32)), (28, 7, 64, (32, 64)), (16, 2, 8, (8, 8, 8)),
+    (16, 4, 16, (8, 16)), (64, 2, 16, (8, 8, 8, 8, 16))])
+def test_blocks_derive_from_the_three_grid_keys(size, side, channels, blocks):
+    # one stride-2 block per halving; widths double up to feature_channels,
+    # never below 8
+    cfg = ModelConfig(image_size=size, feature_side=side, feature_channels=channels)
+    assert cfg.blocks == blocks
+    assert [p.shape[0] for name, p in init_backbone(cfg, seed=0).items()
+            if name.endswith(".kernel")] == list(blocks)
 
 
 def test_inconsistent_spatial_arithmetic_rejected():
-    with pytest.raises(ConfigError):
-        BackboneConfig(input_size=30, blocks=((8, 2), (16, 2), (32, 2))).validate()
-    with pytest.raises(ConfigError):
-        BackboneConfig(feature_side=8).validate()
+    with pytest.raises(ConfigError, match="power of two >= 2 for stride-2 blocks, got 30 / 4"):
+        ModelConfig(image_size=30).validate()
 
 
 def test_odd_feature_channels_rejected():
     # the conditional learner's sinusoid encoding pairs channels
     with pytest.raises(ConfigError, match="feature_channels"):
-        BackboneConfig(blocks=((8, 2), (16, 2), (33, 2)), feature_channels=33).validate()
+        ModelConfig(feature_channels=33).validate()
 
 
 def test_zero_image_yields_finite_features():
-    cfg = BackboneConfig()
+    cfg = ModelConfig()
     params = init_backbone(cfg, seed=1)
     feats = extract_features(np.zeros((1, 1, 32, 32)), params, cfg)
     assert np.all(np.isfinite(feats.data))
 
 
 def test_identical_images_give_identical_maps():
-    cfg = BackboneConfig()
+    cfg = ModelConfig()
     params = init_backbone(cfg, seed=2)
     img = np.random.default_rng(1).uniform(size=(1, 32, 32))
     feats = extract_features(np.stack([img, img]), params, cfg)
@@ -69,10 +69,10 @@ def test_identical_images_give_identical_maps():
 
 
 @pytest.mark.parametrize("cfg", [
-    BackboneConfig(),
+    ModelConfig(),
     model_config_from(resolve_config(None, {"image_size": "28", "feature_side": "7",
-                                            "feature_channels": "64"})).backbone,
-    BackboneConfig(input_size=16, blocks=((8, 2),) * 3, feature_channels=8, feature_side=2),
+                                            "feature_channels": "64"})),
+    ModelConfig(image_size=16, feature_side=2, feature_channels=8),
 ], ids=["32px_default", "28px_side7_c64", "16px_test"])
 def test_map_does_not_depend_on_its_batch_at_shipped_configs(cfg):
     # training maps each distinct image once per batch and evaluation memoizes
@@ -80,7 +80,7 @@ def test_map_does_not_depend_on_its_batch_at_shipped_configs(cfg):
     # inductive, because batch composition changes no bit of a map: the conv
     # runs one gemm per image and the axis-0 norm adds whole rows
     params = init_backbone(cfg, seed=0)
-    images = np.random.default_rng(3).uniform(size=(80, 1, cfg.input_size, cfg.input_size))
+    images = np.random.default_rng(3).uniform(size=(80, 1, cfg.image_size, cfg.image_size))
     with ad.no_grad():
         batch = extract_features(images, params, cfg).data
         for i in range(len(images)):
@@ -91,7 +91,7 @@ def test_map_does_not_depend_on_its_batch_at_shipped_configs(cfg):
 
 
 def test_wrong_image_shape_rejected():
-    cfg = BackboneConfig()
+    cfg = ModelConfig()
     params = init_backbone(cfg, seed=0)
     with pytest.raises(DimensionError):
         extract_features(np.zeros((1, 1, 16, 16)), params, cfg)
@@ -100,7 +100,7 @@ def test_wrong_image_shape_rejected():
 
 
 def test_extraction_is_pure_and_deterministic():
-    cfg = BackboneConfig()
+    cfg = ModelConfig()
     params = init_backbone(cfg, seed=4)
     img = np.random.default_rng(2).uniform(size=(3, 1, 32, 32))
     a = extract_features(img, params, cfg).data
@@ -109,7 +109,7 @@ def test_extraction_is_pure_and_deterministic():
 
 
 def test_gradients_reach_every_backbone_parameter():
-    cfg = BackboneConfig()
+    cfg = ModelConfig()
     params = init_backbone(cfg, seed=5)
     img = np.random.default_rng(3).uniform(size=(2, 1, 32, 32))
     feats = extract_features(img, params, cfg)
@@ -124,7 +124,7 @@ def test_graph_is_channel_major_between_two_permutes():
     # (B, H, W, C) once, and each block is one conv2d and one norm_relu_pool;
     # a per-block transpose, a pooling mean, or a separate norm, relu or pool
     # showing up means the layout or the fused block regressed
-    cfg = BackboneConfig()
+    cfg = ModelConfig()
     params = init_backbone(cfg, seed=0)
     img = Tensor(np.random.default_rng(5).uniform(size=(2, 1, 32, 32)), requires_grad=True)
     counts, seen, stack = Counter(), set(), [extract_features(img, params, cfg)._node]

@@ -155,8 +155,8 @@ class TestBuildDataset:
         assert blurred >= 15
 
     def test_blur_quota_with_skewed_mix(self):
-        mix = {"camouflaged": 0.5, "small": 0.25, "incomplete": 0.2, "blurry_noisy": 0.05}
-        ds = build_dataset(DatasetConfig(seed=3, transform_mix=mix))
+        ds = build_dataset(DatasetConfig(seed=3, mix_camouflaged=0.5, mix_incomplete=0.2,
+                                         mix_blurry_noisy=0.05))
         blurred = sum(1 for s in ds.query if "blurry_noisy" in s.transforms_applied)
         assert blurred >= int(np.ceil(0.05 * len(ds.query)))
 
@@ -183,8 +183,8 @@ class TestBuildDataset:
 
     def test_invalid_mix_rejected(self):
         with pytest.raises(ConfigError):
-            DatasetConfig(transform_mix={"camouflaged": 0.7, "small": 0.25,
-                                         "incomplete": 0.2, "blurry_noisy": 0.05}).validate()
+            DatasetConfig(mix_camouflaged=0.7, mix_incomplete=0.2,
+                          mix_blurry_noisy=0.05).validate()
         with pytest.raises(ConfigError):
             DatasetConfig(blur_fraction=0.01).validate()
 
@@ -193,9 +193,8 @@ class TestBuildDataset:
     # blur_fraction died in int() with a message naming no key
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_mix_or_blur_fraction_names_its_key(self, value):
-        mix = dict(DatasetConfig().transform_mix, camouflaged=value)
         with pytest.raises(ConfigError, match="camouflaged"):
-            DatasetConfig(transform_mix=mix).validate()
+            DatasetConfig(mix_camouflaged=value).validate()
         with pytest.raises(ConfigError, match="blur_fraction"):
             DatasetConfig(blur_fraction=value).validate()
 
@@ -209,7 +208,7 @@ class TestBuildDataset:
         # mix); the quota runs in a child process so that a hang fails
         code = ("from condrep.data import DatasetConfig, _tag_quota\n"
                 "for f in (0.27, 0.5, 1.0):\n"
-                "    tags = _tag_quota(DatasetConfig().transform_mix, 60, f)\n"
+                "    tags = _tag_quota(DatasetConfig(query_per_class=60, blur_fraction=f))\n"
                 "    print(len(tags), tags.count('blurry_noisy'))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from condrep import evaluate
-from condrep.backbone import BackboneConfig
 from condrep.config import STRATEGIES
 from condrep.data import DatasetConfig, build_dataset
 from condrep.evaluate import (BASELINE, EvalReport, classify_query,
@@ -23,8 +22,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def model():
-    cfg = ModelConfig(backbone=BackboneConfig(input_size=16, blocks=((8, 2), (8, 2), (8, 2)),
-                                              feature_channels=8, feature_side=2))
+    cfg = ModelConfig(image_size=16, feature_side=2, feature_channels=8)
     return Model.init(cfg, seed=0)
 
 
@@ -305,8 +303,7 @@ class TestGroups:
         # 16 px images and a 4x4x16 grid: an image fills 16 KB of first conv
         # output and a pair gathers two 2 KB maps, so the budget below makes
         # groups of 4 images and of 16 pairs
-        cfg = ModelConfig(backbone=BackboneConfig(input_size=16, blocks=((8, 2), (16, 2)),
-                                                  feature_channels=16, feature_side=4))
+        cfg = ModelConfig(image_size=16, feature_side=4, feature_channels=16)
         model, baseline = Model.init(cfg, seed=0), Model.init(cfg, seed=1)
         task = sample_episode(dataset, 3, k_shot, 5, seed=2)
         kwargs = dict(n_way=3, k_shot=k_shot, q_per_class=5, n_episodes=3, seed=6,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import pytest
 
 from condrep import evaluate, io as cio, training
 from condrep.autodiff import Tensor, no_grad
-from condrep.backbone import BackboneConfig
 from condrep.cli import build_parser, main
 from condrep.config import CONFIG_TABLE, DEFAULT_CONFIG, STRATEGIES, config_values
 from condrep.data import DatasetConfig, build_dataset, export_pools
@@ -29,8 +29,7 @@ from condrep.rerepresent import re_represent_pair
 
 
 def tiny_model(seed=0):
-    cfg = ModelConfig(backbone=BackboneConfig(input_size=16, blocks=((8, 2), (8, 2), (8, 2)),
-                                              feature_channels=8, feature_side=2))
+    cfg = ModelConfig(image_size=16, feature_side=2, feature_channels=8)
     return Model.init(cfg, seed=seed)
 
 
@@ -96,6 +95,24 @@ class TestCheckpoint:
         assert config == model.config
         for name, p in model.parameters().items():
             assert np.array_equal(params[name], p.data), name
+
+    # the header is the checkpoint format: these lines were written when the
+    # backbone's blocks and input channels were config fields of their own
+    @pytest.mark.parametrize("overrides,header", [
+        ({}, 'header {"meta": {"seed": 0}, "model_config": {"backbone": {"blocks": '
+             '[[8, 2], [16, 2], [32, 2]], "channels_in": 1, "feature_channels": 32, '
+             '"feature_side": 4, "input_size": 32}, "kernel_shape": [3, 3, 3, 3], '
+             '"structure": "siamese"}}'),
+        ({"image_size": "28", "feature_side": "7", "feature_channels": "64"},
+         'header {"meta": {"seed": 0}, "model_config": {"backbone": {"blocks": '
+         '[[32, 2], [64, 2]], "channels_in": 1, "feature_channels": 64, '
+         '"feature_side": 7, "input_size": 28}, "kernel_shape": [3, 3, 3, 3], '
+         '"structure": "siamese"}}')], ids=["default", "28px_7x7x64"])
+    def test_header_line_is_the_stored_format(self, tmp_path, overrides, header):
+        cfg = cio.model_config_from(dict(DEFAULT_CONFIG, **overrides))
+        cio.save_checkpoint(tmp_path / "ck.txt", Model.init(cfg, seed=0), meta={"seed": 0})
+        assert (tmp_path / "ck.txt").read_text().splitlines()[1] == header
+        assert cio.load_checkpoint(tmp_path / "ck.txt")[0] == cfg
 
     def test_model_from_checkpoint(self, tmp_path):
         model = tiny_model(seed=4)
@@ -296,6 +313,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 1"):
             cio.resolve_config(f)
 
+    # the later line won silently: epochs=3 then epochs=5 trained 5 epochs
+    def test_key_given_twice_in_a_file_rejected(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("epochs=3\n# comment\nseed=1\n epochs = 5\n")
+        with pytest.raises(ConfigError, match=f"epochs is given twice in {f}, on lines 1 and 4"):
+            cio.resolve_config(f)
+        f.write_text("epochs=3\n")
+        assert cio.resolve_config(f, {"epochs": 5})["epochs"] == "5"   # a flag still wins
+
     def test_hash_is_stable_and_order_free(self):
         a = cio.config_hash({"b": "2", "a": "1"})
         b = cio.config_hash({"a": "1", "b": "2"})
@@ -349,6 +375,10 @@ class TestConfigTable:
         assert cio.model_config_from(DEFAULT_CONFIG) == ModelConfig()
         assert cio.train_config_from(DEFAULT_CONFIG) == training.TrainConfig()
         v = config_values(DEFAULT_CONFIG)
+        for cls in (DatasetConfig, ModelConfig, training.TrainConfig):
+            # every field is a table key, with the table's default
+            assert {f.name: f.default for f in fields(cls)} \
+                == {f.name: v[f.name] for f in fields(cls)}, cls.__name__
         suite = inspect.signature(evaluate.run_evaluation_suite).parameters
         assert {key: suite[key].default for key in ("n_way", "k_shot", "q_per_class",
                                                     "n_episodes", "strategies", "seed")} \
@@ -630,9 +660,18 @@ class TestCli:
         ("--accuracy-csv", "episode,a\n0,7.5\n", "a accuracy 7.5 on line 2 of {csv}"),
         ("--accuracy-csv", "episode,a,b\n0,0.5,-2\n", "b accuracy -2.0 on line 2 of {csv}"),
         ("--loss-csv", "epoch,mean_loss\n0,1.0\n1,inf\n", "loss inf on line 3 of {csv}"),
-        ("--loss-csv", "epoch,mean_loss\n0,nan\n", "loss nan on line 2 of {csv}")],
+        ("--loss-csv", "epoch,mean_loss\n0,nan\n", "loss nan on line 2 of {csv}"),
+        # each was drawn with exit 0: one bar over both "a" columns, an
+        # unlabelled bar, and a curve from x = -1550 labelled "epoch 0..0"
+        ("--accuracy-csv", "episode,a,a\n0,1.0,0.0\n1,1.0,0.0\n",
+         "column 3 of {csv} has the repeated strategy name 'a'"),
+        ("--accuracy-csv", "episode,\n0,0.5\n", "column 2 of {csv} has an empty strategy name"),
+        ("--loss-csv", "epoch,mean_loss\n5,2.0\n2,1.0\n0,0.5\n",
+         "epoch 5 on line 2 of {csv}; the epochs must run 0, 1, 2, ... in order"),
+        ("--loss-csv", "epoch,mean_loss\n0,2.0\n2,1.0\n", "epoch 2 on line 3 of {csv}")],
         ids=["accuracy", "loss", "accuracy-nan", "accuracy-above-1", "accuracy-negative",
-             "loss-inf", "loss-nan"])
+             "loss-inf", "loss-nan", "accuracy-repeated-name", "accuracy-empty-name",
+             "loss-epochs-out-of-order", "loss-epoch-skipped"])
     def test_plot_with_bad_csv_exits_2(self, tmp_path, capsys, flag, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -706,21 +745,33 @@ class TestCli:
         assert "Traceback" not in err
         assert "error: checkpoint:" in err and "header line" in err
 
-    # each exited 2 with "not enough values to unpack" (or "too many values"),
-    # naming neither the key nor the block
-    @pytest.mark.parametrize("block", [[8], [8, 2, 1]], ids=["one_entry", "three_entries"])
-    def test_header_block_not_a_pair_exits_2_naming_the_key(self, tmp_path, capsys, block):
+    # a block of one or three entries exited 2 with "not enough values to
+    # unpack" (or "too many values"), naming neither the key nor the block;
+    # the blocks and input channels now follow from the header's sizes, and
+    # one that does not names a backbone no config builds
+    @pytest.mark.parametrize("key,value,named", [
+        ("blocks", [[8, 2], [8], [8, 2]], "backbone.blocks[1]"),
+        ("blocks", [[8, 2], [8, 2, 1], [8, 2]], "backbone.blocks[1]"),
+        ("blocks", [[8, 2], [16, 2], [8, 2]], "backbone.blocks[1]"),
+        ("blocks", [[8, 2], [8, 2]], "backbone.blocks[2]"),
+        ("blocks", [[8, 2], [8, 2], [8, 2], [8, 2]], "backbone.blocks[3]"),
+        ("channels_in", 2, "backbone.channels_in"),
+        ("feature_side", 0, "feature_side must be >= 2, got 0")],
+        ids=["one_entry", "three_entries", "wider_block", "missing_block", "extra_block",
+             "channels_in_2", "feature_side_0"])
+    def test_header_backbone_not_derived_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                                 key, value, named):
         path, lines = saved_checkpoint(tmp_path)
         header = json.loads(lines[1][len("header "):])
-        header["model_config"]["backbone"]["blocks"][1] = block
+        header["model_config"]["backbone"][key] = value
         lines[1] = "header " + json.dumps(header, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         rc = main(["eval", "--out", str(tmp_path / "run"), "--checkpoint", str(path),
                    *TINY_FLAGS])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "Traceback" not in err
-        assert "backbone.blocks[1]" in err
+        assert "Traceback" not in err and named in err
+        assert not (tmp_path / "run").exists()
 
     def test_zero_episodes_exits_2_without_traceback_or_report(self, tmp_path):
         # it exited 0 with a report of mean 0.0 over 0 episodes and a
@@ -789,8 +840,7 @@ class TestCli:
         # eval built a model config from the grid keys only to read its image
         # size, so a 28-pixel checkpoint failed with "cannot reach
         # feature_side 4" unless the unused --feature-side 7 was passed too
-        cfg = ModelConfig(backbone=BackboneConfig(input_size=28, blocks=((8, 2), (8, 2)),
-                                                  feature_channels=8, feature_side=7))
+        cfg = ModelConfig(image_size=28, feature_side=7, feature_channels=8)
         cio.save_checkpoint(tmp_path / "ckpt.txt", Model.init(cfg, seed=0))
         flags = ["--checkpoint", str(tmp_path / "ckpt.txt"), "--n-classes", "3",
                  "--support-per-class", "2", "--query-per-class", "2", "--n-way", "2",

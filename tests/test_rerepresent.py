@@ -12,7 +12,6 @@ from condrep import io as cio
 from condrep.autodiff import Tensor, backward, no_grad
 from condrep.exceptions import ConfigError, DimensionError
 from condrep.model import Model, ModelConfig
-from condrep.backbone import BackboneConfig
 from condrep.conditional import conditional_forward
 from condrep.config import DEFAULT_CONFIG
 from condrep.rerepresent import (finalize_vector, fuse_conditional, init_rerep_params,
@@ -28,12 +27,8 @@ def params():
 
 
 def tiny_model(structure="siamese", seed=0):
-    cfg = ModelConfig(
-        backbone=BackboneConfig(input_size=8, blocks=((8, 2), (8, 2)),
-                                feature_channels=8, feature_side=2),
-        kernel_shape=(3, 3, 3, 3),
-        structure=structure,
-    )
+    cfg = ModelConfig(image_size=8, feature_side=2, feature_channels=8,
+                      kernel_shape=(3, 3, 3, 3), structure=structure)
     return Model.init(cfg, seed=seed)
 
 
@@ -278,7 +273,7 @@ def test_pairs_do_not_depend_on_their_batch(config, structure):
     model = Model.init(cfg, seed=3)
     k = model.kernel.weights.data
     k[:, :, 1, 1] = np.random.default_rng(1).normal(0, 0.05, size=k.shape[:2])
-    side, c = cfg.backbone.feature_side, cfg.channels
+    side, c = cfg.feature_side, cfg.feature_channels
     rng = np.random.default_rng(2)
     fs, fq = (rng.normal(size=(40, side, side, c)) for _ in range(2))
     with no_grad():

@@ -19,7 +19,6 @@ from condrep.cli import main
 from condrep.data import DatasetConfig, build_dataset
 from condrep.exceptions import (ConfigError, ContractError, DataError, DimensionError,
                                 NonFiniteLossError)
-from condrep.backbone import BackboneConfig
 from condrep.model import Model, ModelConfig
 from condrep.optim import AdamW
 from condrep.rerepresent import re_represent_pair
@@ -71,11 +70,7 @@ def tiny_dataset(seed=0, n_classes=3):
 
 
 def tiny_model(structure="siamese", seed=0):
-    cfg = ModelConfig(
-        backbone=BackboneConfig(input_size=16, blocks=((8, 2), (8, 2), (8, 2)),
-                                feature_channels=8, feature_side=2))
-    if structure != "siamese":
-        cfg = ModelConfig(backbone=cfg.backbone, structure=structure)
+    cfg = ModelConfig(image_size=16, feature_side=2, feature_channels=8, structure=structure)
     return Model.init(cfg, seed=seed)
 
 
@@ -473,7 +468,7 @@ def test_block_conv_outputs_are_freed_before_backward(monkeypatch):
     model = Model.init(ModelConfig(), seed=0)
     batch = sample_pair_batch(build_dataset(DatasetConfig()), 8, np.random.default_rng(0))
     loss = batch_loss(model, batch, 1.0)
-    assert len(outputs) == 2 * 2 * len(model.config.backbone.blocks)   # support, query
+    assert len(outputs) == 2 * 2 * len(model.config.blocks)   # support, query
     assert all(ref() is None for ref in outputs)
     backward(loss)
     assert all(p.grad is not None for p in model.parameters().values())
@@ -488,7 +483,7 @@ def test_training_step_reuses_freed_heap_pages():
     ds = build_dataset(DatasetConfig())
     model = Model.init(ModelConfig(), seed=0)
     cfg = TrainConfig(epochs=1, batches_per_epoch=1)
-    assert (cfg.batch_size, model.config.backbone.input_size) == (80, 32)
+    assert (cfg.batch_size, model.config.image_size) == (80, 32)
     opt = AdamW(model.parameters())
     rng = np.random.default_rng(0)
     # every step replays one batch, so the warm-up steps reach the heap's
