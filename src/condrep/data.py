@@ -18,6 +18,14 @@ Glyphs share what does not depend on their draw: the coordinate grid is
 computed once per image size and the stripe wave once per class and size
 (``_coordinate_grid`` and ``_stripe_wave``, both cached read-only), so a
 default build of 400 images computes one grid and five waves.
+
+Glyphs are rendered as arrays, one class and pool at a time
+(``_render_glyphs``). Each glyph still draws its five pose and intensity
+values from its own generator; the masks, textures and images of up to
+``_GLYPH_BATCH_BYTES`` of glyphs are then computed as (n, size, size)
+arrays, and each sample holds its slice. ``generate_base_image`` is the
+same path for one seed. Pools are byte-identical to the per-glyph code that
+``tests/referees.py`` keeps as the referee.
 """
 from __future__ import annotations
 
@@ -34,6 +42,12 @@ from .exceptions import ConfigError, ContractError, DataError
 SMALL_MAX_FRACTION = 0.01      # target pixels / image pixels after "small"
 INCOMPLETE_MIN_REMOVED = 0.5   # fraction of target pixels an occluder must take
 CAMOUFLAGE_MEAN_TOL = 0.05     # |bg mean - target mean| after "camouflaged"
+
+# each glyph's five draws, in order: radius, centre x and y offsets (in
+# 32-pixel units), background level, texture brightness
+_DRAW_LOW = np.array([9.0, -2.0, -2.0, 0.08, 0.68])
+_DRAW_HIGH = np.array([11.0, 2.0, 2.0, 0.22, 0.9])
+_GLYPH_BATCH_BYTES = 3 << 19   # 1.5 MB per (n, size, size) float64 array: 192 glyphs at 32 px
 
 
 @dataclass
@@ -91,14 +105,22 @@ def _stripe_wave(class_id: int, size: int) -> np.ndarray:
     return wave
 
 
-def _shape_mask(family: int, size: int, r: float, cx: float, cy: float) -> np.ndarray:
+def _square(values: np.ndarray) -> np.ndarray:
+    """Each value's ``** 2`` as a Python float, which the C library's ``pow``
+    rounds; numpy's ``**`` multiplies instead, and the two differ in the last
+    bit for about one value in 1,200."""
+    return np.array([v ** 2 for v in values.reshape(-1).tolist()]).reshape(values.shape)
+
+
+def _shape_mask(family: int, size: int, r, cx, cy) -> np.ndarray:
+    """(n, size, size) masks of one glyph family for (n, 1, 1) radii and centres."""
     y, x = _coordinate_grid(size)
     dx, dy = x - cx, y - cy
     if family == 0:                                  # disk
         return dx * dx + dy * dy <= r * r
     if family == 1:                                  # ring
         d2 = dx * dx + dy * dy
-        return (d2 <= (1.12 * r) ** 2) & (d2 >= (0.58 * r) ** 2)
+        return (d2 <= _square(1.12 * r)) & (d2 >= _square(0.58 * r))
     if family == 2:                                  # plus
         arm = 0.42 * r
         return ((np.abs(dx) <= arm) | (np.abs(dy) <= arm)) & \
@@ -110,40 +132,63 @@ def _shape_mask(family: int, size: int, r: float, cx: float, cy: float) -> np.nd
         return (dy >= -r) & (dy <= 0.9 * r) & (np.abs(dx) <= 0.75 * (0.9 * r - dy))
     if family == 5:                                  # diagonal cross
         return (np.abs(np.abs(dx) - np.abs(dy)) <= 0.40 * r) & \
-               (dx * dx + dy * dy <= (1.25 * r) ** 2)
+               (dx * dx + dy * dy <= _square(1.25 * r))
     if family == 6:                                  # horizontal bars in a disk
-        period = max(3.0, 0.55 * r)
+        period = np.maximum(3.0, 0.55 * r)
         band = np.mod(dy + 3 * period, period) < 0.62 * period
-        return band & (dx * dx + dy * dy <= (1.2 * r) ** 2)
+        return band & (dx * dx + dy * dy <= _square(1.2 * r))
     # diamond
     return np.abs(dx) + np.abs(dy) <= 1.25 * r
 
 
-def _stroke_texture(class_id: int, size: int, base: float) -> np.ndarray:
-    """Class-specific stripe texture for the glyph interior."""
+def _stroke_texture(class_id: int, size: int, base) -> np.ndarray:
+    """Class-specific stripe texture for the glyph interior, at each brightness in ``base``."""
     return np.clip(base * (0.84 + 0.16 * _stripe_wave(class_id, size)), 0.0, 1.0)
+
+
+def _render_glyphs(class_id: int, seeds: list[int], size: int) -> list[SyntheticSample]:
+    """One clean support-style sample of ``class_id`` per seed. Each glyph draws
+    its radius, centre offsets, background and brightness from its own
+    generator; masks and images are then computed for a batch of glyphs at once."""
+    unit = np.array([np.random.default_rng(np.random.SeedSequence(
+        [0x67657, class_id, seed, size])).random(5) for seed in seeds]).reshape(-1, 5)
+    # Generator.uniform maps each draw as low + (high - low) * draw; mapping
+    # the batch's draws here gives the same values, and random(5) costs under
+    # a tenth of one uniform call over the five ranges
+    draws = _DRAW_LOW + (_DRAW_HIGH - _DRAW_LOW) * unit
+    scale = size / 32.0
+    radius = draws[:, 0] * scale
+    cx, cy = size / 2.0 + draws[:, 1:3].T * scale
+    step = max(1, _GLYPH_BATCH_BYTES // (8 * size * size))
+    samples = []
+    for lo in range(0, len(seeds), step):
+        part = slice(lo, lo + step)
+        masks = _shape_mask(class_id % 8, size, *(v[part, None, None] for v in (radius, cx, cy)))
+        texture = _stroke_texture(class_id, size, draws[part, 4, None, None])
+        images = np.where(masks, texture, draws[part, 3, None, None])
+        samples.extend(SyntheticSample(image=images[k:k + 1], class_id=class_id, pool="support",
+                                       transforms_applied=[], target_mask=masks[k], seed=seed)
+                       for k, seed in enumerate(seeds[part]))
+    return samples
 
 
 def generate_base_image(class_id: int, seed: int, size: int = 32) -> SyntheticSample:
     """Clean support-style sample: class glyph with pose jitter on a uniform
     background; the target covers roughly 10-50% of the pixels."""
     check_keys(image_size=size)
-    rng = np.random.default_rng(np.random.SeedSequence([0x67657, class_id, seed, size]))
-    family = class_id % 8
-    scale = size / 32.0
-    r = rng.uniform(9.0, 11.0) * scale
-    cx = size / 2.0 + rng.uniform(-2.0, 2.0) * scale
-    cy = size / 2.0 + rng.uniform(-2.0, 2.0) * scale
-    mask = _shape_mask(family, size, r, cx, cy)
-    background = rng.uniform(0.08, 0.22)
-    texture = _stroke_texture(class_id, size, base=rng.uniform(0.68, 0.9))
-    image = np.where(mask, texture, background)[None, :, :]
-    return SyntheticSample(image=image, class_id=class_id, pool="support",
-                           transforms_applied=[], target_mask=mask, seed=seed)
+    return _render_glyphs(class_id, [seed], size)[0]
 
 
 def _background_value(sample: SyntheticSample) -> float:
-    return float(np.median(sample.image[0][~sample.target_mask]))
+    """The median of the pixels outside the target, as ``np.median`` computes it."""
+    values = sample.image[0][~sample.target_mask]
+    if not values.size:
+        return float("nan")   # np.median of no values
+    mid = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, mid)[mid])
+    low, high = np.partition(values, (mid - 1, mid))[mid - 1:mid + 1]
+    return float((low + high) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -151,37 +196,43 @@ def _background_value(sample: SyntheticSample) -> float:
 # ---------------------------------------------------------------------------
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
-    """Separable box blur with edge padding."""
+    """Separable box blur with edge padding: each pass differences a running
+    sum that starts with a zero row (column)."""
     k = 2 * radius + 1
-    padded = np.pad(img, radius, mode="edge")
-    cs = padded.cumsum(axis=0)
-    cs = np.vstack([np.zeros((1, cs.shape[1])), cs])
+    h, w = img.shape
+    padded = img.take(_edge_index(h, radius), axis=0).take(_edge_index(w, radius), axis=1)
+    cs = np.zeros((h + k, w + k - 1))
+    np.cumsum(padded, axis=0, out=cs[1:])
     rows = (cs[k:] - cs[:-k]) / k
-    cs = rows.cumsum(axis=1)
-    cs = np.hstack([np.zeros((cs.shape[0], 1)), cs])
+    cs = np.zeros((h, w + k))
+    np.cumsum(rows, axis=1, out=cs[:, 1:])
     return (cs[:, k:] - cs[:, :-k]) / k
+
+
+def _edge_index(n: int, radius: int) -> np.ndarray:
+    """Indices that pad an axis of length ``n`` by ``radius`` copies of its edge values."""
+    return np.minimum(np.maximum(np.arange(-radius, n + radius), 0), n - 1)
 
 
 def _nearest_resample(arr: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     h, w = arr.shape
     rows = np.minimum((np.arange(new_h) * h / new_h).astype(int), h - 1)
     cols = np.minimum((np.arange(new_w) * w / new_w).astype(int), w - 1)
-    return arr[np.ix_(rows, cols)]
+    return arr.take(rows, axis=0).take(cols, axis=1)
 
 
 def _camouflage(sample: SyntheticSample, rng) -> tuple[np.ndarray, np.ndarray]:
     img = sample.image[0]
     mask = sample.target_mask
-    t_mean = img[mask].mean()
-    t_std = max(float(img[mask].std()), 0.02)
-    noise = rng.normal(t_mean, t_std, size=img.shape)
+    target, outside = img[mask], ~mask
+    noise = rng.normal(target.mean(), max(float(target.std()), 0.02), size=img.shape)
     out = np.where(mask, img, noise)
     for _ in range(3):   # re-centre after clipping until the mean rule holds
         out = np.clip(out, 0.0, 1.0)
-        drift = out[mask].mean() - out[~mask].mean()
+        drift = out[mask].mean() - out[outside].mean()
         if abs(drift) <= CAMOUFLAGE_MEAN_TOL * 0.8:
             break
-        out[~mask] += drift
+        out[outside] += drift
     return np.clip(out, 0.0, 1.0), mask.copy()
 
 
@@ -198,8 +249,8 @@ def _shrink(sample: SyntheticSample, rng) -> tuple[np.ndarray, np.ndarray]:
     while True:
         nh, nw = max(1, int(round(h * s))), max(1, int(round(w * s)))
         small_mask = _nearest_resample(sub_mask, nh, nw)
-        small_img = _nearest_resample(sub_img, nh, nw)
         if small_mask.sum() <= budget and small_mask.any():
+            small_img = _nearest_resample(sub_img, nh, nw)
             break
         if nh == 1 and nw == 1:
             # the single sampled cell missed the glyph (hollow shapes); take a
@@ -263,7 +314,7 @@ def apply_difficulty(sample: SyntheticSample, tag: str, seed: int) -> SyntheticS
         raise ConfigError(f"apply_difficulty: unknown tag '{tag}'")
     rng = np.random.default_rng(np.random.SeedSequence([0x7472, sample.class_id, seed]))
     image, mask = _TRANSFORMS[tag](sample, rng)
-    if np.array_equal(image, sample.image[0]):
+    if (image == sample.image[0]).all():   # every transform keeps the image's shape
         raise ContractError(f"apply_difficulty: '{tag}' left the image unchanged")
     return SyntheticSample(image=image[None, :, :], class_id=sample.class_id,
                            pool="query", transforms_applied=[tag],
@@ -319,17 +370,20 @@ def build_dataset(cfg: DatasetConfig) -> SyntheticDataset:
     support: list[SyntheticSample] = []
     query: list[SyntheticSample] = []
     for c in range(cfg.n_classes):
-        for i in range(cfg.support_per_class):
-            seed = int(np.random.SeedSequence([cfg.seed, 1, c, i]).generate_state(1)[0])
-            support.append(generate_base_image(c, seed, cfg.image_size))
+        support.extend(_render_glyphs(c, _glyph_seeds(cfg, 1, c, cfg.support_per_class),
+                                      cfg.image_size))
         tags = _tag_quota(cfg)
         shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, c]))
         shuffle_rng.shuffle(tags)
-        for i, tag in enumerate(tags):
-            seed = int(np.random.SeedSequence([cfg.seed, 3, c, i]).generate_state(1)[0])
-            base = generate_base_image(c, seed, cfg.image_size)
-            query.append(apply_difficulty(base, tag, seed=seed))
+        bases = _render_glyphs(c, _glyph_seeds(cfg, 3, c, cfg.query_per_class), cfg.image_size)
+        query.extend(apply_difficulty(base, tag, seed=base.seed) for base, tag in zip(bases, tags))
     return SyntheticDataset(config=cfg, support=support, query=query)
+
+
+def _glyph_seeds(cfg: DatasetConfig, pool_key: int, class_id: int, n: int) -> list[int]:
+    """The generation seeds of one class's ``n`` glyphs in one pool (1 support, 3 query)."""
+    return [int(np.random.SeedSequence([cfg.seed, pool_key, class_id, i]).generate_state(1)[0])
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Persistence: checkpoints, run configs, CSV tables, and JSON reports.
 
-Checkpoints are line-oriented text. Every value is written with
-``float.hex``, eight to a line, so a save/load round trip reproduces each
-parameter bit-exactly. Each tensor is formatted from one ``tolist()`` and
-parsed back with one ``map(float.fromhex, ...)`` over its tokens; a token
-without the ``0x`` prefix that ``float.hex`` writes (``1.5``, ``10``) is
-refused rather than read as hex. No artifact carries a timestamp, so
-reruns with the same config and seed are byte-identical.
+Checkpoints are line-oriented text. Every value is written as ``float.hex``
+writes it, eight to a line, so a save/load round trip reproduces each
+parameter bit-exactly. Each tensor is formatted in one array pass over its
+float64 bits (``_hex_lines``): sign, lead digit, the 13 hex digits of the
+fraction read from its big-endian bytes through a byte-to-two-digits table,
+and the exponent from a table of all 2,048 exponent fields, one 25-byte row
+per token. It is parsed back with one ``map(float.fromhex, ...)`` over its
+tokens; a token without the ``0x`` prefix that ``float.hex`` writes
+(``1.5``, ``10``) is refused rather than read as hex. No artifact carries a
+timestamp, so reruns with the same config and seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -38,8 +41,8 @@ def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
     for name, p in sorted(model.parameters().items()):
         dims = " ".join(str(d) for d in p.data.shape)
         lines.append(f"tensor {name} {p.data.ndim} {dims}".rstrip())
-        values = list(map(float.hex, p.data.reshape(-1).tolist()))
-        lines.extend(" ".join(values[i:i + 8]) for i in range(0, len(values), 8))
+        if p.data.size:
+            lines.append(_hex_lines(p.data))
     lines.append("end")
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -47,6 +50,44 @@ def save_checkpoint(path, model: Model, meta: dict | None = None) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+# _hex_lines writes each float.hex token, at most 24 characters ("-0x1." + 13
+# hex digits + "p-1022"), into a row of 25 zero bytes, the last one for the
+# separator, and drops the bytes it leaves 0
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", np.uint8)
+_BYTE_DIGITS = np.frombuffer(b"".join(b"%02x" % i for i in range(256)), np.uint16)
+# "p" and the exponent by exponent field, zero-padded to 6 bytes: field 0 (the
+# subnormals) writes p-1022, and zero takes the row of field 1023, p+0
+_EXPONENTS = np.array([f"p{max(field, 1) - 1023:+d}".encode() for field in range(2048)],
+                      dtype="S6").view(np.uint8).reshape(2048, 6)
+
+
+def _hex_lines(values: np.ndarray) -> str:
+    """``float.hex`` of every value, eight to a line, in one pass over the bits.
+    A token is the sign, the lead (0x1. for a normal value, 0x0. for zero and
+    the subnormals), 13 hex digits of the fraction (one for zero) and the
+    exponent; inf and nan are written as their repr, as float.hex writes them."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits = flat.view(np.uint64)
+    field = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
+    zero = (bits << np.uint64(1)) == 0
+    big = flat.astype(">f8").view(np.uint8).reshape(-1, 8)   # sign and exponent bits first
+    rows = np.zeros((flat.size, 25), np.uint8)
+    rows[big[:, 0] >= 0x80, 0] = ord("-")
+    rows[:, 1:5] = np.frombuffer(b"0x1.", np.uint8)
+    rows[field == 0, 3] = ord("0")
+    rows[:, 5] = _HEX_DIGITS[big[:, 1] & 15]
+    rows[:, 6:18] = _BYTE_DIGITS.take(big[:, 2:]).view(np.uint8)
+    rows[zero, 6:18] = 0
+    rows[:, 18:24] = _EXPONENTS[np.where(zero, 1023, field)]
+    for i in np.flatnonzero(field == 0x7FF):
+        text = repr(float(flat[i])).encode()
+        rows[i, :24] = 0
+        rows[i, :len(text)] = np.frombuffer(text, np.uint8)
+    rows[:, 24] = ord(" ")
+    rows[7::8, 24] = rows[-1, 24] = ord("\n")
+    return rows[rows != 0].tobytes().decode("ascii")[:-1]
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:

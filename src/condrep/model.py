@@ -28,8 +28,9 @@ class ModelConfig:
         return block_widths(self.image_size, self.feature_side, self.feature_channels)
 
     def validate(self):
-        check_keys(feature_channels=self.feature_channels, feature_side=self.feature_side,
-                   kernel_shape=tuple(self.kernel_shape), structure=self.structure)
+        check_keys(image_size=self.image_size, feature_channels=self.feature_channels,
+                   feature_side=self.feature_side, kernel_shape=tuple(self.kernel_shape),
+                   structure=self.structure)
         block_widths(self.image_size, self.feature_side, self.feature_channels)
 
     def to_dict(self) -> dict:

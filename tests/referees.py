@@ -1,6 +1,7 @@
 """Referees: the slow, literal forms that the tests and demos 01-03 check
 the package against (finite differences, the dense 4D convolution, the
-difficulty-rule re-measurement). Nothing under ``condrep`` imports them."""
+per-glyph base image, the difficulty-rule re-measurement, ``float.hex``
+checkpoint lines). Nothing under ``condrep`` imports them."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,7 +10,7 @@ from condrep import autodiff as ad
 from condrep.autodiff import Tensor
 from condrep.conditional import ConvKernel4D, _directional_reduce, _fold_weights
 from condrep.data import (CAMOUFLAGE_MEAN_TOL, INCOMPLETE_MIN_REMOVED, SMALL_MAX_FRACTION,
-                          SyntheticSample, generate_base_image)
+                          SyntheticSample)
 from condrep.exceptions import ConfigError, ContractError, DimensionError
 
 
@@ -133,6 +134,71 @@ def conv4d_oracle(rel, kernel: ConvKernel4D, direction: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# per-glyph base image
+# ---------------------------------------------------------------------------
+
+def base_image_referee(class_id: int, seed: int, size: int = 32) -> SyntheticSample:
+    """One glyph drawn with five ``uniform`` calls from its own generator and
+    rendered on its own with scalar shape arithmetic; referee for the batched
+    ``condrep.data`` glyph path."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x67657, class_id, seed, size]))
+    scale = size / 32.0
+    r = rng.uniform(9.0, 11.0) * scale
+    cx = size / 2.0 + rng.uniform(-2.0, 2.0) * scale
+    cy = size / 2.0 + rng.uniform(-2.0, 2.0) * scale
+    mask = _glyph_mask(class_id % 8, size, r, cx, cy)
+    background = rng.uniform(0.08, 0.22)
+    base = rng.uniform(0.68, 0.9)
+    y, x = np.indices((size, size)).astype(float)
+    angle = (class_id * 0.9) % np.pi
+    freq = 0.55 + 0.18 * ((class_id * 3) % 4)
+    wave = np.sin(freq * (np.cos(angle) * x + np.sin(angle) * y))
+    texture = np.clip(base * (0.84 + 0.16 * wave), 0.0, 1.0)
+    image = np.where(mask, texture, background)[None, :, :]
+    return SyntheticSample(image=image, class_id=class_id, pool="support",
+                           transforms_applied=[], target_mask=mask, seed=seed)
+
+
+def _glyph_mask(family: int, size: int, r: float, cx: float, cy: float) -> np.ndarray:
+    y, x = np.indices((size, size)).astype(float)
+    dx, dy = x - cx, y - cy
+    if family == 0:                                  # disk
+        return dx * dx + dy * dy <= r * r
+    if family == 1:                                  # ring
+        d2 = dx * dx + dy * dy
+        return (d2 <= (1.12 * r) ** 2) & (d2 >= (0.58 * r) ** 2)
+    if family == 2:                                  # plus
+        arm = 0.42 * r
+        return ((np.abs(dx) <= arm) | (np.abs(dy) <= arm)) & \
+               (np.maximum(np.abs(dx), np.abs(dy)) <= 1.15 * r)
+    if family == 3:                                  # square frame
+        m = np.maximum(np.abs(dx), np.abs(dy))
+        return (m <= r) & (m >= 0.52 * r)
+    if family == 4:                                  # triangle
+        return (dy >= -r) & (dy <= 0.9 * r) & (np.abs(dx) <= 0.75 * (0.9 * r - dy))
+    if family == 5:                                  # diagonal cross
+        return (np.abs(np.abs(dx) - np.abs(dy)) <= 0.40 * r) & \
+               (dx * dx + dy * dy <= (1.25 * r) ** 2)
+    if family == 6:                                  # horizontal bars in a disk
+        period = max(3.0, 0.55 * r)
+        band = np.mod(dy + 3 * period, period) < 0.62 * period
+        return band & (dx * dx + dy * dy <= (1.2 * r) ** 2)
+    # diamond
+    return np.abs(dx) + np.abs(dy) <= 1.25 * r
+
+
+# ---------------------------------------------------------------------------
+# checkpoint value lines
+# ---------------------------------------------------------------------------
+
+def float_hex_lines(values) -> str:
+    """``float.hex`` of every value, eight to a line: referee for the
+    checkpoint writer's array formatter."""
+    tokens = list(map(float.hex, np.asarray(values, dtype=np.float64).reshape(-1).tolist()))
+    return "\n".join(" ".join(tokens[i:i + 8]) for i in range(0, len(tokens), 8))
+
+
+# ---------------------------------------------------------------------------
 # difficulty-rule re-measurement
 # ---------------------------------------------------------------------------
 
@@ -144,7 +210,7 @@ def measure_rule(sample: SyntheticSample) -> dict:
     tag = sample.transforms_applied[0]
     img = sample.image[0]
     mask = sample.target_mask
-    base = generate_base_image(sample.class_id, sample.seed, img.shape[0])
+    base = base_image_referee(sample.class_id, sample.seed, img.shape[0])
     if tag == "small":
         return {"tag": tag, "mask_fraction": mask.sum() / mask.size,
                 "ok": mask.sum() / mask.size <= SMALL_MAX_FRACTION}

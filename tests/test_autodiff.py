@@ -558,7 +558,8 @@ class TestAdamW:
     # `lr < 0` and `weight_decay < 0` let a NaN through
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("arg,name", [("lr", "learning rate"),
-                                          ("weight_decay", "weight decay"), ("eps", "eps")])
+                                          ("weight_decay", "weight decay"), ("eps", "eps"),
+                                          ("beta1", "betas"), ("beta2", "betas")])
     def test_non_finite_hyperparameter_rejected(self, arg, name, value):
         with pytest.raises(ConfigError, match=name):
             AdamW({"p": Tensor([1.0], requires_grad=True)}, **{arg: value})

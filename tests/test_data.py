@@ -10,11 +10,11 @@ import pytest
 
 from condrep import data
 from condrep.config import DIFFICULTY_TAGS
-from condrep.data import (DatasetConfig, apply_difficulty,
-                          augment_query_image, build_dataset, export_pools,
-                          generate_base_image, load_pools)
+from condrep.data import (CAMOUFLAGE_MEAN_TOL, DatasetConfig, SyntheticSample,
+                          apply_difficulty, augment_query_image, build_dataset,
+                          export_pools, generate_base_image, load_pools)
 from condrep.exceptions import ConfigError, ContractError, DataError
-from referees import measure_rule
+from referees import base_image_referee, measure_rule
 
 
 class TestBaseImages:
@@ -100,6 +100,31 @@ class TestGlyphCaches:
         assert data._stripe_wave.cache_info().misses == cfg.n_classes
 
 
+class TestBatchedGlyphs:
+    # builds render each class's glyphs as (n, size, size) arrays; the
+    # referee draws and renders one glyph at a time, as the generator did
+    # before, and every sample must match it byte for byte
+    @pytest.mark.parametrize("size", [16, 28, 32, 64])
+    def test_batched_glyphs_equal_the_per_glyph_referee(self, size):
+        step = data._GLYPH_BATCH_BYTES // (8 * size * size)
+        for class_id in range(8):   # every shape family
+            seeds = data._glyph_seeds(DatasetConfig(seed=size), 3, class_id, 50)
+            samples = data._render_glyphs(class_id, seeds, size)
+            for seed, got in zip(seeds, samples, strict=True):
+                want = base_image_referee(class_id, seed, size)
+                for a, b in ((got.image, want.image), (got.target_mask, want.target_mask)):
+                    assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), \
+                        (class_id, seed)
+                assert (got.class_id, got.pool, got.transforms_applied, got.seed) == \
+                       (want.class_id, want.pool, want.transforms_applied, want.seed)
+            one = generate_base_image(class_id, seeds[0], size)
+            assert one.image.tobytes() == samples[0].image.tobytes()
+            # each batch's images are one array, and none exceeds the budget
+            batches = {id(s.image.base): s.image.base for s in samples}
+            assert len(batches) == -(-50 // step)
+            assert max(b.nbytes for b in batches.values()) <= data._GLYPH_BATCH_BYTES
+
+
 class TestDifficultyTransforms:
     @pytest.mark.parametrize("tag", DIFFICULTY_TAGS)
     def test_rules_hold_when_re_measured(self, tag):
@@ -126,10 +151,40 @@ class TestDifficultyTransforms:
         gap = abs(img[q.target_mask].mean() - img[~q.target_mask].mean())
         assert gap <= 0.05
 
+    def test_camouflage_re_centres_a_background_that_clipping_pulled_away(self):
+        # a target of mean 7/8 and spread 0.33 draws background noise that
+        # clipping at 1 pulls down by more than 0.8 x the tolerance, so the
+        # background is shifted back before the rule is checked
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[4:12, 4:12] = True
+        img = np.where(mask, 1.0, 0.0)
+        img[4, 4:12] = 0.0
+        sample = SyntheticSample(image=img[None], class_id=0, pool="support",
+                                 transforms_applied=[], target_mask=mask, seed=0)
+        rng = np.random.default_rng(np.random.SeedSequence([0x7472, 0, 0]))
+        noise = rng.normal(img[mask].mean(), img[mask].std(), size=img.shape)
+        clipped = np.clip(np.where(mask, img, noise), 0.0, 1.0)
+        first_drift = clipped[mask].mean() - clipped[~mask].mean()
+        assert first_drift > 0.8 * CAMOUFLAGE_MEAN_TOL
+        out = apply_difficulty(sample, "camouflaged", seed=0).image[0]
+        gap = abs(out[mask].mean() - out[~mask].mean())
+        assert gap <= CAMOUFLAGE_MEAN_TOL and gap < first_drift
+        assert out.min() >= 0.0 and out.max() <= 1.0
+
     def test_blur_must_change_the_image(self):
         base = generate_base_image(0, 2)
         q = apply_difficulty(base, "blurry_noisy", seed=2)
         assert not np.array_equal(q.image, base.image)
+
+    def test_blur_that_leaves_a_uniform_image_unchanged_is_refused(self):
+        # class 0 under seed 0 draws blur only, and a box blur of a uniform
+        # 0.5 image sums and divides exactly, so the image comes back as it went in
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[4:12, 4:12] = True
+        sample = SyntheticSample(image=np.full((1, 16, 16), 0.5), class_id=0, pool="support",
+                                 transforms_applied=[], target_mask=mask, seed=0)
+        with pytest.raises(ContractError, match="'blurry_noisy' left the image unchanged"):
+            apply_difficulty(sample, "blurry_noisy", seed=0)
 
     def test_re_transform_rejected(self):
         q = apply_difficulty(generate_base_image(0, 1), "small", seed=1)

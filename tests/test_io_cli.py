@@ -26,6 +26,7 @@ from condrep.exceptions import ConfigError, DimensionError
 from condrep.model import Model, ModelConfig
 from condrep.plots import PLOT_H, accuracy_bars_svg, loss_curve_svg
 from condrep.rerepresent import re_represent_pair
+from referees import float_hex_lines
 
 
 def tiny_model(seed=0):
@@ -145,6 +146,17 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["ck.txt"]
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda params: params.pop("rerep.final.w1"), r"missing \['rerep.final.w1'\]"),
+        (lambda params: params.update(extra=np.zeros(2)), r"unexpected \['extra'\]")],
+        ids=["missing", "unexpected"])
+    def test_parameter_names_unlike_the_model_rejected(self, tmp_path, edit, named):
+        path, _lines = saved_checkpoint(tmp_path)
+        _cfg, params, _ = cio.load_checkpoint(path)
+        edit(params)
+        with pytest.raises(DimensionError, match=named):
+            tiny_model().load_parameters(params)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "ck.txt"
@@ -158,6 +170,14 @@ class TestCheckpoint:
         path = tmp_path / "bad.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ConfigError):
+            cio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("first", ["condrep-checkpoint 2", "condrep-checkpoint",
+                                       "condrep-checkpoint 1 1"])
+    def test_unsupported_version_line_rejected(self, tmp_path, first):
+        path, lines = saved_checkpoint(tmp_path)
+        path.write_text("\n".join([first] + lines[1:]) + "\n")
+        with pytest.raises(ConfigError, match="unsupported version line"):
             cio.load_checkpoint(path)
 
     def test_half_length_file_rejected(self, tmp_path):
@@ -225,6 +245,20 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="conditional.bias.*non-finite"):
             cio.load_checkpoint(path)
 
+    # the writer formats bits in one array pass; map(float.hex, ...) is its referee
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(0).normal(size=1001),
+        [0.0, -0.0],
+        [5e-324, -5e-324, 2.0 ** -1022, -2.0 ** -1022, np.nextafter(2.0 ** -1022, 0),
+         -np.nextafter(2.0 ** -1022, 0)],
+        [np.finfo(np.float64).max, -np.finfo(np.float64).max],
+        [1.5, -3.0e5, 1e30, 2.0 ** -9, 1e-30, 2.0 ** 1000, -2.0 ** -1000],
+        [np.inf, -np.inf, np.nan, -np.nan, 1.0]],
+        ids=["normals", "signed_zeros", "subnormal_edges", "max_finite",
+             "exponents_of_1_to_4_digits", "inf_nan"])
+    def test_hex_lines_equal_float_hex(self, values):
+        assert cio._hex_lines(np.asarray(values)) == float_hex_lines(values)
+
     def test_value_lines_are_float_hex_eight_per_line(self, tmp_path):
         model = tiny_model(seed=5)
         params = model.parameters()
@@ -246,6 +280,19 @@ class TestCheckpoint:
         for name, p in params.items():
             assert loaded[name].shape == p.data.shape, name
             assert loaded[name].tobytes() == p.data.tobytes(), name
+
+    def test_non_finite_values_are_saved_as_float_hex_and_refused_on_load(self, tmp_path):
+        model = tiny_model(seed=5)
+        w1 = model.parameters()["rerep.final.w1"].data
+        w1.flat[:3] = [np.inf, -np.inf, np.nan]
+        path = tmp_path / "ck.txt"
+        cio.save_checkpoint(path, model)
+        lines = path.read_text().splitlines()
+        at = tensor_line(lines, "rerep.final.w1") + 1
+        assert "\n".join(lines[at:at + w1.size // 8]) == float_hex_lines(w1)
+        assert lines[at].split()[:3] == ["inf", "-inf", "nan"]
+        with pytest.raises(ConfigError, match="rerep.final.w1.*non-finite"):
+            cio.load_checkpoint(path)
 
     def test_legacy_avg_pool_key_loads(self, tmp_path):
         # checkpoints from before max pooling was removed carry "pool": "avg"
@@ -756,9 +803,10 @@ class TestCli:
         ("blocks", [[8, 2], [8, 2]], "backbone.blocks[2]"),
         ("blocks", [[8, 2], [8, 2], [8, 2], [8, 2]], "backbone.blocks[3]"),
         ("channels_in", 2, "backbone.channels_in"),
-        ("feature_side", 0, "feature_side must be >= 2, got 0")],
+        ("feature_side", 0, "feature_side must be >= 2, got 0"),
+        ("input_size", 8, "image_size must be >= 16, got 8")],
         ids=["one_entry", "three_entries", "wider_block", "missing_block", "extra_block",
-             "channels_in_2", "feature_side_0"])
+             "channels_in_2", "feature_side_0", "input_size_8"])
     def test_header_backbone_not_derived_exits_2_naming_the_key(self, tmp_path, capsys,
                                                                  key, value, named):
         path, lines = saved_checkpoint(tmp_path)

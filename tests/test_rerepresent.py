@@ -27,7 +27,7 @@ def params():
 
 
 def tiny_model(structure="siamese", seed=0):
-    cfg = ModelConfig(image_size=8, feature_side=2, feature_channels=8,
+    cfg = ModelConfig(image_size=16, feature_side=2, feature_channels=8,
                       kernel_shape=(3, 3, 3, 3), structure=structure)
     return Model.init(cfg, seed=seed)
 
@@ -208,7 +208,7 @@ class TestRepresentPair:
         model = tiny_model(seed=2)
         rng = np.random.default_rng(17)
         for _ in range(3):
-            images = rng.uniform(size=(4, 1, 8, 8))
+            images = rng.uniform(size=(4, 1, 16, 16))
             feats = model.features(Tensor(images, requires_grad=True))
             fs, fq = re_represent_pair(ad.index_axis(feats, 0, 0),
                                        ad.index_axis(feats, 0, 1), model)
@@ -230,7 +230,7 @@ class TestRepresentPair:
         model = tiny_model(seed=1)
         rng = np.random.default_rng(16)
         model.kernel.weights.data[:, :, 1, 1] = rng.normal(0, 0.05, size=(3, 3))
-        images = rng.uniform(size=(2, 1, 8, 8))
+        images = rng.uniform(size=(2, 1, 16, 16))
 
         def loss_from(model):
             feats = model.features(Tensor(images))

@@ -361,6 +361,13 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value}).validate()
 
+    # 0 derives the count from the support pool, 12 samples in tiny_dataset
+    @pytest.mark.parametrize("batches,batch_size,expected", [
+        (7, 4, 7), (0, 4, 3), (0, 5, 3), (0, 11, 2), (0, 12, 1), (0, 80, 1)])
+    def test_batches_per_epoch_resolves(self, batches, batch_size, expected):
+        cfg = TrainConfig(batch_size=batch_size, batches_per_epoch=batches)
+        assert cfg.resolved_batches(tiny_dataset()) == expected
+
     # a NaN passed every comparison: `train --learning-rate nan` wrote a
     # checkpoint of NaN parameters (1 epoch) or aborted as a non-finite loss,
     # exit 3 (2 epochs); an infinite margin made every hinge active forever
