@@ -36,9 +36,9 @@ Operations accept arbitrary leading batch dimensions where the math
 allows it (matmul, softmax, layer_norm of the last axis, elementwise ops),
 and index_axis selects or gathers along any one axis. The backbone ops are
 channel-major and take (C, B, H, W): conv2d, which builds its im2col
-columns over cache-sized chunks of images, one copy of the unpadded input
-per kernel tap with zeros where the tap reads padding, and rebuilds them
-for the kernel gradient rather than keep them, and norm_relu_pool, which
+columns over cache-sized chunks of images, copying the kernel windows of
+each zero-padded chunk in one pass, and rebuilds them for the kernel
+gradient rather than keep them, and norm_relu_pool, which
 runs the rest of a block (channel norm, relu, average pooling) as one op
 over cache-sized chunks, keeping only the normalized input, a per-position
 inverse deviation and a 1-byte relu mask for backward.
@@ -61,6 +61,7 @@ import sys
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ContractError, DimensionError, StateError
 
@@ -378,12 +379,13 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
     of whole images at a time, about ``_CHUNK_BYTES`` of them, so each copy
     stays in cache. im2col is data movement only (Chellapilla et al., *High
     Performance Convolutional Neural Networks for Document Processing*,
-    2006): each kernel tap copies its window of the unpadded input into its
-    rows of the column buffer and writes 0 in the border strips where it
-    would read padding, so no padded copy of the input is made. The
+    2006): the chunk is copied once into a zero-padded buffer, and its
+    kh x kw windows are copied into the column buffer in one pass. The
     flattened kernel is multiplied into each image's columns straight into
-    the output: every image's gemm has the same shape whatever the batch or
-    chunk, so no output bit depends on the other images. No column matrix
+    the output. Each image's columns are contiguous, so every image's gemm
+    has the same shape and strides whatever the batch or chunk, and no
+    output bit depends on the other images or the chunk size (a BLAS dot or
+    gemv sums a strided operand in another order). No column matrix
     outlives the call: the kernel gradient rebuilds the batch's
     (C_in*kh*kw, B*H'*W') matrix from the input and drops it after its one
     gemm, trading one im2col in backward for the memory (Chen et al.,
@@ -405,43 +407,29 @@ def conv2d(x, kernel, padding: int = 0) -> Tensor:
 
     xd = x.data
 
-    def span(t, size, out_size):
-        # output rows (or columns) [lo, hi) whose tap t reads the input, not padding
-        lo = min(max(0, padding - t), out_size)
-        return lo, max(lo, min(out_size, size + padding - t))
-
-    def im2col(lo, hi):
-        # (C_in*kh*kw, (hi-lo)*H'*W') columns of images lo..hi, (C_in,kh,kw,B,H',W'):
-        # each tap copies its window of the unpadded input and zeroes the
-        # border strips where it would read padding
-        xs, cols = xd[:, lo:hi], np.empty((cin, kh, kw, hi - lo, ho, wo))
-        for i in range(kh):
-            r0, r1 = span(i, h, ho)
-            for j in range(kw):
-                c0, c1 = span(j, w, wo)
-                tap = cols[:, i, j]
-                tap[:, :, r0:r1, c0:c1] = xs[:, :, r0 + i - padding:r1 + i - padding,
-                                             c0 + j - padding:c1 + j - padding]
-                if r0:
-                    tap[:, :, :r0] = 0.0
-                if r1 < ho:
-                    tap[:, :, r1:] = 0.0
-                if c0:
-                    tap[:, :, r0:r1, :c0] = 0.0
-                if c1 < wo:
-                    tap[:, :, r0:r1, c1:] = 0.0
-        return cols.reshape(k, (hi - lo) * ho * wo)
+    def im2col(lo, hi, batch_first):
+        # columns of images lo..hi, (C_in,kh,kw,B,H',W') or, batch_first,
+        # (B,C_in,kh,kw,H',W') in memory, copied in one pass from the kh x kw
+        # windows of the chunk, zero-padded
+        xs = xd[:, lo:hi]
+        if padding:
+            xs = np.zeros((cin, hi - lo, h + 2 * padding, w + 2 * padding))
+            xs[:, :, padding:padding + h, padding:padding + w] = xd[:, lo:hi]
+        win = sliding_window_view(xs, (kh, kw), axis=(2, 3))  # (C_in,B,H',W',kh,kw)
+        return np.ascontiguousarray(
+            win.transpose((1, 0, 4, 5, 2, 3) if batch_first else (0, 4, 5, 1, 2, 3)))
 
     w2 = kernel.data.reshape(cout, k)
     out = np.empty((cout, b, ho * wo))
     step = max(1, _CHUNK_BYTES // max(1, 8 * k * ho * wo))
     for lo in range(0, b, step):
         hi = min(b, lo + step)
-        cols = im2col(lo, hi).reshape(k, hi - lo, ho * wo)
-        np.matmul(w2, cols.transpose(1, 0, 2), out=out[:, lo:hi].transpose(1, 0, 2))
+        cols = im2col(lo, hi, True).reshape(hi - lo, k, ho * wo)
+        np.matmul(w2, cols, out=out[:, lo:hi].transpose(1, 0, 2))
 
     def vjp_kernel(g):
-        return (g.reshape(cout, n) @ im2col(0, b).T).reshape(cout, cin, kh, kw)
+        cols = im2col(0, b, False).reshape(k, n)
+        return (g.reshape(cout, n) @ cols.T).reshape(cout, cin, kh, kw)
 
     def vjp_x(g):
         # columns in (H', W', B) order and a (C_in, H, W, B) buffer: each
