@@ -31,7 +31,7 @@ for tag in ("camouflaged", "small", "incomplete", "blurry_noisy"):
 print("\nassembling the default pools...")
 ds = build_dataset(DatasetConfig(seed=0))
 print(f"{len(ds.support)} support / {len(ds.query)} query samples, "
-      f"classes {ds.class_ids}")
+      f"classes {ds.class_pools()[2]}")
 tags = [s.transforms_applied[0] for s in ds.query]
 print("query difficulty mix:", {t: tags.count(t) for t in sorted(set(tags))})
 ok = all(measure_rule(s)["ok"] for s in ds.query)

@@ -109,10 +109,10 @@ def check_keys(**values) -> None:
                               + ", ".join(f"{key} = {values[key]!r}" for key in keys))
 
 
-def check_pools(use: str, dataset, **values) -> None:
-    """DataError if ``use`` (a POOL_RULES key) would draw more than ``dataset`` holds."""
-    sup, qry = dataset.by_class("support"), dataset.by_class("query")
-    classes = sorted(set(sup) & set(qry))
+def check_pools(use: str, dataset, **values) -> tuple:
+    """DataError if ``use`` (a POOL_RULES key) would draw more than ``dataset``
+    holds; else ``dataset.class_pools()``, for the caller to draw from."""
+    sup, qry, classes = pools = dataset.class_pools()
     have = {"n_classes": [(len(classes), "")],
             "support_per_class": [(len(sup[c]), f" for class {c}") for c in classes],
             "query_per_class": [(len(qry[c]), f" for class {c}") for c in classes]}
@@ -121,3 +121,4 @@ def check_pools(use: str, dataset, **values) -> None:
             if values.get(need, need) > count:
                 named = f"{need} = {values[need]}" if need in values else need
                 raise DataError(f"{use} need {limit} >= {named}, the pools hold {count}{where}")
+    return pools

@@ -182,8 +182,6 @@ def generate_base_image(class_id: int, seed: int, size: int = 32) -> SyntheticSa
 def _background_value(sample: SyntheticSample) -> float:
     """The median of the pixels outside the target, as ``np.median`` computes it."""
     values = sample.image[0][~sample.target_mask]
-    if not values.size:
-        return float("nan")   # np.median of no values
     mid = values.size // 2
     if values.size % 2:
         return float(np.partition(values, mid)[mid])
@@ -312,6 +310,9 @@ def apply_difficulty(sample: SyntheticSample, tag: str, seed: int) -> SyntheticS
                             f"'{sample.pool}'")
     if tag not in DIFFICULTY_TAGS:
         raise ConfigError(f"apply_difficulty: unknown tag '{tag}'")
+    if tag != "blurry_noisy" and sample.target_mask.all():
+        raise ContractError(f"apply_difficulty: '{tag}' needs a background, and the sample "
+                            f"has no background pixels (its target mask covers the image)")
     rng = np.random.default_rng(np.random.SeedSequence([0x7472, sample.class_id, seed]))
     image, mask = _TRANSFORMS[tag](sample, rng)
     if (image == sample.image[0]).all():   # every transform keeps the image's shape
@@ -331,9 +332,12 @@ class SyntheticDataset:
     support: list[SyntheticSample]
     query: list[SyntheticSample]
 
-    @property
-    def class_ids(self) -> list[int]:
-        return sorted({s.class_id for s in self.support})
+    def class_pools(self) -> tuple[dict[int, list[SyntheticSample]],
+                                   dict[int, list[SyntheticSample]], list[int]]:
+        """Both pools by class, and the ascending classes that hold both: the
+        classes a sampler may draw."""
+        sup, qry = self.by_class("support"), self.by_class("query")
+        return sup, qry, sorted(set(sup) & set(qry))
 
     def by_class(self, pool: str) -> dict[int, list[SyntheticSample]]:
         out: dict[int, list[SyntheticSample]] = {}

@@ -77,10 +77,8 @@ def sample_episode(dataset: SyntheticDataset, n_way: int, k_shot: int,
     the easy pool and queries from the hard pool."""
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(np.random.SeedSequence([0x657, int(seed)]))
-    sup_by_class = dataset.by_class("support")
-    qry_by_class = dataset.by_class("query")
-    classes = sorted(set(sup_by_class) & set(qry_by_class))
-    check_pools("episodes", dataset, n_way=n_way, k_shot=k_shot, q_per_class=q_per_class)
+    sup_by_class, qry_by_class, classes = check_pools("episodes", dataset, n_way=n_way,
+                                                      k_shot=k_shot, q_per_class=q_per_class)
     chosen = np.sort(rng.choice(classes, size=n_way, replace=False))
     sup_imgs, sup_labels, qry_imgs, qry_labels = [], [], [], []
     for local, c in enumerate(chosen):

@@ -1,6 +1,7 @@
-"""Re-representation learner: fuse each conditional column with its
-prototype's position rows, compress, self-attend, and pool to the final
-C-dimensional vector. Every step works on (..., W*H, C) rows.
+"""Re-representation learner: :func:`represent_side` fuses one side's
+conditional column with its prototype's (..., W*H, C) position rows,
+compresses, self-attends and pools them to the final C-dimensional vector;
+:func:`re_represent_pair` runs it on both sides of a pair.
 
 Structures:
   siamese      one shared parameter set serves both sides (default)
@@ -16,7 +17,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .conditional import attend, conditional_forward
 from .config import check_keys
-from .exceptions import DimensionError
 
 
 def init_rerep_params(channels: int, structure: str = "siamese", seed: int = 0) -> dict[str, Tensor]:
@@ -58,59 +58,24 @@ def _one_side(c: int, in_dim: int, rng) -> dict[str, Tensor]:
     }
 
 
-def fuse_conditional(f, w) -> Tensor:
-    """Append the (..., T, 1) conditional column to the (..., T, C) feature
-    rows as one extra channel: (..., T, C+1)."""
-    f, w = ad.as_tensor(f), ad.as_tensor(w)
-    if f.ndim < 2 or w.shape != f.shape[:-1] + (1,):
-        raise DimensionError(f"fuse_conditional: positions differ, feature rows "
-                             f"{f.shape} vs column {w.shape}")
-    return ad.concat([f, w], axis=-1)
-
-
-def mlp_compress(x, params: dict[str, Tensor]) -> Tensor:
-    """Per-position affine (C_in -> C) + relu of (..., T, C_in) rows."""
-    x = ad.as_tensor(x)
-    weight, bias = params["compress.weight"], params["compress.bias"]
-    if x.ndim < 2 or x.shape[-1] != weight.shape[0]:
-        raise DimensionError(f"mlp_compress: input {x.shape} does not match weight "
-                             f"{weight.shape}")
-    return ad.relu(ad.add(ad.matmul(x, weight), bias))
-
-
-def self_attend(f_prime, params: dict[str, Tensor]) -> Tensor:
-    """Single-head scaled dot-product self-attention over positions."""
-    fp = ad.as_tensor(f_prime)
-    wq, wk, wv = params["attn.wq"], params["attn.wk"], params["attn.wv"]
-    c = fp.shape[-1]
-    for name, m in (("wq", wq), ("wk", wk), ("wv", wv)):
-        if m.shape != (c, c):
-            raise DimensionError(f"self_attend: {name} shape {m.shape} does not match "
-                                 f"channels {c}")
-    return attend(ad.matmul(fp, wq), ad.matmul(fp, wk), ad.matmul(fp, wv))
-
-
-def finalize_vector(f_prime, f_hat, params: dict[str, Tensor]) -> Tensor:
-    """Residual add, layer norm, two-layer MLP, mean-pool over positions.
+def represent_side(rows, column, params: dict[str, Tensor], residual: bool) -> Tensor:
+    """One side's (..., C) vector from its (..., T, C) prototype rows and
+    (..., T, 1) conditional column: fuse the column onto the rows as one extra
+    channel (or, without ``residual``, take the column alone), per-position
+    affine + relu, single-head self-attention over positions, residual add,
+    layer norm, two-layer MLP, mean over positions.
 
     The second MLP layer carries no bias: under a siamese distance loss an
     output bias shifts both sides' vectors identically, so it can never
     receive gradient and never influence a distance.
     """
-    fp, fh = ad.as_tensor(f_prime), ad.as_tensor(f_hat)
-    if fp.shape != fh.shape:
-        raise DimensionError(f"finalize_vector: shapes {fp.shape} and {fh.shape} differ")
-    x = ad.layer_norm(ad.add(fp, fh), params["final.gamma"], params["final.beta"])
+    x = ad.concat([rows, column], axis=-1) if residual else column
+    f_prime = ad.relu(ad.add(ad.matmul(x, params["compress.weight"]), params["compress.bias"]))
+    f_hat = attend(*(ad.matmul(f_prime, params[f"attn.{w}"]) for w in ("wq", "wk", "wv")))
+    x = ad.layer_norm(ad.add(f_prime, f_hat), params["final.gamma"], params["final.beta"])
     h = ad.relu(ad.add(ad.matmul(x, params["final.w1"]), params["final.b1"]))
     y = ad.matmul(h, params["final.w2"])
     return ad.mean(y, axis=y.ndim - 2)
-
-
-def _represent_side(rows, column, params: dict[str, Tensor], residual: bool) -> Tensor:
-    x = fuse_conditional(rows, column) if residual else column
-    f_prime = mlp_compress(x, params)
-    f_hat = self_attend(f_prime, params)
-    return finalize_vector(f_prime, f_hat, params)
 
 
 def re_represent_pair(fs, fq, model):
@@ -121,13 +86,8 @@ def re_represent_pair(fs, fq, model):
     """
     cond = conditional_forward(fs, fq, model.kernel)
     residual = model.structure != "non_residual"
-    if model.structure == "non_siamese":
-        side_s = {k[len("support."):]: v for k, v in model.rerep.items()
-                  if k.startswith("support.")}
-        side_q = {k[len("query."):]: v for k, v in model.rerep.items()
-                  if k.startswith("query.")}
-    else:
-        side_s = side_q = model.rerep
-    f_s = _represent_side(cond.support_rows, cond.support_matrix, side_s, residual)
-    f_q = _represent_side(cond.query_rows, cond.query_matrix, side_q, residual)
-    return f_s, f_q
+    prefixes = ("support.", "query.") if model.structure == "non_siamese" else ("", "")
+    side_s, side_q = ({k[len(p):]: v for k, v in model.rerep.items() if k.startswith(p)}
+                      for p in prefixes)
+    return (represent_side(cond.support_rows, cond.support_matrix, side_s, residual),
+            represent_side(cond.query_rows, cond.query_matrix, side_q, residual))

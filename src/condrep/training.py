@@ -59,10 +59,7 @@ def sample_pair_batch(dataset: SyntheticDataset, batch_size: int, rng,
     supports from the easy pool, queries from the difficulty-augmented pool."""
     if batch_size < 1:
         raise ContractError(f"sample_pair_batch: batch size must be positive, got {batch_size}")
-    sup = dataset.by_class("support")
-    qry = dataset.by_class("query")
-    classes = sorted(set(sup) & set(qry))
-    check_pools("pair batches", dataset)
+    sup, qry, classes = check_pools("pair batches", dataset)
     n_pos = int(np.ceil(batch_size / 2))
     supports, queries, labels = [], [], []
     for i in range(batch_size):

@@ -1,7 +1,8 @@
 """Referees: the slow, literal forms that the tests and demos 01-03 check
-the package against (finite differences, the dense 4D convolution, the
-per-glyph base image, the difficulty-rule re-measurement, ``float.hex``
-checkpoint lines). Nothing under ``condrep`` imports them."""
+the package against (finite differences, the dense 4D convolution, one side
+of the re-representation head, the per-glyph base image, the difficulty-rule
+re-measurement, ``float.hex`` checkpoint lines). Nothing under ``condrep``
+imports them."""
 from __future__ import annotations
 
 import numpy as np
@@ -131,6 +132,31 @@ def conv4d_oracle(rel, kernel: ConvKernel4D, direction: str) -> np.ndarray:
                                     acc += kern[dk, dl] * rel[a, b, u, v, ch]
             out[u, v] = max(0.0, acc + bias)
     return out
+
+
+# ---------------------------------------------------------------------------
+# re-representation head
+# ---------------------------------------------------------------------------
+
+def side_head_referee(rows, column, params: dict, residual: bool) -> np.ndarray:
+    """One side's (..., C) vector in plain numpy, step by step as the
+    per-position oracles write it: fuse (or take the column alone), affine +
+    relu, naive softmax self-attention, residual add, layer norm, two-layer
+    MLP, mean over positions; referee for ``rerepresent.represent_side``."""
+    p = {k: np.asarray(v.data if isinstance(v, Tensor) else v) for k, v in params.items()}
+    rows, column = np.asarray(rows), np.asarray(column)
+    x = np.concatenate([rows, column], axis=-1) if residual else column
+    f_prime = np.maximum(x @ p["compress.weight"] + p["compress.bias"], 0.0)
+    q, k, v = (f_prime @ p[f"attn.{w}"] for w in ("wq", "wk", "wv"))
+    s = q @ np.swapaxes(k, -1, -2) / np.sqrt(k.shape[-1])
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    f_hat = (e / e.sum(axis=-1, keepdims=True)) @ v
+    z = f_prime + f_hat
+    mu = z.mean(axis=-1, keepdims=True)
+    var = z.var(axis=-1, keepdims=True)
+    z = p["final.gamma"] * (z - mu) / np.sqrt(var + 1e-5) + p["final.beta"]
+    h = np.maximum(z @ p["final.w1"] + p["final.b1"], 0.0)
+    return (h @ p["final.w2"]).mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,21 @@ class TestDifficultyTransforms:
         with pytest.raises(ContractError, match="'blurry_noisy' left the image unchanged"):
             apply_difficulty(sample, "blurry_noisy", seed=0)
 
+    @pytest.mark.parametrize("tag", DIFFICULTY_TAGS)
+    def test_sample_without_background_refused_except_by_blur(self, tag):
+        # a target that covers every pixel leaves no background to take a
+        # median or a mean of; blur and noise need none
+        base = generate_base_image(1, 7, 16)
+        sample = SyntheticSample(image=base.image, class_id=1, pool="support",
+                                 transforms_applied=[], target_mask=np.ones((16, 16), bool),
+                                 seed=7)
+        if tag == "blurry_noisy":
+            q = apply_difficulty(sample, tag, seed=3)
+            assert np.isfinite(q.image).all() and not np.array_equal(q.image, base.image)
+            return
+        with pytest.raises(ContractError, match=f"'{tag}' .* no background pixels"):
+            apply_difficulty(sample, tag, seed=3)
+
     def test_re_transform_rejected(self):
         q = apply_difficulty(generate_base_image(0, 1), "small", seed=1)
         with pytest.raises(ContractError):

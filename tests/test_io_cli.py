@@ -314,11 +314,14 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="'pool'"):
             cio.load_checkpoint(path)
 
-    def test_malformed_header_rejected(self, tmp_path):
+    # a header without its model config, and a second line that is not
+    # ``header ...`` at all (the header line dropped)
+    @pytest.mark.parametrize("second", ['header {"meta": {}}', "tensor rerep.attn.wq 2 8 8"])
+    def test_malformed_header_rejected(self, tmp_path, second):
         path, lines = saved_checkpoint(tmp_path)
-        lines[1] = 'header {"meta": {}}'
+        lines[1] = second
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match="header"):
+        with pytest.raises(ConfigError, match="malformed or truncated header line"):
             cio.load_checkpoint(path)
 
 
@@ -715,10 +718,15 @@ class TestCli:
         ("--accuracy-csv", "episode,\n0,0.5\n", "column 2 of {csv} has an empty strategy name"),
         ("--loss-csv", "epoch,mean_loss\n5,2.0\n2,1.0\n0,0.5\n",
          "epoch 5 on line 2 of {csv}; the epochs must run 0, 1, 2, ... in order"),
-        ("--loss-csv", "epoch,mean_loss\n0,2.0\n2,1.0\n", "epoch 2 on line 3 of {csv}")],
+        ("--loss-csv", "epoch,mean_loss\n0,2.0\n2,1.0\n", "epoch 2 on line 3 of {csv}"),
+        ("--accuracy-csv", "epoch,a\n0,0.5\n", "accuracy csv: bad header in {csv}"),
+        ("--accuracy-csv", "episode,a,b\n0,0.5\n", "accuracy csv: malformed line 2: '0,0.5'"),
+        ("--loss-csv", "episode,loss\n0,1.0\n", "loss csv: bad header in {csv}"),
+        ("--loss-csv", "epoch,mean_loss\n0,1.0,2\n", "loss csv: malformed line 2: '0,1.0,2'")],
         ids=["accuracy", "loss", "accuracy-nan", "accuracy-above-1", "accuracy-negative",
              "loss-inf", "loss-nan", "accuracy-repeated-name", "accuracy-empty-name",
-             "loss-epochs-out-of-order", "loss-epoch-skipped"])
+             "loss-epochs-out-of-order", "loss-epoch-skipped", "accuracy-bad-header",
+             "accuracy-short-row", "loss-bad-header", "loss-long-row"])
     def test_plot_with_bad_csv_exits_2(self, tmp_path, capsys, flag, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)

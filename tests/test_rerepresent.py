@@ -1,6 +1,7 @@
-"""Re-representation learner: fusion, compression, self-attention, pooling,
-the three structure variants, and the pair head's batch invariance and
-recorded graph."""
+"""Re-representation learner: one side's head against its referee and at
+its special cases, the three structure variants, and the pair head's batch
+invariance and recorded graph."""
+import inspect
 import sys
 from collections import Counter
 
@@ -14,16 +15,10 @@ from condrep.exceptions import ConfigError, DimensionError
 from condrep.model import Model, ModelConfig
 from condrep.conditional import conditional_forward
 from condrep.config import DEFAULT_CONFIG
-from condrep.rerepresent import (finalize_vector, fuse_conditional, init_rerep_params,
-                                 mlp_compress, re_represent_pair, self_attend)
-from referees import fd_gradient_oracle, max_relative_error
+from condrep.rerepresent import init_rerep_params, re_represent_pair, represent_side
+from referees import fd_gradient_oracle, max_relative_error, side_head_referee
 
 C = 8
-
-
-@pytest.fixture()
-def params():
-    return init_rerep_params(C, "siamese", seed=0)
 
 
 def tiny_model(structure="siamese", seed=0):
@@ -32,130 +27,125 @@ def tiny_model(structure="siamese", seed=0):
     return Model.init(cfg, seed=seed)
 
 
-class TestFuse:
-    # feature rows (..., T, C) and the conditional column (..., T, 1)
-    def test_zero_matrix_keeps_feature_channels(self):
-        f = np.random.default_rng(0).normal(size=(4, C))
-        fused = fuse_conditional(Tensor(f), Tensor(np.zeros((4, 1))))
-        np.testing.assert_array_equal(fused.data[..., :C], f)
-        np.testing.assert_array_equal(fused.data[..., C], np.zeros(4))
+STRUCTURES = ("siamese", "non_siamese", "non_residual")
 
-    def test_shape(self):
-        fused = fuse_conditional(Tensor(np.zeros((16, 32))), Tensor(np.zeros((16, 1))))
-        assert fused.shape == (16, 33)
 
-    def test_round_trip_slice(self):
-        w = np.random.default_rng(1).normal(size=(9, 1))
-        fused = fuse_conditional(Tensor(np.zeros((9, C))), Tensor(w))
-        np.testing.assert_array_equal(fused.data[..., C:], w)
+def pick_side(params, structure, side):
+    """The ``side`` ("support" or "query") parameter set of ``params``."""
+    prefix = f"{side}." if structure == "non_siamese" else ""
+    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
-    def test_spatial_mismatch_rejected(self):
+
+def side_params(structure, side="support", **edits):
+    """One side's parameter set of ``structure`` at C channels, with ``edits``
+    (name -> array) swapped in."""
+    params = pick_side(init_rerep_params(C, structure, seed=0), structure, side)
+    params.update({k: Tensor(v) for k, v in edits.items()})
+    return params
+
+
+def side_inputs(positions, seed, lead=(3,)):
+    """(..., T, C) rows and the (..., T, 1) non-negative column of one side."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=lead + (positions, C)),
+            np.abs(rng.normal(size=lead + (positions, 1))))
+
+
+def head(rows, column, params, structure):
+    return represent_side(Tensor(rows), Tensor(column), params,
+                          structure != "non_residual").data
+
+
+# parameter edits (by the compression's input width) that each reach a
+# step's special case: the compression as the identity or as zero, zero
+# attention logits (every position averages the value rows), and zero value
+# weights (the vector is the pooled MLP of the normalized compressed rows)
+EDITS = {"init": lambda d: {},
+         "identity_compress": lambda d: {"compress.weight": np.eye(d, C),
+                                         "compress.bias": np.zeros(C)},
+         "zero_compress": lambda d: {"compress.weight": np.zeros((d, C)),
+                                     "compress.bias": np.zeros(C)},
+         "zero_logits": lambda d: {"attn.wq": np.zeros((C, C)), "attn.wk": np.zeros((C, C))},
+         "zero_values": lambda d: {"attn.wv": np.zeros((C, C))}}
+
+
+class TestRepresentSide:
+    @pytest.mark.parametrize("edit", EDITS)
+    @pytest.mark.parametrize("positions", [1, 5])
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_matches_referee(self, structure, positions, edit):
+        residual = structure != "non_residual"
+        for side in ("support", "query"):
+            params = side_params(structure, side, **EDITS[edit](C + 1 if residual else 1))
+            rows, column = side_inputs(positions, seed=positions)
+            out = head(rows, column, params, structure)
+            assert out.shape == (3, C)
+            np.testing.assert_allclose(out, side_head_referee(rows, column, params, residual),
+                                       atol=1e-9)
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_zero_value_weights_drop_the_attention(self, structure):
+        # the self-attention then adds exactly zero, whatever its logits
+        rows, column = side_inputs(4, seed=8)
+        params = side_params(structure, **EDITS["zero_values"](None))
+        rng = np.random.default_rng(9)
+        other = dict(params, **{f"attn.{w}": Tensor(rng.normal(size=(C, C)))
+                                for w in ("wq", "wk")})
+        np.testing.assert_array_equal(head(rows, column, other, structure),
+                                      head(rows, column, params, structure))
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_constant_positions_pool_to_one_position(self, structure):
+        rows, column = side_inputs(1, seed=10)
+        params = side_params(structure)
+        single = head(rows, column, params, structure)
+        tiled = head(np.repeat(rows, 6, -2), np.repeat(column, 6, -2), params, structure)
+        np.testing.assert_allclose(tiled, single, atol=1e-12)
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_permuted_positions_pool_to_the_same_vector(self, structure):
+        rows, column = side_inputs(5, seed=11)
+        perm = np.random.default_rng(12).permutation(5)
+        params = side_params(structure)
+        np.testing.assert_allclose(head(rows[:, perm], column[:, perm], params, structure),
+                                   head(rows, column, params, structure), atol=1e-12)
+
+    @pytest.mark.parametrize("structure, rows, column, edits", [
+        ("siamese", (4, C), (9, 1), {}),                          # positions differ
+        ("siamese", (4, C), (4, 2), {}),                          # a two-channel column
+        ("siamese", (4, C + 1), (4, 1), {}),                      # rows wider than C
+        ("non_residual", (4, C), (4, 2), {}),
+        ("siamese", (4, C), (4, 1), {"attn.wq": np.zeros((C, C + 1))}),
+        ("siamese", (4, C), (4, 1), {"attn.wv": np.zeros((C, C + 1))}),   # residual add
+        ("siamese", (4, C), (4, 1), {"final.gamma": np.ones(C + 1)}),
+    ])
+    def test_wrong_shapes_rejected(self, structure, rows, column, edits):
         with pytest.raises(DimensionError):
-            fuse_conditional(Tensor(np.zeros((4, C))), Tensor(np.zeros((9, 1))))
-        with pytest.raises(DimensionError):
-            fuse_conditional(Tensor(np.zeros((4, C))), Tensor(np.zeros((4, 2))))
+            head(np.zeros(rows), np.zeros(column), side_params(structure, **edits), structure)
 
 
-class TestMlpCompress:
-    def test_constructed_identity(self, params):
-        params = dict(params)
-        params["compress.weight"] = Tensor(np.vstack([np.eye(C), np.zeros((1, C))]))
-        params["compress.bias"] = Tensor(np.zeros(C))
-        f = np.abs(np.random.default_rng(2).normal(size=(4, C)))
-        fused = fuse_conditional(Tensor(f), Tensor(np.zeros((4, 1))))
-        out = mlp_compress(fused, params)
-        np.testing.assert_array_equal(out.data, f)
-
-    def test_zero_params_give_zero_output(self, params):
-        params = dict(params)
-        params["compress.weight"] = Tensor(np.zeros((C + 1, C)))
-        params["compress.bias"] = Tensor(np.zeros(C))
-        out = mlp_compress(Tensor(np.random.default_rng(3).normal(size=(4, C + 1))), params)
-        np.testing.assert_array_equal(out.data, np.zeros((4, C)))
-
-    def test_matches_per_position_oracle(self, params):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(4, C + 1))
-        out = mlp_compress(Tensor(x), params)
-        w, b = params["compress.weight"].data, params["compress.bias"].data
-        expected = np.maximum(x @ w + b, 0.0)
-        np.testing.assert_allclose(out.data, expected, atol=1e-9)
-
-    def test_param_shape_mismatch_rejected(self, params):
-        with pytest.raises(DimensionError):
-            mlp_compress(Tensor(np.zeros((4, C + 2))), params)
-
-
-class TestSelfAttend:
-    def test_single_position_with_identity_value(self, params):
-        params = dict(params)
-        params["attn.wv"] = Tensor(np.eye(C))
-        x = np.random.default_rng(5).normal(size=(1, C))
-        out = self_attend(Tensor(x), params)
-        np.testing.assert_allclose(out.data, x, atol=1e-12)
-
-    def test_zero_logits_average_value_rows(self, params):
-        params = dict(params)
-        params["attn.wq"] = Tensor(np.zeros((C, C)))
-        params["attn.wk"] = Tensor(np.zeros((C, C)))
-        x = np.random.default_rng(6).normal(size=(5, C))
-        out = self_attend(Tensor(x), params)
-        expected = np.broadcast_to((x @ params["attn.wv"].data).mean(axis=0), (5, C))
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-    def test_matches_naive_oracle(self, params):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(4, C))
-        out = self_attend(Tensor(x), params)
-        q = x @ params["attn.wq"].data
-        k = x @ params["attn.wk"].data
-        v = x @ params["attn.wv"].data
-        s = q @ k.T / np.sqrt(C)
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        expected = (e / e.sum(axis=-1, keepdims=True)) @ v
-        np.testing.assert_allclose(out.data, expected, atol=1e-9)
-
-    def test_param_shape_mismatch_rejected(self, params):
-        params = dict(params)
-        params["attn.wq"] = Tensor(np.zeros((C, C + 1)))
-        with pytest.raises(DimensionError):
-            self_attend(Tensor(np.zeros((4, C))), params)
-
-
-class TestFinalizeVector:
-    def test_zero_attention_reduces_to_mlp_ln_pooled(self, params):
-        rng = np.random.default_rng(8)
-        fp = rng.normal(size=(4, C))
-        out = finalize_vector(Tensor(fp), Tensor(np.zeros((4, C))), params)
-        mu = fp.mean(axis=-1, keepdims=True)
-        var = fp.var(axis=-1, keepdims=True)
-        xhat = (fp - mu) / np.sqrt(var + 1e-5)
-        x = params["final.gamma"].data * xhat + params["final.beta"].data
-        h = np.maximum(x @ params["final.w1"].data + params["final.b1"].data, 0.0)
-        y = h @ params["final.w2"].data
-        np.testing.assert_allclose(out.data, y.mean(axis=0), atol=1e-9)
-
-    def test_constant_positions_pool_to_per_position_output(self, params):
-        row = np.random.default_rng(9).normal(size=C)
-        fp = np.tile(row, (6, 1))
-        pooled = finalize_vector(Tensor(fp), Tensor(np.zeros((6, C))), params)
-        single = finalize_vector(Tensor(row[None]), Tensor(np.zeros((1, C))), params)
-        np.testing.assert_allclose(pooled.data, single.data, atol=1e-12)
-
-    def test_permutation_invariance_of_pooled_output(self, params):
-        rng = np.random.default_rng(10)
-        fp = rng.normal(size=(5, C))
-        perm = rng.permutation(5)
-        out = finalize_vector(Tensor(fp), self_attend(Tensor(fp), params), params)
-        out_p = finalize_vector(Tensor(fp[perm]), self_attend(Tensor(fp[perm]), params), params)
-        np.testing.assert_allclose(out.data, out_p.data, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self, params):
-        with pytest.raises(DimensionError):
-            finalize_vector(Tensor(np.zeros((4, C))), Tensor(np.zeros((3, C))), params)
+def test_public_functions_are_the_head():
+    from condrep import rerepresent
+    public = sorted(name for name, fn in vars(rerepresent).items()
+                    if inspect.isfunction(fn) and fn.__module__ == rerepresent.__name__
+                    and not name.startswith("_"))
+    assert public == ["init_rerep_params", "re_represent_pair", "represent_side"]
 
 
 class TestRepresentPair:
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_each_side_runs_the_head_on_its_own_parameters(self, structure):
+        model = tiny_model(structure)
+        rng = np.random.default_rng(19)
+        fs, fq = (Tensor(rng.normal(size=(3, 2, 2, 8))) for _ in range(2))
+        cond = conditional_forward(fs, fq, model.kernel)
+        got = re_represent_pair(fs, fq, model)
+        for vec, rows, column, side in ((got[0], cond.support_rows, cond.support_matrix, "support"),
+                                        (got[1], cond.query_rows, cond.query_matrix, "query")):
+            params = pick_side(model.rerep, structure, side)
+            np.testing.assert_allclose(vec.data, side_head_referee(
+                rows.data, column.data, params, structure != "non_residual"), atol=1e-9)
+
     def test_siamese_swap_symmetry_bit_exact(self):
         model = tiny_model()
         rng = np.random.default_rng(11)

@@ -98,6 +98,11 @@ class TestPairBatch:
         with pytest.raises(DataError, match="pair batches need n_classes >= 2, the pools hold 1"):
             sample_pair_batch(ds, 4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_non_positive_batch_size_rejected(self, batch_size):
+        with pytest.raises(ContractError, match=f"batch size must be positive, got {batch_size}"):
+            sample_pair_batch(tiny_dataset(), batch_size, np.random.default_rng(0))
+
     def test_determinism(self):
         ds = tiny_dataset()
         a = sample_pair_batch(ds, 8, np.random.default_rng(3), augment="randaugment")
@@ -141,6 +146,13 @@ class TestContrastiveLoss:
     def test_negative_distance_rejected(self):
         with pytest.raises(ContractError):
             contrastive_loss(Tensor([-0.1]), [True])
+
+    @pytest.mark.parametrize("distances, labels", [([0.5, 0.5], [True]),
+                                                   ([0.5], [True, False]),
+                                                   ([[0.5, 0.5]], [True, False])])
+    def test_distances_and_labels_of_different_shapes_rejected(self, distances, labels):
+        with pytest.raises(DimensionError, match="distances vs"):
+            contrastive_loss(Tensor(distances), labels)
 
     def test_nonnegative_and_zero_iff_satisfied(self):
         rng = np.random.default_rng(0)
