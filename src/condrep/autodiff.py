@@ -227,45 +227,33 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # elementwise
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
+def _elementwise(name: str, op, a, b, grad_a, grad_b) -> Tensor:
+    """``op`` of two operands' arrays, which must broadcast (else DimensionError
+    naming the op); each operand's vjp sums ``grad(g)`` back to its shape."""
     a, b = as_tensor(a), as_tensor(b)
     try:
-        out = a.data + b.data
+        out = op(a.data, b.data)
     except ValueError:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+        raise DimensionError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
     sa, sb = a.shape, b.shape
-    return _make(out, [
-        (a, lambda g: _unbroadcast(g, sa)),
-        (b, lambda g: _unbroadcast(g, sb)),
-    ])
+    return _make(out, [(a, lambda g: _unbroadcast(grad_a(g), sa)),
+                       (b, lambda g: _unbroadcast(grad_b(g), sb))])
+
+
+def add(a, b) -> Tensor:
+    return _elementwise("add", np.add, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-    sa, sb = a.shape, b.shape
-    return _make(out, [
-        (a, lambda g: _unbroadcast(g, sa)),
-        (b, lambda g: _unbroadcast(-g, sb)),
-    ])
+    return _elementwise("sub", np.subtract, a, b, lambda g: g, np.negative)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     # each vjp reads the other operand's array; _make drops the vjps of
     # parents that need no gradient, and with them the arrays they read
-    da, db, sa, sb = a.data, b.data, a.shape, b.shape
-    return _make(out, [
-        (a, lambda g: _unbroadcast(g * db, sa)),
-        (b, lambda g: _unbroadcast(g * da, sb)),
-    ])
+    a, b = as_tensor(a), as_tensor(b)
+    da, db = a.data, b.data
+    return _elementwise("mul", np.multiply, a, b, lambda g: g * db, lambda g: g * da)
 
 
 def relu(x) -> Tensor:
@@ -581,22 +569,20 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(out, [(t, make_vjp(i)) for i, t in enumerate(tensors)])
 
 
-def _norm_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a if a >= 0 else ndim + a for a in axis)
+def _reduced(name: str, x, axis):
+    """``x`` as a tensor, the axes that ``axis`` (None for all, an int or a
+    tuple) names, and its shape with them kept as 1; DimensionError names the op."""
+    x = as_tensor(x)
+    axes = range(x.ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
+    axes = tuple(a + x.ndim if a < 0 else a for a in axes)
+    if any(not 0 <= a < x.ndim for a in axes):
+        raise DimensionError(f"{name}: axis {axis} out of range for shape {x.shape}")
+    return x, axes, tuple(1 if i in axes else s for i, s in enumerate(x.shape))
 
 
 def mean(x, axis=None) -> Tensor:
-    x = as_tensor(x)
-    axes = _norm_axes(axis, x.ndim)
-    if any(a >= x.ndim for a in axes):
-        raise DimensionError(f"mean: axis {axis} out of range for shape {x.shape}")
-    out, shape = x.data.mean(axis=axes), x.shape
-    n = int(np.prod([shape[a] for a in axes])) if axes else 1
-    keep_shape = tuple(1 if i in axes else s for i, s in enumerate(shape))
+    x, axes, keep_shape = _reduced("mean", x, axis)
+    out, shape, n = x.data.mean(axis=axes), x.shape, int(np.prod([x.shape[a] for a in axes]))
 
     def vjp(g):
         return np.broadcast_to(g.reshape(keep_shape), shape) * (1.0 / n)
@@ -605,12 +591,8 @@ def mean(x, axis=None) -> Tensor:
 
 
 def sum_along(x, axis=None) -> Tensor:
-    x = as_tensor(x)
-    axes = _norm_axes(axis, x.ndim)
-    if any(a >= x.ndim for a in axes):
-        raise DimensionError(f"sum_along: axis {axis} out of range for shape {x.shape}")
+    x, axes, keep_shape = _reduced("sum_along", x, axis)
     out, shape = x.data.sum(axis=axes), x.shape
-    keep_shape = tuple(1 if i in axes else s for i, s in enumerate(shape))
 
     def vjp(g):
         return np.broadcast_to(g.reshape(keep_shape), shape).copy()

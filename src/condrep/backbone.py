@@ -1,10 +1,10 @@
 """Small convolutional feature extractor trained from scratch.
 
-Maps a grayscale image to a W x H x C prototype feature map. Each block is
-conv3x3 (stride 1, pad 1) -> norm over channels -> relu -> 2x2 average
-pooling, so it halves the side. ``block_widths`` derives the blocks from
-image_size, feature_side and feature_channels: the toy default turns a
-32x32 input into a 4x4x32 map through blocks of 8, 16 and 32 channels.
+Maps a grayscale image to an H x W x C prototype feature map, square (W =
+H). Each block is conv3x3 (stride 1, pad 1) -> norm over channels -> relu
+-> 2x2 average pooling, so it halves the side. ``block_widths`` derives the
+blocks from image_size, feature_side and feature_channels: the toy default
+turns a 32x32 input into a 4x4x32 map through blocks of 8, 16 and 32 channels.
 
 The backbone runs channel-major: the (B, C, H, W) input is permuted once
 to (C, B, H, W), each block's two ops take and return that layout, and the
@@ -62,7 +62,7 @@ def init_backbone(config, seed: int) -> dict[str, Tensor]:
 
 def extract_features(images, params: dict[str, Tensor], config) -> Tensor:
     """Run the backbone of ``config`` (a ``ModelConfig``); returns the batch
-    of prototype maps (B, W, H, C)."""
+    of prototype maps (B, H, W, C), with W = H = ``config.feature_side``."""
     x = ad.as_tensor(images)
     size = config.image_size
     if x.shape[1:] != (1, size, size):

@@ -39,7 +39,7 @@ def _common_config(args) -> tuple[dict[str, str], dict]:
 
 def _load_dataset(args, cfg):
     config = cio.dataset_config_from(cfg)
-    return load_pools(args.data, config) if getattr(args, "data", None) else build_dataset(config)
+    return load_pools(args.data, config.image_size) if args.data else build_dataset(config)
 
 
 def cmd_gen_data(args) -> int:

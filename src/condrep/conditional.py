@@ -161,13 +161,13 @@ class ConditionalOutput(NamedTuple):
 
 
 def conditional_forward(fs, fq, kernel: ConvKernel4D) -> ConditionalOutput:
-    """Full conditional learner for one (support, query) pair of (..., W, H, C)
-    maps; each matrix comes back as a (..., W*H, 1) column of position rows,
-    next to the (..., W*H, C) rows of its map that the re-representation
-    head fuses it with."""
+    """Full conditional learner for one (support, query) pair of (..., H, W, C)
+    maps, square (W = H); each matrix comes back as a (..., W*H, 1) column of
+    position rows, next to the (..., W*H, C) rows of its map that the
+    re-representation head fuses it with."""
     fs, fq = ad.as_tensor(fs), ad.as_tensor(fq)
     if fs.ndim < 3 or fs.shape != fq.shape:
-        raise DimensionError(f"conditional_forward: expected equal (..., W, H, C) prototype "
+        raise DimensionError(f"conditional_forward: expected equal (..., H, W, C) prototype "
                              f"shapes, got {fs.shape} and {fq.shape}")
     w, h, c = fs.shape[-3:]
     if c % 2 != 0:

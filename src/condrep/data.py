@@ -328,7 +328,7 @@ def apply_difficulty(sample: SyntheticSample, tag: str, seed: int) -> SyntheticS
 
 @dataclass
 class SyntheticDataset:
-    config: DatasetConfig
+    """The two pools: clean supports and transformed queries."""
     support: list[SyntheticSample]
     query: list[SyntheticSample]
 
@@ -381,7 +381,7 @@ def build_dataset(cfg: DatasetConfig) -> SyntheticDataset:
         shuffle_rng.shuffle(tags)
         bases = _render_glyphs(c, _glyph_seeds(cfg, 3, c, cfg.query_per_class), cfg.image_size)
         query.extend(apply_difficulty(base, tag, seed=base.seed) for base, tag in zip(bases, tags))
-    return SyntheticDataset(config=cfg, support=support, query=query)
+    return SyntheticDataset(support=support, query=query)
 
 
 def _glyph_seeds(cfg: DatasetConfig, pool_key: int, class_id: int, n: int) -> list[int]:
@@ -436,15 +436,15 @@ def export_pools(dataset: SyntheticDataset, out_dir) -> int:
     return count
 
 
-def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
-    """Read a directory written by :func:`export_pools` (or laid out the same way)."""
+def load_pools(in_dir, image_size: int) -> SyntheticDataset:
+    """Read a directory written by :func:`export_pools` (or laid out the same
+    way) whose images are all (1, image_size, image_size)."""
     in_dir = Path(in_dir)
     class_dirs = sorted(in_dir.glob("class_*"))
     if not class_dirs:
         raise DataError(f"load_pools: no class_* directories under {in_dir}")
     support: list[SyntheticSample] = []
     query: list[SyntheticSample] = []
-    size = config.image_size if config else None   # else the first file's side
     for cdir in class_dirs:
         try:
             class_id = int(cdir.name.split("_", 1)[1])
@@ -467,19 +467,18 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
             if missing:
                 raise DataError(f"load_pools: {f} lacks the key(s) {missing}")
             image = arrays["image"]
-            size = image.shape[-1] if size is None and image.ndim == 3 else size
-            if image.shape != (1, size, size) or image.dtype.kind not in "fiu" \
+            if image.shape != (1, image_size, image_size) or image.dtype.kind not in "fiu" \
                     or not np.all(np.isfinite(image)):
                 raise DataError(f"load_pools: {f} holds a {image.dtype} {image.shape} image; each "
-                                f"must be finite and (1, S, S) with S = {size}: the config's "
-                                f"image_size if one is given, else the first file's side")
+                                f"must be finite and (1, S, S) with S = {image_size}: the "
+                                f"config's image_size")
             if np.any((image < 0) | (image > 1)):
                 raise DataError(f"load_pools: {f} holds image values in [{image.min()}, "
                                 f"{image.max()}]; they must lie in [0, 1], the generator's range")
             mask = arrays["mask"]
-            if mask.dtype != bool or mask.shape != (size, size):
+            if mask.dtype != bool or mask.shape != (image_size, image_size):
                 raise DataError(f"load_pools: {f} holds a {mask.dtype} {mask.shape} mask; it "
-                                f"must be bool and ({size}, {size}), the image's side")
+                                f"must be bool and ({image_size}, {image_size}), the image's side")
             if (seed := arrays["seed"]).shape != () or seed.dtype.kind not in "iu":
                 raise DataError(f"load_pools: {f} holds a {seed.dtype} {seed.shape} seed; "
                                 f"it must be a single integer")
@@ -487,9 +486,4 @@ def load_pools(in_dir, config: DatasetConfig | None = None) -> SyntheticDataset:
                 image=image, class_id=class_id, pool=pool,
                 transforms_applied=[] if tags == "clean" else tags.split("-"),
                 target_mask=mask, seed=int(seed)))
-    cfg = config or DatasetConfig(
-        n_classes=len(class_dirs),
-        support_per_class=max(1, len(support) // max(1, len(class_dirs))),
-        query_per_class=max(1, len(query) // max(1, len(class_dirs))),
-        image_size=size)
-    return SyntheticDataset(config=cfg, support=support, query=query)
+    return SyntheticDataset(support=support, query=query)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, no_grad, softmax_lastdim
 from .config import check_keys, check_pools
 from .data import SyntheticDataset
 from .exceptions import ConfigError
@@ -95,11 +95,6 @@ def sample_episode(dataset: SyntheticDataset, n_way: int, k_shot: int,
                        query_images=np.stack(qry_imgs),
                        query_labels=np.array(qry_labels),
                        class_ids=np.asarray(chosen))
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _fit_logistic(x: np.ndarray, labels: np.ndarray, n_classes: int,
@@ -172,7 +167,7 @@ def strategy_predictions(strategies, *, n_way: int, k_shot: int,
             if s == "classifier":
                 target = query_vectors.mean(axis=1)
             else:  # weighted_query
-                class_weights = _softmax(-proto_dist)                       # (NQ, N)
+                class_weights = softmax_lastdim(-proto_dist).data           # (NQ, N)
                 class_means = query_vectors.reshape(nq, n_way, k_shot, -1).mean(axis=2)
                 target = (class_weights[:, :, None] * class_means).sum(axis=1)
             scores = (target[:, None, :] @ fit[0])[:, 0, :] + fit[1][:, 0, :]
@@ -212,7 +207,7 @@ def _pair_vectors(model: Model, own: np.ndarray, own_idx: np.ndarray,
 
 
 def _maps(images: np.ndarray, model: Model, memo: dict | None = None) -> np.ndarray:
-    """Backbone maps (B, W, H, C) of ``images``. The distinct images that
+    """Backbone maps (B, H, W, C) of ``images``. The distinct images that
     ``memo`` (image bytes -> map) lacks are mapped a group at a time and
     added to it."""
     memo = {} if memo is None else memo
@@ -227,7 +222,7 @@ def _maps(images: np.ndarray, model: Model, memo: dict | None = None) -> np.ndar
 
 
 def _episode_maps(task: EpisodeTask, model: Model, memo: dict | None = None):
-    """Backbone maps (B, W, H, C) of the supports and of the queries; ``memo``
+    """Backbone maps (B, H, W, C) of the supports and of the queries; ``memo``
     is as in :func:`_maps`."""
     images = np.concatenate([task.support_images, task.query_images])
     return np.split(_maps(images, model, memo), [len(task.support_images)])

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -49,14 +48,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config of a checkpoint header, whose blocks and input channels
-        must be the ones its sizes derive."""
+        """The config of a checkpoint header, which must be, key by key, the header
+        that config writes, plus the ``"pool": "avg"`` of older backbones."""
         bb = d["backbone"]
-        # older checkpoints carry "pool": "avg"; any other value names a model
-        # this backbone cannot run
-        if bb.get("pool", "avg") != "avg":
-            raise ConfigError(f"model: backbone key 'pool' = {bb['pool']!r} is not supported; "
-                              f"the backbone only average-pools")
         sizes = [bb[k] for k in ("input_size", "channels_in", "feature_channels", "feature_side")]
         if any(type(v) is not int for v in sizes + [n for b in bb["blocks"] for n in b]
                + list(d["kernel_shape"])):
@@ -65,17 +59,19 @@ class ModelConfig:
                      feature_channels=bb["feature_channels"],
                      kernel_shape=tuple(d["kernel_shape"]), structure=d["structure"])
         config.validate()
-        if bb["channels_in"] != 1:
-            raise ConfigError(f"model: backbone.channels_in = {bb['channels_in']}, but the "
-                              f"backbone reads one-channel images")
-        derived = config.to_dict()["backbone"]["blocks"]
-        for i, (got, want) in enumerate(zip_longest(bb["blocks"], derived, fillvalue="absent")):
-            if got != want:
-                raise ConfigError(f"model: backbone.blocks[{i}] is {got}, but input_size "
-                                  f"{config.image_size}, feature_side {config.feature_side} "
-                                  f"and feature_channels {config.feature_channels} derive "
-                                  f"blocks {derived}")
+        got = {k: v for k, v in _by_path(d).items() if (k, v) != (("backbone", "pool"), "avg")}
+        want = _by_path(config.to_dict())
+        for key in sorted(got.keys() | want.keys()):
+            if key not in want or got.get(key) != want[key]:
+                raise ConfigError(f"model: header key {'.'.join(key)} is {got.get(key)!r}, but the "
+                                  f"header of {config} has {want.get(key, 'no such key')}")
         return config
+
+
+def _by_path(header: dict) -> dict:
+    """The header's values by key path: ``("structure",)``, ``("backbone", "blocks")``."""
+    top = {(key,): value for key, value in header.items() if key != "backbone"}
+    return top | {("backbone", key): value for key, value in header["backbone"].items()}
 
 
 class Model:
@@ -113,7 +109,7 @@ class Model:
         return out
 
     def features(self, images) -> Tensor:
-        """Backbone forward: images -> (B, W, H, C) prototype maps."""
+        """Backbone forward: images -> (B, H, W, C) prototype maps, with W = H."""
         return extract_features(images, self.backbone, self.config)
 
     def load_parameters(self, values: dict[str, np.ndarray]):

@@ -384,6 +384,25 @@ class TestShapeOps:
         with pytest.raises(DimensionError, match="reshape"):
             ad.reshape(Tensor(np.zeros((2, 3))), (4, 4))
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_elementwise_operands_that_do_not_broadcast_name_the_op(self, op):
+        with pytest.raises(DimensionError,
+                           match=rf"{op.__name__}: shapes \(2, 3\) and \(2, 4\) do not broadcast"):
+            op(Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("op", [ad.mean, ad.sum_along])
+    @pytest.mark.parametrize("axis", [2, -3, (0, 2), (-3,)])
+    def test_reduction_axis_outside_the_tensor_names_the_op(self, op, axis):
+        # an axis below -ndim was wrapped once more and reduced another axis
+        with pytest.raises(DimensionError, match=f"{op.__name__}: axis .* out of range"):
+            op(Tensor(np.zeros((2, 3))), axis=axis)
+
+    @pytest.mark.parametrize("axis", [None, 0, -1, (0, -1), (-2,)])
+    def test_reductions_over_negative_and_tuple_axes(self, axis):
+        x = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(ad.mean(Tensor(x), axis=axis).data, x.mean(axis=axis))
+        np.testing.assert_array_equal(ad.sum_along(Tensor(x), axis=axis).data, x.sum(axis=axis))
+
     def test_index_axis_gathers_rows_in_index_order(self):
         x = np.arange(12.0).reshape(4, 3)
         out = ad.index_axis(Tensor(x), 0, [2, 0, 2, 3])

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 
 from condrep import data
 from condrep.config import DIFFICULTY_TAGS
-from condrep.data import (CAMOUFLAGE_MEAN_TOL, DatasetConfig, SyntheticSample,
-                          apply_difficulty, augment_query_image, build_dataset,
-                          export_pools, generate_base_image, load_pools)
+from condrep.data import (CAMOUFLAGE_MEAN_TOL, DatasetConfig, SyntheticDataset,
+                          SyntheticSample, apply_difficulty, augment_query_image,
+                          build_dataset, export_pools, generate_base_image, load_pools)
 from condrep.exceptions import ConfigError, ContractError, DataError
 from referees import base_image_referee, measure_rule
 
@@ -312,7 +313,7 @@ class TestExportImport:
                                          query_per_class=4))
         n = export_pools(ds, tmp_path)
         assert n == 2 * (3 + 4)
-        loaded = load_pools(tmp_path)
+        loaded = load_pools(tmp_path, 32)
         assert len(loaded.support) == 6 and len(loaded.query) == 8
         orig = sorted(ds.support + ds.query, key=lambda s: s.sample_id)
         back = sorted(loaded.support + loaded.query, key=lambda s: s.sample_id)
@@ -323,12 +324,12 @@ class TestExportImport:
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     def test_empty_class_directory_rejected(self, tmp_path):
         (tmp_path / "class_0").mkdir()
         with pytest.raises(DataError, match="class_0.*no .npz"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     @pytest.mark.parametrize("bad_name", ["support_00000.npz", "extra_00000__clean.npz",
                                           "supportx_00000__clean.npz"])
@@ -339,7 +340,7 @@ class TestExportImport:
         first = sorted(tmp_path.glob("class_*/*.npz"))[0]
         first.rename(first.parent / bad_name)
         with pytest.raises(DataError, match=bad_name):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     @staticmethod
     def _rewrite_last_file(tmp_path, **changes):
@@ -357,7 +358,7 @@ class TestExportImport:
     def test_missing_key_rejected(self, tmp_path, key):
         last = self._rewrite_last_file(tmp_path, **{key: None})
         with pytest.raises(DataError, match=f"{last.name}.*'{key}'"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_rejected(self, tmp_path, bad):
@@ -365,7 +366,7 @@ class TestExportImport:
         image[0, 3, 4] = bad
         last = self._rewrite_last_file(tmp_path, image=image)
         with pytest.raises(DataError, match=f"{last.name}.*must be finite"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     @pytest.mark.parametrize("image", [np.full((1, 32, 32), -1e-9), np.full((1, 32, 32), 1.5),
                                        np.full((1, 32, 32), 255, dtype=np.uint8)],
@@ -373,13 +374,13 @@ class TestExportImport:
     def test_image_outside_unit_range_rejected(self, tmp_path, image):
         last = self._rewrite_last_file(tmp_path, image=image)
         with pytest.raises(DataError, match=f"{last.name}.*must lie in \\[0, 1\\]"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     def test_image_range_bounds_are_inclusive(self, tmp_path):
         image = np.zeros((1, 32, 32))
         image[0, 0, 0] = 1.0
         self._rewrite_last_file(tmp_path, image=image)
-        loaded = load_pools(tmp_path)
+        loaded = load_pools(tmp_path, 32)
         assert any(np.array_equal(s.image, image) for s in loaded.support + loaded.query)
 
     @pytest.mark.parametrize("shape", [(32, 32), (2, 32, 32), (1, 32, 16), (1, 16, 16),
@@ -387,7 +388,7 @@ class TestExportImport:
     def test_image_of_wrong_shape_or_size_rejected(self, tmp_path, shape):
         last = self._rewrite_last_file(tmp_path, image=np.zeros(shape))
         with pytest.raises(DataError, match=f"{last.name}.*{re.escape(str(shape))}"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     @pytest.mark.parametrize("mask", [np.zeros((32, 32)), np.zeros((32, 32), dtype=np.int64),
                                       np.zeros((16, 16), dtype=bool),
@@ -398,7 +399,7 @@ class TestExportImport:
     def test_mask_not_bool_of_image_side_rejected(self, tmp_path, mask):
         last = self._rewrite_last_file(tmp_path, mask=mask)
         with pytest.raises(DataError, match=f"{last.name}.*{re.escape(str(mask.shape))} mask"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     def test_pool_side_other_than_config_image_size_rejected(self, tmp_path):
         # the pools loaded, and training failed at its first batch in the
@@ -408,16 +409,17 @@ class TestExportImport:
         export_pools(ds, tmp_path)
         with pytest.raises(DataError, match=re.escape(str(tmp_path)) +
                            r".*\(1, 16, 16\) image.*S = 32: the config's image_size"):
-            load_pools(tmp_path, DatasetConfig(n_classes=2, image_size=32))
-        loaded = load_pools(tmp_path, DatasetConfig(n_classes=2, image_size=16))
-        assert len(loaded.support) == 2 and loaded.config.image_size == 16
-
-    def test_mask_follows_its_own_image_side(self, tmp_path):
-        ds = build_dataset(DatasetConfig(seed=7, n_classes=2, image_size=16,
-                                         support_per_class=1, query_per_class=1))
-        export_pools(ds, tmp_path)
-        loaded = load_pools(tmp_path)
+            load_pools(tmp_path, 32)
+        loaded = load_pools(tmp_path, 16)
+        assert len(loaded.support) == 2
         assert {s.target_mask.shape for s in loaded.support + loaded.query} == {(16, 16)}
+
+    def test_a_dataset_is_its_two_pools(self, tmp_path):
+        # load_pools once inferred the image side from the first file and
+        # invented a DatasetConfig from file counts for a field no code read
+        assert [f.name for f in fields(SyntheticDataset)] == ["support", "query"]
+        with pytest.raises(TypeError, match="image_size"):
+            load_pools(tmp_path)
 
     # a pair exited 1 with a TypeError, 1.5 loaded as seed 1, and "x" and NaN
     # raised errors that did not name the file
@@ -427,20 +429,20 @@ class TestExportImport:
     def test_seed_not_a_single_integer_rejected(self, tmp_path, seed):
         last = self._rewrite_last_file(tmp_path, seed=seed)
         with pytest.raises(DataError, match=f"{last.name}.*must be a single integer"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     def test_non_numeric_image_rejected(self, tmp_path):
         last = self._rewrite_last_file(tmp_path, image=np.full((1, 32, 32), "x"))
         with pytest.raises(DataError, match=last.name):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     def test_unreadable_file_rejected(self, tmp_path):
         last = self._rewrite_last_file(tmp_path)
         last.write_bytes(b"not a zip archive")
         with pytest.raises(DataError, match=f"{last.name}.*readable"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)
 
     def test_non_numeric_class_directory_rejected(self, tmp_path):
         (tmp_path / "class_cats").mkdir()
         with pytest.raises(DataError, match="class_cats"):
-            load_pools(tmp_path)
+            load_pools(tmp_path, 32)

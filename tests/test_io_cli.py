@@ -311,7 +311,7 @@ class TestCheckpoint:
         header["model_config"]["backbone"]["pool"] = "max"
         lines[1] = "header " + json.dumps(header, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match="'pool'"):
+        with pytest.raises(ConfigError, match="backbone.pool is 'max'"):
             cio.load_checkpoint(path)
 
     # a header without its model config, and a second line that is not
@@ -779,18 +779,20 @@ class TestCli:
         assert not (tmp_path / "run").exists()
 
     # each exited 1 with a TypeError traceback from building the model, after
-    # the checkpoint was parsed
+    # the checkpoint was parsed; a backbone that is not an object exited 1 with
+    # an AttributeError
     @pytest.mark.parametrize("key,value", [
         ("input_size", "16"), ("blocks", [["a", 2], [8, 2], [8, 2]]),
-        ("kernel_shape", [3, "3", 3, 3]), ("feature_side", None), ("feature_channels", 8.0)],
+        ("kernel_shape", [3, "3", 3, 3]), ("feature_side", None), ("feature_channels", 8.0),
+        ("backbone", "x"), ("backbone", [16, 1])],
         ids=["str_input_size", "str_block_width", "str_in_kernel_shape", "null_feature_side",
-             "float_feature_channels"])
+             "float_feature_channels", "str_backbone", "list_backbone"])
     def test_header_value_of_wrong_type_exits_2_without_traceback(self, tmp_path, capsys,
                                                                   key, value):
         path, lines = saved_checkpoint(tmp_path)
         header = json.loads(lines[1][len("header "):])
         config = header["model_config"]
-        (config if key == "kernel_shape" else config["backbone"])[key] = value
+        (config if key in ("kernel_shape", "backbone") else config["backbone"])[key] = value
         lines[1] = "header " + json.dumps(header, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         rc = main(["eval", "--out", str(tmp_path / "run"), "--checkpoint", str(path),
@@ -799,27 +801,36 @@ class TestCli:
         assert rc == 2
         assert "Traceback" not in err
         assert "error: checkpoint:" in err and "header line" in err
+        assert not (tmp_path / "run").exists()
 
     # a block of one or three entries exited 2 with "not enough values to
     # unpack" (or "too many values"), naming neither the key nor the block;
-    # the blocks and input channels now follow from the header's sizes, and
-    # one that does not names a backbone no config builds
+    # the header must now be the one its sizes write, so a block or input
+    # channel count they do not derive, or a key the model does not write
+    # (which loaded, and eval exited 0), is refused by its dotted path
     @pytest.mark.parametrize("key,value,named", [
-        ("blocks", [[8, 2], [8], [8, 2]], "backbone.blocks[1]"),
-        ("blocks", [[8, 2], [8, 2, 1], [8, 2]], "backbone.blocks[1]"),
-        ("blocks", [[8, 2], [16, 2], [8, 2]], "backbone.blocks[1]"),
-        ("blocks", [[8, 2], [8, 2]], "backbone.blocks[2]"),
-        ("blocks", [[8, 2], [8, 2], [8, 2], [8, 2]], "backbone.blocks[3]"),
-        ("channels_in", 2, "backbone.channels_in"),
-        ("feature_side", 0, "feature_side must be >= 2, got 0"),
-        ("input_size", 8, "image_size must be >= 16, got 8")],
+        ("backbone.blocks", [[8, 2], [8], [8, 2]], "backbone.blocks"),
+        ("backbone.blocks", [[8, 2], [8, 2, 1], [8, 2]], "backbone.blocks"),
+        ("backbone.blocks", [[8, 2], [16, 2], [8, 2]], "backbone.blocks"),
+        ("backbone.blocks", [[8, 2], [8, 2]], "backbone.blocks"),
+        ("backbone.blocks", [[8, 2], [8, 2], [8, 2], [8, 2]], "backbone.blocks"),
+        ("backbone.channels_in", 2, "backbone.channels_in"),
+        ("backbone.feature_side", 0, "feature_side must be >= 2, got 0"),
+        ("backbone.input_size", 8, "image_size must be >= 16, got 8"),
+        ("backbone.norm", "batch", "backbone.norm"),
+        ("attention_heads", 4, "attention_heads")],
         ids=["one_entry", "three_entries", "wider_block", "missing_block", "extra_block",
-             "channels_in_2", "feature_side_0", "input_size_8"])
+             "channels_in_2", "feature_side_0", "input_size_8", "unknown_backbone_key",
+             "unknown_top_level_key"])
     def test_header_backbone_not_derived_exits_2_naming_the_key(self, tmp_path, capsys,
                                                                  key, value, named):
         path, lines = saved_checkpoint(tmp_path)
         header = json.loads(lines[1][len("header "):])
-        header["model_config"]["backbone"][key] = value
+        *parents, last = key.split(".")
+        target = header["model_config"]
+        for part in parents:
+            target = target[part]
+        target[last] = value
         lines[1] = "header " + json.dumps(header, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         rc = main(["eval", "--out", str(tmp_path / "run"), "--checkpoint", str(path),
